@@ -434,22 +434,6 @@ func predictorAccuracyWithOptions(b *testing.B, weight float64, period time.Dura
 
 // ---------------------------------------------------------- Microbenchmarks
 
-// BenchmarkMachineStep measures the simulator's per-quantum cost with a
-// fully loaded 6-core machine (the figure of merit for sweep wall time).
-func BenchmarkMachineStep(b *testing.B) {
-	m := machine.MustNew(machine.DefaultConfig())
-	names := []string{"ferret", "bwaves", "rs", "lbm", "pca", "namd"}
-	for c, n := range names {
-		if _, err := m.Launch(n, workload.MustProgram(workload.MustByName(n)), c, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Step()
-	}
-}
-
 // BenchmarkPredictorObserve measures the runtime's per-sample cost — the
 // real system budgets <100 µs per invocation (§4.2); the simulated
 // predictor must be far below that to keep sweeps fast.
@@ -473,7 +457,8 @@ func BenchmarkPredictorObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkLLCApply measures the cache model's per-quantum cost.
+// BenchmarkLLCApply measures the cache model's per-quantum cost, with task
+// handles resolved as the machine resolves them.
 func BenchmarkLLCApply(b *testing.B) {
 	llc := cache.MustNew(cache.DefaultConfig())
 	traffic := make([]cache.Traffic, 6)
@@ -481,11 +466,11 @@ func BenchmarkLLCApply(b *testing.B) {
 		if err := llc.Register(i, 0); err != nil {
 			b.Fatal(err)
 		}
-		traffic[i] = cache.Traffic{Task: i, Accesses: 5000, MissRate: 0.4, WSS: 8 << 20}
+		traffic[i] = cache.Traffic{Task: i, Accesses: 5000, MissRate: 0.4, WSS: 8 << 20, Ref: llc.Ref(i)}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		llc.Apply(250*time.Microsecond, traffic)
+		llc.ApplyFast(250*time.Microsecond, traffic)
 	}
 }
 

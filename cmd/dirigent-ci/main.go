@@ -11,7 +11,6 @@
 //	dirigent-ci -check -perf warn    # cloud CI: perf drifts warn, QoS still fails
 //	dirigent-ci -selftest            # prove the gate catches an injected slowdown
 //	dirigent-ci -scenarios           # run the declarative scenario suite (scenarios/)
-//	dirigent-ci -skipahead           # gate the skip-ahead engine's end-to-end speedup
 //
 // Exit status: 0 when the gate passes (warnings allowed), 1 on failure or
 // error, 2 on usage errors.
@@ -37,7 +36,6 @@ func main() {
 		check     = flag.Bool("check", false, "run the suite and gate it against the latest baseline")
 		selftest  = flag.Bool("selftest", false, "validate the gate end-to-end (injected slowdown must fail)")
 		scenarios = flag.Bool("scenarios", false, "run the declarative scenario suite and gate on its goals")
-		skipahead = flag.Bool("skipahead", false, "measure the skip-ahead step engine's end-to-end speedup and gate on -min-speedup")
 
 		dir         = flag.String("dir", ".", "directory holding BENCH_<n>.json baselines")
 		baseline    = flag.String("baseline", "", "explicit baseline file for -check (default: latest in -dir)")
@@ -51,18 +49,17 @@ func main() {
 
 		samples    = flag.Int("samples", 0, "override perf sample count (min-of-N)")
 		executions = flag.Int("executions", 0, "override QoS probe execution count")
-		minSpeedup = flag.Float64("min-speedup", 2.0, "hard floor for -skipahead: fail when the measured speedup is below this")
 	)
 	flag.Parse()
 
 	modes := 0
-	for _, m := range []bool{*record, *check, *selftest, *scenarios, *skipahead} {
+	for _, m := range []bool{*record, *check, *selftest, *scenarios} {
 		if m {
 			modes++
 		}
 	}
 	if modes != 1 {
-		fmt.Fprintln(os.Stderr, "dirigent-ci: exactly one of -record, -check, -selftest, -scenarios, -skipahead is required")
+		fmt.Fprintln(os.Stderr, "dirigent-ci: exactly one of -record, -check, -selftest, -scenarios is required")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -104,21 +101,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println("dirigent-ci: selftest ok — the load gates catch nondeterministic traces and dropped events")
-
-	case *skipahead:
-		logf("measuring skip-ahead speedup (compat vs batched engine, %d QoS executions)", opts.Executions)
-		start := time.Now()
-		speedup, err := benchreg.SkipaheadSpeedup(opts)
-		if err != nil {
-			fatal(err)
-		}
-		logf("measured in %v", time.Since(start).Round(time.Millisecond))
-		fmt.Printf("dirigent-ci: skip-ahead end-to-end speedup %.2fx (floor %.2fx)\n", speedup, *minSpeedup)
-		if speedup < *minSpeedup {
-			fmt.Fprintf(os.Stderr, "dirigent-ci: FAIL — skip-ahead speedup %.2fx is below the %.2fx floor\n", speedup, *minSpeedup)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "dirigent-ci: skip-ahead gate passed")
 
 	case *scenarios:
 		specs, err := scenario.LoadDir(*scenarioDir)

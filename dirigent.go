@@ -37,6 +37,7 @@ import (
 	"dirigent/internal/experiment"
 	"dirigent/internal/machine"
 	"dirigent/internal/mem"
+	"dirigent/internal/policy"
 	"dirigent/internal/sched"
 	"dirigent/internal/sim"
 	"dirigent/internal/telemetry"
@@ -148,10 +149,10 @@ type Runtime = core.Runtime
 type RuntimeConfig = core.RuntimeConfig
 
 // FineConfig configures the fine time scale controller (§4.3).
-type FineConfig = core.FineConfig
+type FineConfig = policy.FineConfig
 
 // CoarseConfig configures the coarse time scale controller (§4.3).
-type CoarseConfig = core.CoarseConfig
+type CoarseConfig = policy.CoarseConfig
 
 // ProfileBenchmark runs the offline profiler for an FG benchmark.
 func ProfileBenchmark(b *Benchmark, opts ProfilerOptions) (*Profile, error) {

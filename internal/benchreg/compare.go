@@ -57,9 +57,6 @@ var defaultExactPolicy = Policy{Epsilon: 1e-9}
 // sum of both.
 var policyOverrides = map[string]Policy{
 	"machine_step_telemetry_ratio": {WarnRatio: 1.12, FailRatio: 1.40},
-	// Also a quotient of two timings — and the hard 2x floor lives in the
-	// dirigent-ci -skipahead gate, so the band here only tracks drift.
-	"step_skipahead_speedup": {WarnRatio: 1.12, FailRatio: 1.40},
 }
 
 func policyFor(m *Metric) Policy {
@@ -164,8 +161,8 @@ func compareOne(bm, cm *Metric, mode PerfMode, envComparable bool) Finding {
 			return f
 		}
 		// Perf metrics are lower-is-better except those flagged
-		// HigherBetter (e.g. the skip-ahead speedup); the ratio is oriented
-		// so > 1 is always a regression.
+		// HigherBetter; the ratio is oriented so > 1 is always a
+		// regression.
 		ratio := math.Inf(1)
 		if bm.HigherBetter {
 			if f.Cur > 0 {

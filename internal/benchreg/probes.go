@@ -150,18 +150,6 @@ func Run(o Options) (*Baseline, error) {
 		newMetric("telemetry_jsonl_record_ns", "ns/event", StatMin, Perf, false, jsonlNs),
 	)
 
-	// Skip-ahead speedup (Kind Perf, higher is better): the wall-clock ratio
-	// of the quantum-by-quantum compat engine to the batched StepN engine on
-	// a short end-to-end QoS sweep. Tracked so an optimisation that quietly
-	// degrades the fast path shows up as a falling speedup even while
-	// absolute timings drift with the hardware.
-	speedups, err := skipaheadSamples(o)
-	if err != nil {
-		return nil, err
-	}
-	b.Metrics = append(b.Metrics,
-		newMetric("step_skipahead_speedup", "x", StatMedian, Perf, true, speedups))
-
 	// --- Predictor accuracy (Kind Exact) ---------------------------------
 	// A fresh runner per family keeps profile caches deterministic and
 	// independent of probe ordering.
@@ -342,88 +330,10 @@ func scenarioProbes(quick bool) []scenario.Spec {
 	return specs
 }
 
-// skipaheadSamples times a short QoS sweep (Baseline + both Dirigent
-// configurations on the detailed mix) under the quantum-by-quantum compat
-// engine and again under the default skip-ahead engine, returning
-// compat/fast wall-clock ratios. Profiles are pre-warmed in each runner so
-// the ratio reflects simulation stepping, not offline profiling; results of
-// the two sweeps are guaranteed byte-identical by the equivalence tests, so
-// this measures identical work.
-func skipaheadSamples(o Options) ([]float64, error) {
-	mix := qosMixes(true)[0]
-	execs := o.Executions
-	if execs > 8 {
-		execs = 8
-	}
-	run := func(compat bool) (time.Duration, error) {
-		r := experiment.NewRunner()
-		r.Executions = execs
-		r.Warmup = 2
-		r.ConvergenceWarmup = 10
-		r.CompatStepping = compat
-		for _, name := range mix.FG {
-			if _, err := r.Profile(name); err != nil {
-				return 0, err
-			}
-		}
-		start := time.Now()
-		if _, err := r.RunConfigs(mix, config.Baseline, config.DirigentFreq, config.Dirigent); err != nil {
-			return 0, err
-		}
-		return time.Since(start), nil
-	}
-	n := o.PerfSamples
-	if n > 3 {
-		n = 3
-	}
-	if o.Quick {
-		n = 1
-	}
-	out := make([]float64, 0, n)
-	for s := 0; s < n; s++ {
-		// Alternate which engine runs first: turbo and thermal drift on a
-		// shared machine otherwise bias whichever engine consistently runs
-		// while the clocks are high, and the median over mixed orders
-		// cancels it.
-		first, second := true, false
-		if s%2 == 1 {
-			first, second = second, first
-		}
-		dFirst, err := run(first)
-		if err != nil {
-			return nil, err
-		}
-		dSecond, err := run(second)
-		if err != nil {
-			return nil, err
-		}
-		compat, fast := dFirst, dSecond
-		if s%2 == 1 {
-			compat, fast = dSecond, dFirst
-		}
-		out = append(out, float64(compat)/float64(fast))
-	}
-	return out, nil
-}
-
-// SkipaheadSpeedup measures the skip-ahead engine's end-to-end speedup and
-// returns the median across samples — the figure cmd/dirigent-ci's
-// -skipahead gate holds against its hard floor.
-func SkipaheadSpeedup(o Options) (float64, error) {
-	if err := o.validate(); err != nil {
-		return 0, err
-	}
-	samples, err := skipaheadSamples(o)
-	if err != nil {
-		return 0, err
-	}
-	m := newMetric("step_skipahead_speedup", "x", StatMedian, Perf, true, samples)
-	return m.Value(), nil
-}
-
 // stepSample times o.StepIters machine quanta on the standard fully loaded
 // colocation (one FG task, five BG tasks — the paper's collocation shape)
-// with the given recorder attached, returning wall nanoseconds per Step.
+// with the given recorder attached, returning wall nanoseconds per quantum.
+// The quanta run in StepN batches, as every stepping loop drives them.
 func stepSample(o Options, rec telemetry.Recorder) (float64, error) {
 	cfg := machine.DefaultConfig()
 	cfg.StepHook = o.StepHook
@@ -447,14 +357,18 @@ func stepSample(o Options, rec telemetry.Recorder) (float64, error) {
 	if warm < 16 {
 		warm = 16
 	}
-	for i := 0; i < warm; i++ {
-		m.Step()
-	}
+	stepQuanta(m, warm)
 	start := time.Now()
-	for i := 0; i < o.StepIters; i++ {
-		m.Step()
-	}
+	stepQuanta(m, o.StepIters)
 	return float64(time.Since(start).Nanoseconds()) / float64(o.StepIters), nil
+}
+
+// stepQuanta advances m by exactly n quanta in StepN batches.
+func stepQuanta(m *machine.Machine, n int) {
+	for n > 0 {
+		_, k := m.StepN(n)
+		n -= k
+	}
 }
 
 // sinkSample times folding a synthetic but representative event stream into

@@ -39,19 +39,12 @@ type LLC struct {
 
 	tasks map[int]*taskState
 
-	// scratch state reused across Apply calls: Apply runs every simulation
-	// quantum, so it must not allocate.
-	scratchMisses map[int]float64
-	scratchFill   map[ClassID]float64
-	scratchWeight map[ClassID]float64
-	scratchActive map[int]bool
-
-	// Dense state for ApplyFast, the skip-ahead engine's per-quantum update:
-	// class IDs are handed out sequentially from 0, so per-class accumulators
-	// index slices instead of maps. denseBytes caches each class's byte
-	// capacity and is rebuilt lazily when a partition change marks it dirty.
-	// stamp replaces the per-call active-task set: a task touched by the
-	// current ApplyFast call carries the call's stamp.
+	// Per-quantum state for ApplyFast, which runs every simulation quantum
+	// and must not allocate. Class IDs are handed out sequentially from 0,
+	// so per-class accumulators index slices instead of maps. denseBytes
+	// caches each class's byte capacity and is rebuilt lazily when a
+	// partition change marks it dirty. A task touched by the current
+	// ApplyFast call carries the call's stamp.
 	denseBytes []float64
 	denseDirty bool
 	denseFill  []float64
@@ -72,9 +65,8 @@ type taskState struct {
 }
 
 // TaskRef is a stable handle to one task's cache state, valid from Register
-// (or Launch) until Unregister. The skip-ahead step engine resolves it once
-// per task so the per-quantum hit-rate and occupancy updates skip the task
-// map.
+// (or Launch) until Unregister. The machine resolves it once per task so the
+// per-quantum hit-rate and occupancy updates skip the task map.
 type TaskRef = taskState
 
 // Config describes an LLC geometry.
@@ -100,17 +92,13 @@ func New(cfg Config) (*LLC, error) {
 		return nil, fmt.Errorf("cache: ways %d must be positive", cfg.Ways)
 	}
 	l := &LLC{
-		totalBytes:    float64(cfg.Bytes),
-		ways:          cfg.Ways,
-		wayBytes:      float64(cfg.Bytes) / float64(cfg.Ways),
-		classWays:     map[ClassID]int{0: cfg.Ways},
-		nextClass:     1,
-		tasks:         map[int]*taskState{},
-		scratchMisses: map[int]float64{},
-		scratchFill:   map[ClassID]float64{},
-		scratchWeight: map[ClassID]float64{},
-		scratchActive: map[int]bool{},
-		denseDirty:    true,
+		totalBytes: float64(cfg.Bytes),
+		ways:       cfg.Ways,
+		wayBytes:   float64(cfg.Bytes) / float64(cfg.Ways),
+		classWays:  map[ClassID]int{0: cfg.Ways},
+		nextClass:  1,
+		tasks:      map[int]*taskState{},
+		denseDirty: true,
 	}
 	return l, nil
 }
@@ -262,31 +250,12 @@ func (l *LLC) Ref(task int) *TaskRef {
 // ways buy large miss reductions, later ways diminishing ones.
 const reuseSkew = 0.5
 
-// HitRate returns the probability that an access by task hits, given the
-// task's working-set size in bytes and locality in [0,1]. Locality is the
-// hit rate the task would see with its entire working set resident
-// (compulsory and streaming misses cap it below 1); the skewed resident
-// fraction scales it down. Unknown tasks miss always.
-func (l *LLC) HitRate(task int, wss, locality float64) float64 {
-	st, ok := l.tasks[task]
-	if !ok || wss <= 0 {
-		return 0
-	}
-	if locality < 0 {
-		locality = 0
-	} else if locality > 1 {
-		locality = 1
-	}
-	resident := st.occupancy / wss
-	if resident >= 1 {
-		return locality
-	}
-	return locality * math.Pow(resident, reuseSkew)
-}
-
-// HitRateRef is HitRate through a resolved handle: identical curve and
-// clamping, no task-map lookup. A nil handle misses always, like an unknown
-// task.
+// HitRateRef returns the probability that an access by the task behind st
+// hits, given the task's working-set size in bytes and locality in [0,1].
+// Locality is the hit rate the task would see with its entire working set
+// resident (compulsory and streaming misses cap it below 1); the skewed
+// resident fraction scales it down. A nil handle (an unknown task) misses
+// always.
 func (l *LLC) HitRateRef(st *TaskRef, wss, locality float64) float64 {
 	if st == nil || wss <= 0 {
 		return 0
@@ -310,116 +279,13 @@ type Traffic struct {
 	// Accesses is the number of LLC accesses in the quantum.
 	Accesses float64
 	// MissRate is the per-access miss probability the solver computed (from
-	// HitRate at the start of the quantum).
+	// HitRateRef at the start of the quantum).
 	MissRate float64
 	// WSS is the task's current working-set size in bytes.
 	WSS float64
 	// Ref is the task's resolved state handle (see Ref). ApplyFast uses it to
-	// skip the task-map lookup; a nil Ref falls back to lookup by Task. Apply
-	// ignores it entirely.
+	// skip the task-map lookup; a nil Ref falls back to lookup by Task.
 	Ref *TaskRef
-}
-
-// Apply advances occupancy dynamics by dt given each task's traffic, and
-// returns the miss count per task (misses = accesses × missRate — returned
-// for the perf counter file so the counting logic lives in one place). The
-// returned map is reused by the next Apply call; callers must copy values
-// they want to keep.
-//
-// Dynamics, per partition class:
-//
-//	equilibrium_t = min(WSS_t, classBytes × weight_t / Σ weight)
-//	occ_t ← occ_t + (equilibrium_t − occ_t) × min(1, fillRate×dt)
-//
-// where weight_t models LRU recency pressure: insertion traffic (misses ×
-// line size) plus a discounted credit for hits — in LRU a hit promotes its
-// line to MRU, so frequently-reused (high-hit-rate) tasks retain occupancy
-// against streaming neighbours even though they insert little. A small
-// floor keeps idle tasks from losing every line instantly. fillRate is
-// class insertion bandwidth over class capacity — the inertia term.
-// Occupancy above the class allocation (after a partition shrink) decays at
-// the same rate.
-func (l *LLC) Apply(dt time.Duration, traffic []Traffic) map[int]float64 {
-	const weightFloor = float64(16 * LineSize) // idle tasks keep a sliver
-	// hitRecencyWeight discounts hit traffic against insertion traffic in
-	// the occupancy equilibrium: hits refresh recency (LRU) but repeated
-	// touches to one line overcount uniqueness, hence < 1.
-	const hitRecencyWeight = 0.5
-
-	misses := l.scratchMisses
-	fill := l.scratchFill
-	weight := l.scratchWeight
-	active := l.scratchActive
-	clear(misses)
-	clear(fill)
-	clear(weight)
-	clear(active)
-
-	// Pass 1: per-task miss counts, per-class fill and weight totals.
-	for _, tr := range traffic {
-		st, ok := l.tasks[tr.Task]
-		if !ok {
-			continue
-		}
-		m := tr.Accesses * clamp01(tr.MissRate)
-		misses[tr.Task] = m
-		active[tr.Task] = true
-		fill[st.class] += m * LineSize
-		hits := (tr.Accesses - m) * LineSize
-		weight[st.class] += m*LineSize + hitRecencyWeight*hits + weightFloor
-	}
-
-	dtSec := dt.Seconds()
-	// Pass 2: move each active task toward its equilibrium share.
-	for _, tr := range traffic {
-		st, ok := l.tasks[tr.Task]
-		if !ok {
-			continue
-		}
-		capBytes := float64(l.classWays[st.class]) * l.wayBytes
-		if capBytes <= 0 {
-			// No ways: occupancy drains fast (fills bypass the class).
-			st.occupancy *= math.Max(0, 1-4*dtSec/0.001)
-			continue
-		}
-		// Convergence rate: class fill bandwidth over class capacity plus
-		// a slow base drift so caches settle even with no traffic at all.
-		rate := fill[st.class]/capBytes + 0.02*dtSec/0.005
-		if rate > 1 {
-			rate = 1
-		}
-		m := misses[tr.Task]
-		w := m*LineSize + hitRecencyWeight*(tr.Accesses-m)*LineSize + weightFloor
-		eq := capBytes * w / weight[st.class]
-		if eq > tr.WSS && tr.WSS > 0 {
-			eq = tr.WSS
-		}
-		st.occupancy += (eq - st.occupancy) * rate
-		if st.occupancy < 0 {
-			st.occupancy = 0
-		}
-	}
-
-	// Pass 3: tasks with no traffic this quantum (paused) lose occupancy to
-	// the active tasks in their class — only if the class had insertions.
-	//lint:ignore maprange each iteration updates only its own task's state; order cannot reach results
-	for id, st := range l.tasks {
-		if active[id] {
-			continue
-		}
-		capBytes := float64(l.classWays[st.class]) * l.wayBytes
-		if capBytes <= 0 {
-			st.occupancy = 0
-			continue
-		}
-		rate := fill[st.class] / capBytes
-		if rate > 1 {
-			rate = 1
-		}
-		st.occupancy *= 1 - rate
-	}
-
-	return misses
 }
 
 // rebuildDense refreshes the per-class byte capacities and accumulator
@@ -436,23 +302,32 @@ func (l *LLC) rebuildDense() {
 	l.denseFill = l.denseFill[:n]
 	l.denseWt = l.denseWt[:n]
 	for id := ClassID(0); id < l.nextClass; id++ {
-		// Same expression as Apply's capBytes, so the cached value is
-		// bit-identical to recomputing it per task.
 		l.denseBytes[id] = float64(l.classWays[id]) * l.wayBytes
 	}
 	l.denseDirty = false
 }
 
-// ApplyFast advances the same occupancy dynamics as Apply with the same
-// floating-point expression forms in the same order — the two are pinned
-// bit-identical by TestApplyFastMatchesApply — but replaces the per-call map
-// churn with dense per-class accumulators, resolved task handles, and a call
-// stamp standing in for the active-task set. It is the skip-ahead step
-// engine's variant; it does not return per-task miss counts (the machine
-// computes those itself) and requires each task to appear at most once in
-// traffic.
+// ApplyFast advances occupancy dynamics by dt given each task's traffic.
+// Each task may appear at most once in traffic; unknown tasks are skipped.
+//
+// Dynamics, per partition class:
+//
+//	equilibrium_t = min(WSS_t, classBytes × weight_t / Σ weight)
+//	occ_t ← occ_t + (equilibrium_t − occ_t) × min(1, fillRate×dt)
+//
+// where weight_t models LRU recency pressure: insertion traffic (misses ×
+// line size) plus a discounted credit for hits — in LRU a hit promotes its
+// line to MRU, so frequently-reused (high-hit-rate) tasks retain occupancy
+// against streaming neighbours even though they insert little. A small
+// floor keeps idle tasks from losing every line instantly. fillRate is
+// class insertion bandwidth over class capacity — the inertia term.
+// Occupancy above the class allocation (after a partition shrink) decays at
+// the same rate.
 func (l *LLC) ApplyFast(dt time.Duration, traffic []Traffic) {
-	const weightFloor = float64(16 * LineSize)
+	const weightFloor = float64(16 * LineSize) // idle tasks keep a sliver
+	// hitRecencyWeight discounts hit traffic against insertion traffic in
+	// the occupancy equilibrium: hits refresh recency (LRU) but repeated
+	// touches to one line overcount uniqueness, hence < 1.
 	const hitRecencyWeight = 0.5
 
 	if l.denseDirty {
@@ -470,9 +345,8 @@ func (l *LLC) ApplyFast(dt time.Duration, traffic []Traffic) {
 	miss := l.scratchMs[:0]
 
 	// Pass 1: per-task miss counts, per-class fill and weight totals. The
-	// hits term is accumulated exactly as in Apply (its association differs
-	// from pass 2's weight expression on purpose — Apply's forms are kept
-	// verbatim).
+	// hits term associates differently from pass 2's weight expression;
+	// both forms are pinned by the recorded occupancy goldens.
 	for i := range traffic {
 		tr := &traffic[i]
 		st := tr.Ref

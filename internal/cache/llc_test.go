@@ -123,14 +123,14 @@ func TestHitRateGrowsWithOccupancy(t *testing.T) {
 		t.Fatal(err)
 	}
 	wss := 4.0 * (1 << 20)
-	if hr := l.HitRate(1, wss, 0.9); hr != 0 {
+	if hr := hitRate(l, 1, wss, 0.9); hr != 0 {
 		t.Errorf("cold hit rate = %g, want 0", hr)
 	}
 	// Warm the cache: sustained misses fill occupancy.
 	prev := 0.0
 	for i := 0; i < 2000; i++ {
-		l.Apply(quantum, []Traffic{{Task: 1, Accesses: 5000, MissRate: 1 - l.HitRate(1, wss, 0.9), WSS: wss}})
-		hr := l.HitRate(1, wss, 0.9)
+		l.ApplyFast(quantum, []Traffic{{Task: 1, Accesses: 5000, MissRate: 1 - hitRate(l, 1, wss, 0.9), WSS: wss}})
+		hr := hitRate(l, 1, wss, 0.9)
 		if hr < prev-1e-9 {
 			t.Fatalf("hit rate decreased while warming: %g -> %g", prev, hr)
 		}
@@ -149,38 +149,41 @@ func TestHitRateClampsLocality(t *testing.T) {
 	_ = l.Register(1, 0)
 	// Force occupancy via warming, then query with out-of-range locality.
 	for i := 0; i < 500; i++ {
-		l.Apply(quantum, []Traffic{{Task: 1, Accesses: 10000, MissRate: 0.5, WSS: 1 << 20}})
+		l.ApplyFast(quantum, []Traffic{{Task: 1, Accesses: 10000, MissRate: 0.5, WSS: 1 << 20}})
 	}
-	if hr := l.HitRate(1, 1<<20, 1.5); hr > 1 {
+	if hr := hitRate(l, 1, 1<<20, 1.5); hr > 1 {
 		t.Errorf("hit rate with locality>1 = %g", hr)
 	}
-	if hr := l.HitRate(1, 1<<20, -0.5); hr != 0 {
+	if hr := hitRate(l, 1, 1<<20, -0.5); hr != 0 {
 		t.Errorf("hit rate with locality<0 = %g", hr)
 	}
-	if hr := l.HitRate(1, 0, 0.9); hr != 0 {
+	if hr := hitRate(l, 1, 0, 0.9); hr != 0 {
 		t.Errorf("hit rate with zero wss = %g", hr)
 	}
-	if hr := l.HitRate(42, 1<<20, 0.9); hr != 0 {
+	if hr := hitRate(l, 42, 1<<20, 0.9); hr != 0 {
 		t.Errorf("hit rate of unknown task = %g", hr)
 	}
 }
 
-func TestApplyReturnsMissCounts(t *testing.T) {
-	l := MustNew(DefaultConfig())
-	_ = l.Register(1, 0)
-	misses := l.Apply(quantum, []Traffic{{Task: 1, Accesses: 1000, MissRate: 0.25, WSS: 1 << 20}})
-	if got := misses[1]; got != 250 {
-		t.Errorf("misses = %g, want 250", got)
+// TestApplyClampsMissRate pins ApplyFast's traffic handling: a miss rate
+// above 1 inserts exactly what a miss rate of 1 does, and traffic from an
+// unknown task is skipped without creating state.
+func TestApplyClampsMissRate(t *testing.T) {
+	clamped, exact := MustNew(DefaultConfig()), MustNew(DefaultConfig())
+	_ = clamped.Register(1, 0)
+	_ = exact.Register(1, 0)
+	for i := 0; i < 50; i++ {
+		clamped.ApplyFast(quantum, []Traffic{
+			{Task: 1, Accesses: 1000, MissRate: 2.0, WSS: 1 << 20},
+			{Task: 7, Accesses: 1000, MissRate: 1, WSS: 1 << 20},
+		})
+		exact.ApplyFast(quantum, []Traffic{{Task: 1, Accesses: 1000, MissRate: 1, WSS: 1 << 20}})
 	}
-	// Unknown tasks are skipped silently.
-	misses = l.Apply(quantum, []Traffic{{Task: 7, Accesses: 1000, MissRate: 1, WSS: 1 << 20}})
-	if _, ok := misses[7]; ok {
-		t.Error("unknown task should not appear in miss map")
+	if got, want := clamped.Occupancy(1), exact.Occupancy(1); got != want || got == 0 {
+		t.Errorf("occupancy with miss rate 2 = %g, with miss rate 1 = %g", got, want)
 	}
-	// Miss rate clamping.
-	misses = l.Apply(quantum, []Traffic{{Task: 1, Accesses: 100, MissRate: 2.0, WSS: 1 << 20}})
-	if misses[1] != 100 {
-		t.Errorf("clamped misses = %g, want 100", misses[1])
+	if clamped.Ref(7) != nil || clamped.Occupancy(7) != 0 {
+		t.Error("unknown task traffic created cache state")
 	}
 }
 
@@ -197,9 +200,9 @@ func TestPartitionIsolation(t *testing.T) {
 	wss1 := 4.0 * (1 << 20)
 	wss2 := 64.0 * (1 << 20) // streaming giant
 	for i := 0; i < 3000; i++ {
-		l.Apply(quantum, []Traffic{
-			{Task: 1, Accesses: 3000, MissRate: 1 - l.HitRate(1, wss1, 0.9), WSS: wss1},
-			{Task: 2, Accesses: 20000, MissRate: 1 - l.HitRate(2, wss2, 0.6), WSS: wss2},
+		l.ApplyFast(quantum, []Traffic{
+			{Task: 1, Accesses: 3000, MissRate: 1 - hitRate(l, 1, wss1, 0.9), WSS: wss1},
+			{Task: 2, Accesses: 20000, MissRate: 1 - hitRate(l, 2, wss2, 0.6), WSS: wss2},
 		})
 	}
 	// FG working set (4MB) fits in its 7.5MB partition: occupancy ~ wss.
@@ -223,14 +226,14 @@ func TestSharedClassContention(t *testing.T) {
 	wss2 := 64.0 * (1 << 20)
 	// Warm task 1 alone first.
 	for i := 0; i < 2000; i++ {
-		l.Apply(quantum, []Traffic{{Task: 1, Accesses: 3000, MissRate: 1 - l.HitRate(1, wss1, 0.9), WSS: wss1}})
+		l.ApplyFast(quantum, []Traffic{{Task: 1, Accesses: 3000, MissRate: 1 - hitRate(l, 1, wss1, 0.9), WSS: wss1}})
 	}
 	occAlone := l.Occupancy(1)
 	// Add aggressive streamer.
 	for i := 0; i < 3000; i++ {
-		l.Apply(quantum, []Traffic{
-			{Task: 1, Accesses: 3000, MissRate: 1 - l.HitRate(1, wss1, 0.9), WSS: wss1},
-			{Task: 2, Accesses: 30000, MissRate: 1 - l.HitRate(2, wss2, 0.5), WSS: wss2},
+		l.ApplyFast(quantum, []Traffic{
+			{Task: 1, Accesses: 3000, MissRate: 1 - hitRate(l, 1, wss1, 0.9), WSS: wss1},
+			{Task: 2, Accesses: 30000, MissRate: 1 - hitRate(l, 2, wss2, 0.5), WSS: wss2},
 		})
 	}
 	occContended := l.Occupancy(1)
@@ -250,7 +253,7 @@ func TestCacheInertia(t *testing.T) {
 	_ = l.Register(1, fg)
 	wss := 10.0 * (1 << 20)
 	step := func() {
-		l.Apply(quantum, []Traffic{{Task: 1, Accesses: 3000, MissRate: 1 - l.HitRate(1, wss, 0.9), WSS: wss}})
+		l.ApplyFast(quantum, []Traffic{{Task: 1, Accesses: 3000, MissRate: 1 - hitRate(l, 1, wss, 0.9), WSS: wss}})
 	}
 	for i := 0; i < 5000; i++ {
 		step()
@@ -283,12 +286,12 @@ func TestZeroWayClassDrains(t *testing.T) {
 	cl := l.DefineClass() // zero ways
 	_ = l.Register(1, cl)
 	for i := 0; i < 100; i++ {
-		l.Apply(quantum, []Traffic{{Task: 1, Accesses: 1000, MissRate: 0.5, WSS: 1 << 20}})
+		l.ApplyFast(quantum, []Traffic{{Task: 1, Accesses: 1000, MissRate: 0.5, WSS: 1 << 20}})
 	}
 	if occ := l.Occupancy(1); occ > 1 {
 		t.Errorf("zero-way class retained occupancy %g", occ)
 	}
-	if hr := l.HitRate(1, 1<<20, 0.9); hr > 0.01 {
+	if hr := hitRate(l, 1, 1<<20, 0.9); hr > 0.01 {
 		t.Errorf("zero-way class hit rate = %g", hr)
 	}
 }
@@ -299,12 +302,12 @@ func TestPausedTaskLosesOccupancyToActive(t *testing.T) {
 	_ = l.Register(2, 0)
 	wss := 8.0 * (1 << 20)
 	for i := 0; i < 3000; i++ {
-		l.Apply(quantum, []Traffic{{Task: 1, Accesses: 5000, MissRate: 1 - l.HitRate(1, wss, 0.9), WSS: wss}})
+		l.ApplyFast(quantum, []Traffic{{Task: 1, Accesses: 5000, MissRate: 1 - hitRate(l, 1, wss, 0.9), WSS: wss}})
 	}
 	occ := l.Occupancy(1)
 	// Task 1 pauses; task 2 streams.
 	for i := 0; i < 3000; i++ {
-		l.Apply(quantum, []Traffic{{Task: 2, Accesses: 30000, MissRate: 0.8, WSS: 64 << 20}})
+		l.ApplyFast(quantum, []Traffic{{Task: 2, Accesses: 30000, MissRate: 0.8, WSS: 64 << 20}})
 	}
 	if got := l.Occupancy(1); got >= occ*0.5 {
 		t.Errorf("paused task kept %g of %g occupancy under pressure", got, occ)
@@ -332,7 +335,7 @@ func TestOccupancyConservationProperty(t *testing.T) {
 				{Task: 2, Accesses: 20000 * next(), MissRate: next(), WSS: 8 << 20},
 				{Task: 3, Accesses: 20000 * next(), MissRate: next(), WSS: 1 << 20},
 			}
-			l.Apply(quantum, tr)
+			l.ApplyFast(quantum, tr)
 			total := l.Occupancy(1) + l.Occupancy(2) + l.Occupancy(3)
 			if total > l.TotalBytes()*1.01 {
 				return false
@@ -355,9 +358,9 @@ func TestEquilibriumSplitsByTraffic(t *testing.T) {
 	_ = l.Register(2, 0)
 	wss := 32.0 * (1 << 20)
 	for i := 0; i < 10000; i++ {
-		l.Apply(quantum, []Traffic{
-			{Task: 1, Accesses: 10000, MissRate: 1 - l.HitRate(1, wss, 0.8), WSS: wss},
-			{Task: 2, Accesses: 10000, MissRate: 1 - l.HitRate(2, wss, 0.8), WSS: wss},
+		l.ApplyFast(quantum, []Traffic{
+			{Task: 1, Accesses: 10000, MissRate: 1 - hitRate(l, 1, wss, 0.8), WSS: wss},
+			{Task: 2, Accesses: 10000, MissRate: 1 - hitRate(l, 2, wss, 0.8), WSS: wss},
 		})
 	}
 	o1, o2 := l.Occupancy(1), l.Occupancy(2)
@@ -366,119 +369,7 @@ func TestEquilibriumSplitsByTraffic(t *testing.T) {
 	}
 }
 
-// TestApplyFastMatchesApply pins the skip-ahead variant of the occupancy
-// update to the reference implementation bit for bit. Two caches replay the
-// same history — shared and partitioned classes, a mid-run class move, a
-// partition shrink to zero ways and back, tasks pausing in and out of the
-// traffic slice, an unregistered task, and WSS-capped equilibria — one
-// through Apply, one through ApplyFast (with handles resolved, and
-// periodically left nil to cover the lookup fallback). Every task's
-// occupancy must stay exactly equal the whole way, as must HitRate vs
-// HitRateRef, because the machine's two step engines are only byte-identical
-// if the subsystems they call are.
-func TestApplyFastMatchesApply(t *testing.T) {
-	ref := MustNew(DefaultConfig())
-	fst := MustNew(DefaultConfig())
-	newClasses := func(l *LLC) []ClassID {
-		cs := []ClassID{0, l.DefineClass(), l.DefineClass()}
-		if err := l.SetPartition(map[ClassID]int{0: 4, cs[1]: 10, cs[2]: 6}); err != nil {
-			t.Fatal(err)
-		}
-		return cs
-	}
-	refC, fstC := newClasses(ref), newClasses(fst)
-
-	const nTasks = 5
-	classOf := []int{0, 1, 1, 2, 2} // index into the class slices, per task-1
-	wss := []float64{2 << 20, 6 << 20, 24 << 20, 1 << 20, 12 << 20}
-	loc := []float64{0.95, 0.9, 0.6, 0.99, 0.7}
-	acc := []float64{3000, 5000, 20000, 800, 9000}
-	refs := make([]*TaskRef, nTasks)
-	for i := 0; i < nTasks; i++ {
-		if err := ref.Register(i+1, refC[classOf[i]]); err != nil {
-			t.Fatal(err)
-		}
-		if err := fst.Register(i+1, fstC[classOf[i]]); err != nil {
-			t.Fatal(err)
-		}
-		refs[i] = fst.Ref(i + 1)
-	}
-
-	for step := 0; step < 4000; step++ {
-		switch step {
-		case 1500: // class move: handles must survive it
-			if err := ref.Register(2, refC[2]); err != nil {
-				t.Fatal(err)
-			}
-			if err := fst.Register(2, fstC[2]); err != nil {
-				t.Fatal(err)
-			}
-		case 2500: // shrink a class to zero ways: fast-drain path
-			if err := ref.SetPartition(map[ClassID]int{refC[2]: 0}); err != nil {
-				t.Fatal(err)
-			}
-			if err := fst.SetPartition(map[ClassID]int{fstC[2]: 0}); err != nil {
-				t.Fatal(err)
-			}
-		case 3000:
-			if err := ref.SetPartition(map[ClassID]int{refC[2]: 6}); err != nil {
-				t.Fatal(err)
-			}
-			if err := fst.SetPartition(map[ClassID]int{fstC[2]: 6}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var refTr, fstTr []Traffic
-		for i := 0; i < nTasks; i++ {
-			if (step+i)%7 == 0 { // periodic pauses exercise pass 3
-				continue
-			}
-			hr := ref.HitRate(i+1, wss[i], loc[i])
-			hf := fst.HitRateRef(refs[i], wss[i], loc[i])
-			if hr != hf {
-				t.Fatalf("step %d task %d: HitRate %g != HitRateRef %g", step, i+1, hr, hf)
-			}
-			refTr = append(refTr, Traffic{Task: i + 1, Accesses: acc[i], MissRate: 1 - hr, WSS: wss[i]})
-			r := refs[i]
-			if step%11 == 0 {
-				r = nil // cover ApplyFast's lookup fallback
-			}
-			fstTr = append(fstTr, Traffic{Task: i + 1, Accesses: acc[i], MissRate: 1 - hf, WSS: wss[i], Ref: r})
-		}
-		if step%13 == 0 { // unregistered task: both variants must skip it
-			refTr = append(refTr, Traffic{Task: 99, Accesses: 1000, MissRate: 0.5, WSS: 1 << 20})
-			fstTr = append(fstTr, Traffic{Task: 99, Accesses: 1000, MissRate: 0.5, WSS: 1 << 20})
-		}
-		ref.Apply(quantum, refTr)
-		fst.ApplyFast(quantum, fstTr)
-		for i := 0; i < nTasks; i++ {
-			if ro, fo := ref.Occupancy(i+1), fst.Occupancy(i+1); ro != fo {
-				t.Fatalf("step %d task %d: occupancy diverged: Apply %g, ApplyFast %g", step, i+1, ro, fo)
-			}
-		}
-	}
-	for i := 0; i < nTasks; i++ {
-		if ref.Occupancy(i+1) == 0 {
-			t.Errorf("task %d never built occupancy — the comparison proved little", i+1)
-		}
-	}
-
-	// Unregister through the fast path's dense mirror, then keep stepping:
-	// the departed task must stay gone on both sides.
-	ref.Unregister(3)
-	fst.Unregister(3)
-	for step := 0; step < 50; step++ {
-		tr := []Traffic{{Task: 1, Accesses: acc[0], MissRate: 1 - ref.HitRate(1, wss[0], loc[0]), WSS: wss[0]}}
-		ftr := []Traffic{{Task: 1, Accesses: acc[0], MissRate: 1 - fst.HitRateRef(refs[0], wss[0], loc[0]), WSS: wss[0], Ref: refs[0]}}
-		ref.Apply(quantum, tr)
-		fst.ApplyFast(quantum, ftr)
-	}
-	if fst.Occupancy(3) != ref.Occupancy(3) || fst.Occupancy(3) != 0 {
-		t.Errorf("unregistered task occupancy: Apply %g, ApplyFast %g, want 0", ref.Occupancy(3), fst.Occupancy(3))
-	}
-	for i := range []int{0, 1} {
-		if ro, fo := ref.Occupancy(i+1), fst.Occupancy(i+1); ro != fo {
-			t.Errorf("post-unregister task %d occupancy diverged: %g vs %g", i+1, ro, fo)
-		}
-	}
+// hitRate is HitRateRef by task ID.
+func hitRate(l *LLC, task int, wss, locality float64) float64 {
+	return l.HitRateRef(l.Ref(task), wss, locality)
 }

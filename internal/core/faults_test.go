@@ -7,6 +7,7 @@ import (
 
 	"dirigent/internal/fault"
 	"dirigent/internal/machine"
+	"dirigent/internal/policy"
 	"dirigent/internal/sched"
 	"dirigent/internal/sim"
 	"dirigent/internal/telemetry"
@@ -37,13 +38,13 @@ func buildFaultyColo(t *testing.T, fg []string, bg string, plan fault.Plan, seed
 	return colo, inj
 }
 
-// statusWithSlack builds an FGStatus with the given normalized slack
+// statusWithSlack builds a policy.FGStatus with the given normalized slack
 // (positive = ahead) against a 1 s target.
-func statusWithSlack(slack float64) FGStatus {
+func statusWithSlack(slack float64) policy.FGStatus {
 	target := time.Second
 	deadline := sim.Time(2 * time.Second)
 	predicted := deadline - sim.Time(float64(target)*slack)
-	return FGStatus{Predicted: predicted, Deadline: deadline, Target: target}
+	return policy.FGStatus{Predicted: predicted, Deadline: deadline, Target: target}
 }
 
 func TestFineControllerSurfacesDVFSFaults(t *testing.T) {
@@ -57,14 +58,14 @@ func TestFineControllerSurfacesDVFSFaults(t *testing.T) {
 		c, _ := m.TaskCore(w.Task)
 		bgCores = append(bgCores, c)
 	}
-	fc, err := NewFineController(m, []int{fgTask}, []int{0}, bgTasks, bgCores, FineConfig{Recorder: agg})
+	fc, err := policy.NewFineController(m, []int{fgTask}, []int{0}, bgTasks, bgCores, policy.FineConfig{Recorder: agg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// FG starts at the top grade, so a behind decision throttles all five
 	// BG cores; every request is dropped by the plan. The controller must
 	// survive, count the failures, and emit them — not panic or mask them.
-	if err := fc.Decide(0, []FGStatus{statusWithSlack(-0.06)}); err != nil {
+	if err := fc.Decide(0, []policy.FGStatus{statusWithSlack(-0.06)}); err != nil {
 		t.Fatal(err)
 	}
 	w := fc.Window()
@@ -95,7 +96,7 @@ func TestFineControllerSurfacesPauseFaults(t *testing.T) {
 		c, _ := m.TaskCore(w.Task)
 		bgCores = append(bgCores, c)
 	}
-	fc, err := NewFineController(m, []int{fgTask}, []int{0}, bgTasks, bgCores, FineConfig{})
+	fc, err := policy.NewFineController(m, []int{fgTask}, []int{0}, bgTasks, bgCores, policy.FineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +104,8 @@ func TestFineControllerSurfacesPauseFaults(t *testing.T) {
 	// until all cores sit at the bottom grade, then the controller reaches
 	// for the pause — which the plan drops.
 	colo.Step() // accumulate some LLC misses for the intrusiveness ranking
-	for i := 0; i < len(DefaultGrades())+2; i++ {
-		if err := fc.Decide(m.Now(), []FGStatus{statusWithSlack(-0.2)}); err != nil {
+	for i := 0; i < len(policy.DefaultGrades())+2; i++ {
+		if err := fc.Decide(m.Now(), []policy.FGStatus{statusWithSlack(-0.2)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,13 +6,12 @@ import (
 	"time"
 
 	"dirigent/internal/sched"
-	"dirigent/internal/sim"
 )
 
-// ErrProfileTimeout marks an online-profiling run that hit its simulated
-// time limit. Callers distinguish it from validation or machine errors with
+// ErrProfileTimeout marks a profiling run that hit its simulated time
+// limit. Callers distinguish it from validation or machine errors with
 // errors.Is; on timeout no partial profile is returned.
-var ErrProfileTimeout = errors.New("online profiling time limit exceeded")
+var ErrProfileTimeout = errors.New("profiling time limit exceeded")
 
 // OnlineProfileOptions configures in-place profiling.
 type OnlineProfileOptions struct {
@@ -90,55 +89,7 @@ func ProfileOnline(colo *sched.Colocation, stream int, opts OnlineProfileOptions
 		}
 	}()
 
-	f := fgs[stream]
-	task := f.Task
-	deadline := m.Now() + sim.Time(opts.Limit)
-
-	// Let the in-flight execution and the warmup executions drain. The
-	// stream's completion counter tells us where we are.
-	waitFor := f.Completed() + 1 + opts.WarmupExecutions
-	for f.Completed() < waitFor {
-		if m.Now() > deadline {
-			return nil, fmt.Errorf("core: online profiling warmup did not complete within %v: %w", opts.Limit, ErrProfileTimeout)
-		}
-		colo.Step()
-	}
-
-	// Record the next execution.
-	profile := &Profile{Benchmark: f.Bench.Name, SamplePeriod: opts.SamplePeriod}
-	ticker := sim.MustTicker(opts.SamplePeriod)
-	ticker.Reset(m.Now())
-	segStartTime := m.Now()
-	segStartInstr := m.Counters().Task(task).Instructions
-	done := f.Completed() + 1
-	for f.Completed() < done {
-		if m.Now() > deadline {
-			return nil, fmt.Errorf("core: online profiled execution did not complete within %v: %w", opts.Limit, ErrProfileTimeout)
-		}
-		colo.Step()
-		now := m.Now()
-		if f.Completed() >= done {
-			instr := m.Counters().Task(task).Instructions
-			if prog := instr - segStartInstr; prog > 0 {
-				profile.Segments = append(profile.Segments, Segment{
-					Progress: prog,
-					Duration: time.Duration(now - segStartTime),
-				})
-			}
-			break
-		}
-		if ticker.Fire(now) {
-			instr := m.Counters().Task(task).Instructions
-			profile.Segments = append(profile.Segments, Segment{
-				Progress: instr - segStartInstr,
-				Duration: time.Duration(now - segStartTime),
-			})
-			segStartTime = now
-			segStartInstr = instr
-		}
-	}
-	if err := profile.Validate(); err != nil {
-		return nil, err
-	}
-	return profile, nil
+	// Let the in-flight execution and the warmup executions drain, then
+	// record the next one.
+	return recordProfile(colo, stream, opts.SamplePeriod, 1+opts.WarmupExecutions, opts.Limit)
 }

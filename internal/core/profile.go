@@ -12,8 +12,8 @@ import (
 	"io"
 	"time"
 
-	"dirigent/internal/cache"
 	"dirigent/internal/machine"
+	"dirigent/internal/sched"
 	"dirigent/internal/sim"
 	"dirigent/internal/workload"
 )
@@ -194,50 +194,47 @@ func ProfileBenchmark(b *workload.Benchmark, opts ProfilerOptions) (*Profile, er
 	if err != nil {
 		return nil, err
 	}
-	prog, err := workload.NewProgram(b)
+	colo, err := sched.New(m, []*workload.Benchmark{b}, nil, sched.Options{})
 	if err != nil {
 		return nil, err
 	}
-	task, err := m.Launch(b.Name, prog, 0, cache.ClassID(0))
-	if err != nil {
-		return nil, err
+	return recordProfile(colo, 0, opts.SamplePeriod, opts.WarmupExecutions, 10*time.Minute)
+}
+
+// recordProfile lets a stream complete warm executions (discarded, so the
+// profile reflects steady-state cache contents), then records the next
+// execution: the stream's instruction counter sampled every period, closed
+// by the (usually partial) segment that ends at its completion. The
+// collocation runs in batches up to each sampler tick. Exceeding limit of
+// simulated time fails with ErrProfileTimeout, checked at each batch start
+// and with batches cut at the first quantum boundary past the deadline.
+func recordProfile(colo *sched.Colocation, stream int, period time.Duration, warm int, limit time.Duration) (*Profile, error) {
+	m := colo.Machine()
+	f := colo.FG()[stream]
+	deadline := m.Now() + sim.Time(limit)
+	waitFor := f.Completed() + warm
+	for f.Completed() < waitFor {
+		if m.Now() > deadline {
+			return nil, fmt.Errorf("core: profiling warmup did not complete within %v: %w", limit, ErrProfileTimeout)
+		}
+		colo.Advance(deadline + 1)
 	}
 
-	// Warmup executions: run to completion, discard.
-	completions := 0
-	limit := sim.Time(10 * time.Minute)
-	for completions < opts.WarmupExecutions {
-		if m.Now() > limit {
-			return nil, fmt.Errorf("core: profiling warmup did not complete within %v", time.Duration(limit))
-		}
-		for _, c := range m.Step() {
-			if c.Task == task {
-				completions++
-			}
-		}
-	}
-
-	// Recorded execution: sample the instruction counter every ΔT until the
-	// next completion.
-	profile := &Profile{Benchmark: b.Name, SamplePeriod: opts.SamplePeriod}
-	ticker := sim.MustTicker(opts.SamplePeriod)
+	profile := &Profile{Benchmark: f.Bench.Name, SamplePeriod: period}
+	ticker := sim.MustTicker(period)
 	ticker.Reset(m.Now())
 	segStartTime := m.Now()
-	segStartInstr := m.Counters().Task(task).Instructions
-	done := false
-	for !done {
-		if m.Now() > limit {
-			return nil, fmt.Errorf("core: profiled execution did not complete within %v", time.Duration(limit))
+	segStartInstr := m.Counters().Task(f.Task).Instructions
+	done := f.Completed() + 1
+	for f.Completed() < done {
+		if m.Now() > deadline {
+			return nil, fmt.Errorf("core: profiled execution did not complete within %v: %w", limit, ErrProfileTimeout)
 		}
-		for _, c := range m.Step() {
-			if c.Task == task {
-				done = true
-			}
-		}
+		colo.Advance(min(ticker.NextDue(), deadline+1))
 		now := m.Now()
-		if done {
+		instr := m.Counters().Task(f.Task).Instructions
+		if f.Completed() >= done {
 			// Final (usually partial) segment.
-			instr := m.Counters().Task(task).Instructions
 			if prog := instr - segStartInstr; prog > 0 {
 				profile.Segments = append(profile.Segments, Segment{
 					Progress: prog,
@@ -247,7 +244,6 @@ func ProfileBenchmark(b *workload.Benchmark, opts ProfilerOptions) (*Profile, er
 			break
 		}
 		if ticker.Fire(now) {
-			instr := m.Counters().Task(task).Instructions
 			profile.Segments = append(profile.Segments, Segment{
 				Progress: instr - segStartInstr,
 				Duration: time.Duration(now - segStartTime),

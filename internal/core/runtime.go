@@ -43,14 +43,14 @@ type RuntimeConfig struct {
 	Policy policy.Policy
 	// Fine configures the fine time scale controller (default Dirigent
 	// policy only; ignored when Policy is set).
-	Fine FineConfig
+	Fine policy.FineConfig
 	// EnablePartitioning turns on the coarse time scale controller
 	// (default Dirigent policy only). The colocation must then use
 	// distinct FG and BG partition classes.
 	EnablePartitioning bool
 	// Coarse configures the coarse controller when enabled (default
 	// Dirigent policy only).
-	Coarse CoarseConfig
+	Coarse policy.CoarseConfig
 	// Recorder is the telemetry bus for the whole assembled system: the
 	// runtime injects it into both controllers and the per-stream
 	// predictors, and attaches it to the machine when the machine has no
@@ -77,7 +77,7 @@ func (c RuntimeConfig) withDefaults() RuntimeConfig {
 		c.SamplePeriod = DefaultSamplePeriod
 	}
 	if c.DecisionSegments == 0 {
-		c.DecisionSegments = DefaultDecisionSegments
+		c.DecisionSegments = policy.DefaultDecisionSegments
 	}
 	if c.EMAWeight == 0 {
 		c.EMAWeight = DefaultEMAWeight
@@ -129,11 +129,6 @@ type Runtime struct {
 	reprofiles  int
 
 	invocations int
-
-	// compat mirrors the machine's CompatStepping flag: Run/RunExecutions
-	// degrade to quantum-by-quantum stepping when the legacy engine is
-	// selected.
-	compat bool
 }
 
 // NewRuntime builds a Dirigent runtime over colo using one offline profile
@@ -187,7 +182,6 @@ func NewRuntime(colo *sched.Colocation, profiles []*Profile, cfg RuntimeConfig) 
 		targets:      append([]time.Duration(nil), cfg.Targets...),
 		ticker:       sim.MustTicker(cfg.SamplePeriod),
 		instrAtStart: make([]float64, len(fgs)),
-		compat:       m.Config().CompatStepping,
 	}
 	if cfg.Faults != nil {
 		r.lastProgress = make([]float64, len(fgs))
@@ -281,7 +275,7 @@ func (r *Runtime) Capabilities() policy.Capabilities { return r.pol.Capabilities
 
 // Fine returns the Dirigent policy's fine controller (telemetry access),
 // or nil when a different policy drives the runtime.
-func (r *Runtime) Fine() *FineController {
+func (r *Runtime) Fine() *policy.FineController {
 	if d, ok := r.pol.(*policy.Dirigent); ok {
 		return d.Fine()
 	}
@@ -290,7 +284,7 @@ func (r *Runtime) Fine() *FineController {
 
 // Coarse returns the Dirigent policy's coarse controller, or nil when
 // partitioning is off or a different policy drives the runtime.
-func (r *Runtime) Coarse() *CoarseController {
+func (r *Runtime) Coarse() *policy.CoarseController {
 	if d, ok := r.pol.(*policy.Dirigent); ok {
 		return d.Coarse()
 	}
@@ -468,13 +462,48 @@ func (r *Runtime) onComplete(stream int, e sched.Execution) {
 	}
 }
 
-// Step advances the collocation one quantum and runs the Dirigent sampling/
-// control loop when ΔT elapses.
-func (r *Runtime) Step() error {
-	if r.anyNeedReprofile {
-		r.runReprofiles()
+// Advance steps the collocation toward until and runs the Dirigent
+// sampling/control loop at every ΔT tick. It returns once Now() reaches
+// until (ceil-aligned, see machine.QuantaUntil) or right after a quantum in
+// which FG executions completed, whichever comes first, so a caller
+// checking an execution goal between calls sees every count change at the
+// quantum it happens.
+//
+// The machine runs in batches between interesting instants: the next
+// sampler tick, a postponed tick's landing, an FG completion, and until.
+// A tick can only be due at a batch's last quantum, so handling it after
+// each batch is exactly the per-quantum control loop. A re-profile
+// scheduled by a completion is serviced before any further quantum runs;
+// profiling completes executions of its own, so like a completion it ends
+// the call one quantum later.
+func (r *Runtime) Advance(until sim.Time) error {
+	m := r.colo.Machine()
+	for m.Now() < until {
+		next := until
+		reprofiled := r.anyNeedReprofile
+		if reprofiled {
+			r.runReprofiles()
+			next = m.Now() + 1
+		}
+		if due := r.ticker.NextDue(); due < next {
+			next = due
+		}
+		if r.pendingTick != 0 && r.pendingTick < next {
+			next = r.pendingTick
+		}
+		completed := r.colo.Advance(next)
+		if err := r.tick(); err != nil {
+			return err
+		}
+		if completed || reprofiled {
+			return nil
+		}
 	}
-	r.colo.Step()
+	return nil
+}
+
+// tick runs the sampling/control loop if an invocation is due at Now().
+func (r *Runtime) tick() error {
 	m := r.colo.Machine()
 	now := m.Now()
 	fired := r.ticker.Fire(now)
@@ -558,7 +587,7 @@ func (r *Runtime) Step() error {
 	// the same order the fine controller's managed task list keeps across
 	// admissions and removals.
 	fgs := r.colo.FG()
-	status := make([]FGStatus, 0, len(r.preds))
+	status := make([]policy.FGStatus, 0, len(r.preds))
 	for i, pred := range r.preds {
 		if fgs[i].Removed() {
 			continue
@@ -567,7 +596,7 @@ func (r *Runtime) Step() error {
 		if err != nil {
 			return fmt.Errorf("core: predict stream %d: %w", i, err)
 		}
-		status = append(status, FGStatus{
+		status = append(status, policy.FGStatus{
 			Predicted: predicted,
 			Deadline:  pred.ExecStart() + sim.Time(r.targets[i]),
 			Target:    r.targets[i],
@@ -576,62 +605,15 @@ func (r *Runtime) Step() error {
 	return r.pol.Tick(now, status)
 }
 
-// Run advances until the given simulated time. On the skip-ahead engine the
-// quanta between runtime invocations are batched: the machine only surfaces
-// at "interesting" instants — the next sampler tick (or a postponed tick's
-// landing), an FG completion (StepN stops there so onComplete fires at its
-// exact quantum), or until itself — and the full per-quantum control-loop
-// check runs only for those boundary quanta, where it runs verbatim.
+// Run advances until the given simulated time (ceil-aligned like
+// machine.Run).
 func (r *Runtime) Run(until sim.Time) error {
-	m := r.colo.Machine()
-	for m.Now() < until {
-		// Ordering matches the per-quantum loop: reprofile servicing happens
-		// at the top of Step, so any state that schedules one (a completion
-		// inside a batch) is serviced before further quanta advance.
-		if r.compat || r.anyNeedReprofile {
-			if err := r.Step(); err != nil {
-				return err
-			}
-			continue
+	for r.colo.Machine().Now() < until {
+		if err := r.Advance(until); err != nil {
+			return err
 		}
-		k := r.batchQuanta(until)
-		if k <= 0 {
-			// The next quantum is a boundary (tick due): full control path.
-			if err := r.Step(); err != nil {
-				return err
-			}
-			continue
-		}
-		r.colo.StepN(k)
 	}
 	return nil
-}
-
-// batchQuanta returns how many quanta can be skipped ahead from Now()
-// without crossing an interesting instant: the sampler tick's due time, a
-// postponed tick's landing, or the limit (ceil-aligned, like the
-// per-quantum loop). The returned batch is "boring" by construction —
-// ticker.Fire would have returned false after every quantum in it — so
-// skipping those checks is behavior-identical. 0 means the very next
-// quantum is a boundary and must run through Step.
-func (r *Runtime) batchQuanta(limit sim.Time) int {
-	m := r.colo.Machine()
-	now := m.Now()
-	q := sim.Time(m.Config().Quantum)
-	due := r.ticker.NextDue()
-	if r.pendingTick != 0 && r.pendingTick < due {
-		due = r.pendingTick
-	}
-	k := 0
-	if due > now {
-		// Strictly before due: the quantum that reaches due fires the tick
-		// and takes the full path.
-		k = int((due - now - 1) / q)
-	}
-	if rem := int((limit - now + q - 1) / q); rem < k {
-		k = rem
-	}
-	return k
 }
 
 // runReprofiles services pending re-profiling requests. Each one pauses BG
@@ -695,38 +677,16 @@ func (r *Runtime) reprofileStream(stream int) {
 	r.pendingTick = 0
 }
 
-// RunExecutions advances until every FG stream has completed at least n
-// executions, with a simulated-time limit.
+// RunExecutions advances until every active FG stream has completed at
+// least n executions, with a simulated-time limit.
 func (r *Runtime) RunExecutions(n int, limit sim.Time) error {
-	for {
-		minDone := -1
-		for _, f := range r.colo.FG() {
-			if f.Removed() {
-				continue
-			}
-			if minDone < 0 || f.Completed() < minDone {
-				minDone = f.Completed()
-			}
-		}
-		if minDone >= n {
-			return nil
-		}
+	for r.colo.Completed() < n {
 		if r.colo.Machine().Now() >= limit {
-			return fmt.Errorf("core: only %d/%d executions within %v", minDone, n, time.Duration(limit))
+			return fmt.Errorf("core: only %d/%d executions within %v", r.colo.Completed(), n, time.Duration(limit))
 		}
-		// Batch the boring quanta between interesting instants; see Run. The
-		// completion counts only change when a batch stops, so the checks
-		// above observe exactly the states the per-quantum loop did.
-		if r.compat || r.anyNeedReprofile {
-			if err := r.Step(); err != nil {
-				return err
-			}
-			continue
-		}
-		if k := r.batchQuanta(limit); k > 0 {
-			r.colo.StepN(k)
-		} else if err := r.Step(); err != nil {
+		if err := r.Advance(limit); err != nil {
 			return err
 		}
 	}
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"dirigent/internal/config"
 	"dirigent/internal/core"
 	"dirigent/internal/machine"
+	"dirigent/internal/policy"
 	"dirigent/internal/sched"
 	"dirigent/internal/sim"
 	"dirigent/internal/stats"
@@ -185,7 +186,6 @@ func (r *Runner) PredictionProbe(mix Mix, executions, skip int) (*PredictionProb
 	}
 	mcfg := machine.DefaultConfig()
 	mcfg.Seed = mix.Seed()
-	mcfg.CompatStepping = r.CompatStepping
 	m, err := machine.New(mcfg)
 	if err != nil {
 		return nil, err
@@ -235,30 +235,11 @@ func (r *Runner) PredictionProbe(mix Mix, executions, skip int) (*PredictionProb
 
 	tick := sim.MustTicker(core.DefaultSamplePeriod)
 	limit := sim.Time(r.TimeLimit)
-	q := sim.Time(mcfg.Quantum)
 	for len(all) < executions && m.Now() < limit && probeErr == nil {
-		if r.CompatStepping {
-			colo.Step()
-		} else {
-			// Skip-ahead: the quanta strictly before the next sampler tick
-			// cannot fire the ticker, so batch them in one StepN. StepN
-			// early-stops on completions, so OnComplete still observes each
-			// execution at its exact quantum boundary; the boundary quantum
-			// itself runs through the single-Step path below.
-			now := m.Now()
-			k := 0
-			if due := tick.NextDue(); due > now {
-				k = int((due - now - 1) / q)
-			}
-			if rem := int((limit - now + q - 1) / q); rem < k {
-				k = rem
-			}
-			if k > 0 {
-				colo.StepN(k)
-			} else {
-				colo.Step()
-			}
-		}
+		// Batch up to the next sampler tick; Advance also stops at each
+		// completion, so OnComplete observes every execution at its exact
+		// quantum.
+		colo.Advance(min(tick.NextDue(), limit))
 		if !tick.Fire(m.Now()) {
 			continue
 		}
@@ -616,7 +597,7 @@ type FreqDistRow struct {
 // BG core frequencies under DirigentFreq and Dirigent.
 func FreqDistribution(mr *MixResult) ([]FreqDistRow, error) {
 	levels := machine.DefaultConfig().FreqLevelsGHz
-	grades := core.DefaultGrades()
+	grades := policy.DefaultGrades()
 	var rows []FreqDistRow
 	for _, c := range []config.Name{config.DirigentFreq, config.Dirigent} {
 		run := mr.ByConfig[c]

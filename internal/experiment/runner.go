@@ -12,6 +12,7 @@ import (
 	"dirigent/internal/core"
 	"dirigent/internal/fault"
 	"dirigent/internal/machine"
+	"dirigent/internal/policy"
 	"dirigent/internal/sched"
 	"dirigent/internal/sim"
 	"dirigent/internal/stats"
@@ -46,12 +47,6 @@ type Runner struct {
 	// machine classes.
 	MachineClass string
 
-	// CompatStepping drives every run's machine through the legacy
-	// per-quantum engine instead of the skip-ahead fast path. Results are
-	// bit-identical either way; the flag exists for differential testing
-	// and for the benchreg speedup probe's baseline timing.
-	CompatStepping bool
-
 	// Recorder is an optional extra telemetry sink: every run's event
 	// stream is teed into it (labelled "mix/config" via WithRun) in
 	// addition to the per-run aggregator the runner consumes internally.
@@ -73,7 +68,8 @@ type profileEntry struct {
 }
 
 // NewRunner returns a runner with the defaults used throughout the
-// reproduction: 60 executions, 5 warmup, 15 calibration executions.
+// reproduction: 60 executions, 5 warmup, 30 calibration executions, 32
+// convergence-warmup executions, and a one-hour simulated time limit.
 func NewRunner() *Runner {
 	return &Runner{
 		Executions:        60,
@@ -401,7 +397,7 @@ func (r *Runner) RunConfigs(mix Mix, names ...config.Name) (*MixResult, error) {
 // static schemes (§3.1): resources are reserved so that the tail fits, and
 // are wasted whenever tasks finish early.
 func (r *Runner) calibrateStaticBGLevel(mix Mix, fgWays int, deadlines []float64) (int, error) {
-	grades := core.DefaultGrades()
+	grades := policy.DefaultGrades()
 	for gi := len(grades) - 1; gi >= 1; gi-- {
 		run, err := r.runOne(mix, runSpec{
 			cfg:       config.MustByName(config.StaticBoth),
@@ -462,7 +458,11 @@ func (r *Runner) runOne(mix Mix, spec runSpec) (*RunResult, error) {
 	return s.Collect()
 }
 
-func (r *Runner) collect(mix Mix, spec runSpec, colo *sched.Colocation, rt *core.Runtime, agg *telemetry.Aggregator) (*RunResult, error) {
+// collect folds a session's event stream into a RunResult. partial marks a
+// mid-run snapshot (completed < goal): a live stream may not have finished
+// an execution past warmup yet, so only a finished run must summarise every
+// live stream.
+func (r *Runner) collect(mix Mix, spec runSpec, colo *sched.Colocation, rt *core.Runtime, agg *telemetry.Aggregator, partial bool) (*RunResult, error) {
 	m := colo.Machine()
 	rr := &RunResult{
 		Mix:           mix,
@@ -496,10 +496,11 @@ func (r *Runner) collect(mix Mix, spec runSpec, colo *sched.Colocation, rt *core
 			durs = durs[warm:]
 		}
 		// A stream removed mid-run (served tenants admit and evict streams
-		// live) may have nothing after warmup; report an empty summary
-		// instead of failing the whole collection.
+		// live), or any stream in a mid-run snapshot, may have nothing
+		// after warmup; report an empty summary instead of failing the
+		// whole collection.
 		sum := stats.Summary{}
-		if len(durs) > 0 || !f.Removed() {
+		if len(durs) > 0 || (!f.Removed() && !partial) {
 			var err error
 			sum, err = stats.Summarize(durs)
 			if err != nil {

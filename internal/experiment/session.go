@@ -65,7 +65,7 @@ type RunParams struct {
 // dirigent-serve tenant loop) produces a byte-identical RunResult for the
 // same seed and parameters.
 //
-// A session is not safe for concurrent use: one goroutine must own Step,
+// A session is not safe for concurrent use: one goroutine must own Advance,
 // control operations (Runtime().SetTarget, admission hooks), and Collect.
 type Session struct {
 	runner *Runner
@@ -78,7 +78,7 @@ type Session struct {
 
 // StartSession validates params, assembles the machine/colocation/runtime
 // stack for the mix, and returns the stepping handle. Nothing has executed
-// yet — the first Step advances the first quantum.
+// yet.
 func (r *Runner) StartSession(mix Mix, p RunParams) (*Session, error) {
 	if err := mix.Validate(); err != nil {
 		return nil, err
@@ -160,7 +160,6 @@ func (r *Runner) startSession(mix Mix, spec runSpec) (*Session, error) {
 		return nil, err
 	}
 	mcfg.Seed = seed
-	mcfg.CompatStepping = r.CompatStepping
 	var inj *fault.Injector
 	if !spec.faults.IsZero() {
 		// One injector per run, seeded from the mix so fault schedules
@@ -295,33 +294,22 @@ func (s *Session) Now() sim.Time { return s.colo.Machine().Now() }
 
 // Completed returns the minimum completed-execution count across active
 // (non-removed) FG streams.
-func (s *Session) Completed() int {
-	minDone := -1
-	for _, f := range s.colo.FG() {
-		if f.Removed() {
-			continue
-		}
-		if minDone < 0 || f.Completed() < minDone {
-			minDone = f.Completed()
-		}
-	}
-	if minDone < 0 {
-		return 0
-	}
-	return minDone
-}
+func (s *Session) Completed() int { return s.colo.Completed() }
 
-// Step advances the session one machine quantum (plus any due control
-// work).
-func (s *Session) Step() error {
+// Advance runs the session toward simulated time until, with any due
+// control work, and returns once Now() reaches until (ceil-aligned) or
+// right after a quantum in which FG executions completed, whichever comes
+// first (core.Runtime.Advance; sched.Colocation.Advance for configurations
+// without the runtime).
+func (s *Session) Advance(until sim.Time) error {
 	if s.rt != nil {
-		return s.rt.Step()
+		return s.rt.Advance(until)
 	}
-	s.colo.Step()
+	s.colo.Advance(until)
 	return nil
 }
 
-// RunExecutions steps until every active FG stream has completed at least n
+// RunExecutions runs until every active FG stream has completed at least n
 // executions or the simulated-time limit is hit.
 func (s *Session) RunExecutions(n int, limit sim.Time) error {
 	if s.rt != nil {
@@ -334,5 +322,5 @@ func (s *Session) RunExecutions(n int, limit sim.Time) error {
 // batch runner does at the end of a run. It may be called mid-run for a
 // snapshot; per-stream statistics then cover completed executions only.
 func (s *Session) Collect() (*RunResult, error) {
-	return s.runner.collect(s.mix, s.spec, s.colo, s.rt, s.agg)
+	return s.runner.collect(s.mix, s.spec, s.colo, s.rt, s.agg, s.Completed() < s.Goal())
 }

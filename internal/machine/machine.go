@@ -5,9 +5,8 @@
 // steps from 1.2 to 2.0 GHz, a 15 MB 20-way L3 with Intel CAT, and four
 // DDR4-2133 channels (§5.1).
 //
-// The machine is an interval simulator. Each call to Step advances one
-// quantum (100 µs by default) and resolves, for every running task, the
-// coupled system
+// The machine is an interval simulator. Each quantum (100 µs by default)
+// resolves, for every running task, the coupled system
 //
 //	instructions ← cycles / CPI_eff
 //	CPI_eff      ← BaseCPI·jitter + missPerInstr · memLatency(U)·f / MLP
@@ -15,8 +14,10 @@
 //
 // by damped fixed-point iteration, then commits the result: performance
 // counters are charged, LLC occupancy advances (cache inertia), memory
-// counters advance, and programs retire instructions. Foreground program
-// completions are returned as events.
+// counters advance, and programs retire instructions. StepN advances a
+// batch of quanta and stops early after any quantum with foreground
+// program completions, which it returns; QuantaUntil converts a simulated
+// instant into the batch length that reaches it.
 package machine
 
 import (
@@ -116,12 +117,6 @@ type Config struct {
 	// fail. Strictly opt-in — nil (the default) leaves every code path
 	// byte-identical to a machine without fault support.
 	Faults *fault.Injector
-	// CompatStepping drives every advance through the legacy per-quantum
-	// engine (stepCompat) instead of the skip-ahead fast path. Both engines
-	// produce bit-identical state and event streams — CompatStepping exists
-	// as the reference for differential tests and as the baseline the
-	// skip-ahead speedup gate measures against, not as a semantic switch.
-	CompatStepping bool
 }
 
 // DefaultConfig mirrors the paper's platform.
@@ -166,10 +161,10 @@ type task struct {
 	slowJitter float64
 	slowUntil  sim.Time
 
-	// Resolved per-task handles the skip-ahead engine charges through,
-	// skipping the LLC and counter map lookups every quantum. Both stay
-	// valid for the task's lifetime: class moves mutate the cache state in
-	// place, and nothing resets counters mid-run.
+	// Resolved per-task handles the step charges through, skipping the LLC
+	// and counter map lookups every quantum. Both stay valid for the task's
+	// lifetime: class moves mutate the cache state in place, and nothing
+	// resets counters mid-run.
 	cref   *cache.TaskRef
 	sample *perf.Sample
 }
@@ -229,7 +224,7 @@ type Machine struct {
 	scratchInstr   []float64
 	scratchJitter  []float64
 
-	// Skip-ahead engine state (stepFast/StepN). The scratch arrays hold the
+	// Per-quantum solver state (step/StepN). The scratch arrays hold the
 	// per-core terms that are invariant within one quantum — phase pointer
 	// (nil for idle or paused cores), effective compute seconds, clock,
 	// hit rate, misses per instruction, jittered base CPI, and MLP — hoisted
@@ -248,9 +243,8 @@ type Machine struct {
 	recBatch     telemetry.QuantumBatcher
 
 	// quantumSec caches cfg.Quantum.Seconds() and coreGHz caches
-	// ladder[c][coreFreq[c]] (maintained by commitFreq), so the fast engine
-	// reads them instead of re-deriving both every quantum. Both are exactly
-	// the values the compat engine computes inline.
+	// ladder[c][coreFreq[c]] (maintained by commitFreq), so the step reads
+	// them instead of re-deriving both every quantum.
 	quantumSec float64
 	coreGHz    []float64
 }
@@ -742,9 +736,6 @@ func (m *Machine) LastUtilization() float64 { return m.lastUtilization }
 // Step advances the machine by one quantum and returns any foreground
 // completions that occurred in it.
 func (m *Machine) Step() []Completion {
-	if m.cfg.CompatStepping {
-		return m.stepCompat()
-	}
 	done, _ := m.StepN(1)
 	return done
 }
@@ -754,7 +745,7 @@ func (m *Machine) Step() []Completion {
 // advanced. It stops early after any quantum that produced completions, so
 // callers observe completions at exactly the quantum they occur in — the
 // scheduler's completion processing, BG rotation, and policy callbacks all
-// fire at the same simulated instants as quantum-by-quantum stepping.
+// fire at the same simulated instants whatever the batch length.
 // Quantum-step telemetry is accumulated across the batch and flushed in one
 // recorder call on return (and before any mid-batch DVFS commit), keeping
 // the event stream byte-identical to per-quantum emission. max is clamped
@@ -769,7 +760,7 @@ func (m *Machine) StepN(max int) ([]Completion, int) {
 	var done []Completion
 	n := 0
 	for n < max {
-		done = m.stepFast()
+		done = m.step()
 		n++
 		if len(done) > 0 {
 			break
@@ -777,6 +768,19 @@ func (m *Machine) StepN(max int) ([]Completion, int) {
 	}
 	m.flushQuanta()
 	return done, n
+}
+
+// QuantaUntil returns how many quanta the clock must advance to reach t:
+// ceil((t − Now) / quantum), so an instant between quantum boundaries is
+// covered by the quantum that crosses it. It is 0 when t is not after Now.
+// Every stepping loop converts its stopping instants through here.
+func (m *Machine) QuantaUntil(t sim.Time) int {
+	now := m.clock.Now()
+	if t <= now {
+		return 0
+	}
+	q := sim.Time(m.cfg.Quantum)
+	return int((t - now + q - 1) / q)
 }
 
 // flushQuanta hands accumulated quantum-step events to the recorder — in
@@ -796,14 +800,14 @@ func (m *Machine) flushQuanta() {
 	m.batchQ = m.batchQ[:0]
 }
 
-// stepFast is the skip-ahead engine's quantum: the same physics as
-// stepCompat with every quantum-invariant per-core term (phase, frequency,
-// hit rate, miss rate, jittered base CPI, MLP) hoisted out of the solver
-// loop, and the quantum-step event buffered instead of emitted inline.
-// Every floating-point expression keeps stepCompat's exact form and
-// evaluation order, so the two engines are bit-identical — pinned by
-// TestStepEnginesEquivalent.
-func (m *Machine) stepFast() []Completion {
+// step advances one quantum. Every quantum-invariant per-core term (phase,
+// frequency, hit rate, miss rate, jittered base CPI, MLP) is hoisted out of
+// the solver loop, and the quantum-step event is buffered for flushQuanta
+// instead of emitted inline. The floating-point expression forms and their
+// evaluation order are pinned bit for bit by the recorded goldens
+// (TestStepEnginesEquivalent and the experiment and benchreg goldens), so
+// reassociating any of them is a deliberate re-baseline.
+func (m *Machine) step() []Completion {
 	if m.cfg.StepHook != nil {
 		m.cfg.StepHook()
 	}
@@ -823,12 +827,11 @@ func (m *Machine) stepFast() []Completion {
 		}
 	}
 
-	// Hoist pass: one traversal computes everything the legacy engine
-	// recomputes per solver iteration and again at commit. Within a quantum
-	// these cannot change — occupancy only moves in llc.Apply below, programs
-	// only advance at commit — and the jitter draws happen here in the same
-	// ascending-core order as the legacy loop, so the RNG streams stay in
-	// lockstep.
+	// Hoist pass: one traversal computes every per-core term the solver
+	// iterations and the commit read. Within a quantum these cannot change —
+	// occupancy only moves in llc.ApplyFast below, programs only advance at
+	// commit. The jitter draws happen here in ascending-core order, one
+	// stream per task.
 	for c := 0; c < m.cfg.Cores; c++ {
 		m.scratchEff[c] = dtSec
 		if owed := m.overheadOwed[c]; owed > 0 {
@@ -871,14 +874,17 @@ func (m *Machine) stepFast() []Completion {
 	}
 
 	// Damped fixed point over memory utilization, reading the hoisted terms.
+	// Multi-socket machines solve one utilization per socket.
 	if m.multiSocket {
-		m.solveSocketsFast(dt)
+		m.solvePerSocket(dt)
 	} else {
 		u := m.lastUtilization
 		latNs := 0.0
 		for iter := 0; iter < solverIterations; iter++ {
 			latNs = float64(m.memory.Latency(u).Nanoseconds())
 			if latNs <= 0 {
+				// Sub-nanosecond idle latency configs still need a positive
+				// value; fall back to the float form.
 				latNs = m.memory.LatencyStretch(u) * float64(m.memory.Config().IdleLatency) / float64(time.Nanosecond)
 			}
 			demand := 0.0
@@ -968,9 +974,10 @@ func (m *Machine) stepFast() []Completion {
 	return completions
 }
 
-// solveSocketsFast is solveSockets reading the hoisted per-core terms, with
-// identical expression forms per iteration.
-func (m *Machine) solveSocketsFast(dt time.Duration) {
+// solvePerSocket is the multi-socket variant of step's damped fixed point:
+// one utilization per socket, each core charged its own socket's latency
+// and its miss traffic accumulated against its own socket's pool.
+func (m *Machine) solvePerSocket(dt time.Duration) {
 	us, lat, dem := m.scratchSockU, m.scratchSockLat, m.scratchSockDemand
 	for s := range us {
 		us[s] = m.memory.LastSocketUtilization(s)
@@ -1002,222 +1009,15 @@ func (m *Machine) solveSocketsFast(dt time.Duration) {
 	}
 }
 
-// stepCompat is the legacy quantum-by-quantum engine, preserved verbatim as
-// the reference the skip-ahead engine is differenced against (and the
-// baseline the speedup gate times). Selected by Config.CompatStepping. It
-// keeps the original subsystem paths end to end: the uncached PhaseScan
-// lookup, map-based LLC HitRate/Apply, and map-based counter charges — so
-// the gate's baseline is the engine as it shipped, not one that silently
-// borrows the fast path's caches.
-func (m *Machine) stepCompat() []Completion {
-	if m.cfg.StepHook != nil {
-		m.cfg.StepHook()
-	}
-	dt := m.cfg.Quantum
-	dtSec := dt.Seconds()
-	now := m.clock.Advance()
-
-	// Commit DVFS transitions whose injected actuation latency has elapsed,
-	// before this quantum's frequencies are read.
-	if m.pendingFreq != nil {
-		for c := range m.pendingFreq {
-			if p := m.pendingFreq[c]; p.level >= 0 && now >= p.at {
-				m.pendingFreq[c].level = -1
-				m.commitFreq(c, p.level)
-			}
-		}
-	}
-
-	// Per-core effective compute time after runtime-overhead theft, and
-	// per-quantum jitter draws (one per running task, outside the solver
-	// loop so iterations see stable values).
-	effSec := make([]float64, m.cfg.Cores)
-	for c := 0; c < m.cfg.Cores; c++ {
-		eff := dt
-		if owed := m.overheadOwed[c]; owed > 0 {
-			steal := owed
-			if steal > dt {
-				steal = dt
-			}
-			m.overheadOwed[c] -= steal
-			eff = dt - steal
-		}
-		effSec[c] = eff.Seconds()
-		m.freqResidency[c][m.coreFreq[c]] += dt
-		m.scratchJitter[c] = 1
-		if t := m.coreTask[c]; t != nil && !t.paused {
-			if sigma := t.program.Benchmark().CPIJitter; sigma > 0 {
-				m.scratchJitter[c] = t.jitter.LogNormal(0, sigma)
-			}
-			if m.cfg.SlowJitterSigma > 0 {
-				if now >= t.slowUntil {
-					t.slowJitter = t.jitter.LogNormal(0, m.cfg.SlowJitterSigma)
-					t.slowUntil = now + sim.Time(m.cfg.SlowJitterPeriod)
-				}
-				m.scratchJitter[c] *= t.slowJitter
-			}
-		}
-	}
-
-	// Damped fixed point over memory utilization. Multi-socket machines
-	// solve one utilization per socket (each core sees its own socket's
-	// latency); the single-pool branch below is the original solver,
-	// untouched so homogeneous machines stay byte-identical.
-	if m.multiSocket {
-		m.solveSockets(effSec, dt)
-	} else {
-		u := m.lastUtilization
-		latNs := 0.0
-		for iter := 0; iter < solverIterations; iter++ {
-			latNs = float64(m.memory.Latency(u).Nanoseconds())
-			if latNs <= 0 {
-				// Sub-nanosecond idle latency configs still need a positive
-				// value; fall back to the float form.
-				latNs = m.memory.LatencyStretch(u) * float64(m.memory.Config().IdleLatency) / float64(time.Nanosecond)
-			}
-			demand := 0.0
-			for c := 0; c < m.cfg.Cores; c++ {
-				t := m.coreTask[c]
-				m.scratchInstr[c] = 0
-				if t == nil || t.paused || effSec[c] <= 0 {
-					continue
-				}
-				ph := t.program.PhaseScan()
-				f := m.ladder[c][m.coreFreq[c]]
-				hit := m.llc.HitRate(t.id, ph.WSSBytes, ph.Locality)
-				missPerInstr := ph.APKI / 1000 * (1 - hit)
-				base := ph.BaseCPI
-				if s := m.cpiScale[c]; s != 1 {
-					base *= s
-				}
-				cpi := base*m.scratchJitter[c] + missPerInstr*latNs*f/ph.EffectiveMLP()
-				instr := f * 1e9 * effSec[c] / cpi
-				m.scratchInstr[c] = instr
-				demand += instr * missPerInstr * BytesPerMiss
-			}
-			uNew := m.memory.Utilization(demand, dt)
-			u = 0.5*u + 0.5*uNew
-		}
-	}
-
-	// Commit: counters, cache occupancy, memory stats, program progress.
-	m.scratchTraffic = m.scratchTraffic[:0]
-	if m.multiSocket {
-		for s := range m.scratchSockDemand {
-			m.scratchSockDemand[s] = 0
-		}
-	}
-	demand := 0.0
-	totInstr, totMisses := 0.0, 0.0
-	var completions []Completion
-	for c := 0; c < m.cfg.Cores; c++ {
-		t := m.coreTask[c]
-		if t == nil || t.paused {
-			continue
-		}
-		instr := m.scratchInstr[c]
-		ph := t.program.PhaseScan()
-		f := m.ladder[c][m.coreFreq[c]]
-		hit := m.llc.HitRate(t.id, ph.WSSBytes, ph.Locality)
-		accesses := instr * ph.APKI / 1000
-		missRate := 1 - hit
-		misses := accesses * missRate
-		demand += misses * BytesPerMiss
-		if m.multiSocket {
-			m.scratchSockDemand[m.coreSocket[c]] += misses * BytesPerMiss
-		}
-		totInstr += instr
-		totMisses += misses
-
-		// Counters: cycles reflect the full quantum at the core's clock
-		// (free-running cycle counter), instructions reflect work done.
-		_ = m.counters.Charge(t.id, c, perf.Sample{
-			Instructions: instr,
-			Cycles:       f * 1e9 * dtSec,
-			LLCAccesses:  accesses,
-			LLCMisses:    misses,
-		})
-		m.scratchTraffic = append(m.scratchTraffic, cache.Traffic{
-			Task:     t.id,
-			Accesses: accesses,
-			MissRate: missRate,
-			WSS:      ph.WSSBytes,
-		})
-		if t.program.Advance(instr) {
-			completions = append(completions, Completion{Task: t.id, At: now})
-		}
-	}
-	m.llc.Apply(dt, m.scratchTraffic)
-	if m.multiSocket {
-		m.memory.ApplySockets(m.scratchSockDemand, dt)
-	} else {
-		m.memory.Apply(demand, dt)
-	}
-	m.lastUtilization = m.memory.LastUtilization()
-	if m.rec.Enabled(telemetry.KindQuantumStep) {
-		m.rec.Record(telemetry.Event{
-			Kind:         telemetry.KindQuantumStep,
-			At:           now,
-			Utilization:  m.lastUtilization,
-			Instructions: totInstr,
-			LLCMisses:    totMisses,
-			Completions:  len(completions),
-		})
-	}
-	return completions
-}
-
-// solveSockets is the multi-socket variant of Step's damped fixed point:
-// one utilization per socket, each core charged its own socket's latency
-// and its miss traffic accumulated against its own socket's pool.
-func (m *Machine) solveSockets(effSec []float64, dt time.Duration) {
-	us, lat, dem := m.scratchSockU, m.scratchSockLat, m.scratchSockDemand
-	for s := range us {
-		us[s] = m.memory.LastSocketUtilization(s)
-	}
-	for iter := 0; iter < solverIterations; iter++ {
-		for s := range us {
-			l := float64(m.memory.Latency(us[s]).Nanoseconds())
-			if l <= 0 {
-				l = m.memory.LatencyStretch(us[s]) * float64(m.memory.Config().IdleLatency) / float64(time.Nanosecond)
-			}
-			lat[s] = l
-			dem[s] = 0
-		}
-		for c := 0; c < m.cfg.Cores; c++ {
-			t := m.coreTask[c]
-			m.scratchInstr[c] = 0
-			if t == nil || t.paused || effSec[c] <= 0 {
-				continue
-			}
-			ph := t.program.PhaseScan()
-			f := m.ladder[c][m.coreFreq[c]]
-			hit := m.llc.HitRate(t.id, ph.WSSBytes, ph.Locality)
-			missPerInstr := ph.APKI / 1000 * (1 - hit)
-			base := ph.BaseCPI
-			if s := m.cpiScale[c]; s != 1 {
-				base *= s
-			}
-			cpi := base*m.scratchJitter[c] + missPerInstr*lat[m.coreSocket[c]]*f/ph.EffectiveMLP()
-			instr := f * 1e9 * effSec[c] / cpi
-			m.scratchInstr[c] = instr
-			dem[m.coreSocket[c]] += instr * missPerInstr * BytesPerMiss
-		}
-		for s := range us {
-			us[s] = 0.5*us[s] + 0.5*m.memory.UtilizationOn(s, dem[s], dt)
-		}
-	}
-}
-
 // Run advances the machine until the given simulated time, invoking onStep
 // (if non-nil) after every quantum with that quantum's completions. It is a
-// convenience for tests and examples; the scheduler drives Step directly.
+// convenience for tests and examples; the scheduler batches through StepN.
 //
-// Coverage is ceil-aligned with Step's clock advance: the loop keeps
-// stepping while Now() < until, so when until is not quantum-aligned the
-// final covering quantum still runs in full and its completions are
-// delivered — the machine stops at the first quantum boundary at or after
-// until, never short of it. Pinned by TestRunUnalignedUntil.
+// Coverage is ceil-aligned like QuantaUntil: when until is not
+// quantum-aligned the final covering quantum still runs in full and its
+// completions are delivered — the machine stops at the first quantum
+// boundary at or after until, never short of it. Pinned by
+// TestRunUnalignedUntil.
 func (m *Machine) Run(until sim.Time, onStep func(now sim.Time, done []Completion)) {
 	for m.clock.Now() < until {
 		done := m.Step()

@@ -92,27 +92,11 @@ func MustNew(cores int) *Counters {
 // NumCores returns the number of per-core counter sets.
 func (c *Counters) NumCores() int { return len(c.cores) }
 
-// Charge accumulates a delta for task running on core. Unknown tasks are
-// created on first charge; an out-of-range core is an error.
-func (c *Counters) Charge(task, core int, delta Sample) error {
-	if core < 0 || core >= len(c.cores) {
-		return fmt.Errorf("perf: core %d out of range [0,%d)", core, len(c.cores))
-	}
-	t, ok := c.tasks[task]
-	if !ok {
-		t = &Sample{}
-		c.tasks[task] = t
-	}
-	*t = t.Add(delta)
-	c.cores[core] = c.cores[core].Add(delta)
-	return nil
-}
-
 // Handle returns a stable pointer to a task's cumulative Sample, creating
-// the task on first use exactly like Charge. The machine's skip-ahead engine
-// resolves it once per task and charges through it, skipping the per-quantum
-// map lookup. The handle detaches (keeps accumulating invisibly) if the task
-// is later ResetTask'd or the file Reset.
+// the task on first use. The machine resolves it once per task and charges
+// through it, skipping a per-quantum map lookup. The handle detaches (keeps
+// accumulating invisibly) if the task is later ResetTask'd or the file
+// Reset.
 func (c *Counters) Handle(task int) *Sample {
 	t, ok := c.tasks[task]
 	if !ok {
@@ -122,9 +106,9 @@ func (c *Counters) Handle(task int) *Sample {
 	return t
 }
 
-// ChargeRef is Charge through a resolved Handle: the identical accumulation
-// arithmetic with no map lookup or core-range check (the machine charges
-// cores it validated at construction).
+// ChargeRef accumulates a delta for the task behind a resolved Handle,
+// running on core. It does no core-range check: the machine charges cores
+// it validated at construction.
 func (c *Counters) ChargeRef(t *Sample, core int, delta Sample) {
 	*t = t.Add(delta)
 	c.cores[core] = c.cores[core].Add(delta)

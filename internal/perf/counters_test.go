@@ -82,16 +82,11 @@ func TestNewValidation(t *testing.T) {
 
 func TestChargeAccumulates(t *testing.T) {
 	c := MustNew(2)
+	h1, h2 := c.Handle(1), c.Handle(2)
 	d := Sample{Instructions: 10, Cycles: 20, LLCAccesses: 2, LLCMisses: 1}
-	if err := c.Charge(1, 0, d); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Charge(1, 0, d); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Charge(2, 1, d); err != nil {
-		t.Fatal(err)
-	}
+	c.ChargeRef(h1, 0, d)
+	c.ChargeRef(h1, 0, d)
+	c.ChargeRef(h2, 1, d)
 	if got := c.Task(1); got.Instructions != 20 {
 		t.Errorf("Task(1) = %+v", got)
 	}
@@ -112,11 +107,8 @@ func TestChargeAccumulates(t *testing.T) {
 
 func TestChargeInvalidCore(t *testing.T) {
 	c := MustNew(2)
-	if err := c.Charge(1, -1, Sample{}); err == nil {
-		t.Error("negative core should error")
-	}
-	if err := c.Charge(1, 2, Sample{}); err == nil {
-		t.Error("out-of-range core should error")
+	if _, err := c.Core(2); err == nil {
+		t.Error("Core(2) should error")
 	}
 	if _, err := c.Core(5); err == nil {
 		t.Error("Core(5) should error")
@@ -129,8 +121,8 @@ func TestChargeInvalidCore(t *testing.T) {
 func TestResets(t *testing.T) {
 	c := MustNew(1)
 	d := Sample{Instructions: 5}
-	_ = c.Charge(1, 0, d)
-	_ = c.Charge(2, 0, d)
+	c.ChargeRef(c.Handle(1), 0, d)
+	c.ChargeRef(c.Handle(2), 0, d)
 	c.ResetTask(1)
 	if got := c.Task(1); got != (Sample{}) {
 		t.Error("ResetTask should zero task counters")
@@ -148,16 +140,15 @@ func TestResets(t *testing.T) {
 }
 
 // TestChargeRefMatchesCharge pins the handle-based charging path (what the
-// machine's skip-ahead engine uses) to Charge: the same sequence of deltas
-// through either API must leave identical task, core, and total counters.
+// machine charges through) to plain accumulation: the same sequence of
+// deltas, summed independently per task, per core and in total, must equal
+// the task, core and total counters exactly.
 func TestChargeRefMatchesCharge(t *testing.T) {
-	a := MustNew(3)
-	b := MustNew(3)
-	h1, h2 := b.Handle(1), b.Handle(2)
+	c := MustNew(3)
+	h1, h2 := c.Handle(1), c.Handle(2)
 
-	// Handle creates the task like a first Charge would; it must still read
-	// as zero until charged.
-	if got := b.Task(1); got != (Sample{}) {
+	// Handle creates the task; it must still read as zero until charged.
+	if got := c.Task(1); got != (Sample{}) {
 		t.Errorf("fresh Handle task reads %+v, want zero", got)
 	}
 
@@ -171,41 +162,43 @@ func TestChargeRefMatchesCharge(t *testing.T) {
 		{1, 2, Sample{Instructions: 1e9, Cycles: 2e9, LLCAccesses: 1e7, LLCMisses: 3e6}},
 		{2, 1, Sample{}},
 	}
+	wantTask := map[int]Sample{}
+	wantCore := make([]Sample, 3)
+	var wantTotal Sample
 	for _, ch := range deltas {
-		if err := a.Charge(ch.task, ch.core, ch.d); err != nil {
-			t.Fatal(err)
-		}
 		h := h1
 		if ch.task == 2 {
 			h = h2
 		}
-		b.ChargeRef(h, ch.core, ch.d)
+		c.ChargeRef(h, ch.core, ch.d)
+		wantTask[ch.task] = wantTask[ch.task].Add(ch.d)
+		wantCore[ch.core] = wantCore[ch.core].Add(ch.d)
+		wantTotal = wantTotal.Add(ch.d)
 	}
 	for task := 1; task <= 2; task++ {
-		if av, bv := a.Task(task), b.Task(task); av != bv {
-			t.Errorf("task %d: Charge %+v, ChargeRef %+v", task, av, bv)
+		if got := c.Task(task); got != wantTask[task] {
+			t.Errorf("task %d: ChargeRef %+v, want %+v", task, got, wantTask[task])
 		}
 	}
 	for core := 0; core < 3; core++ {
-		av, err := a.Core(core)
+		got, err := c.Core(core)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bv, err := b.Core(core)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if av != bv {
-			t.Errorf("core %d: Charge %+v, ChargeRef %+v", core, av, bv)
+		if got != wantCore[core] {
+			t.Errorf("core %d: ChargeRef %+v, want %+v", core, got, wantCore[core])
 		}
 	}
-	if at, bt := a.Total(), b.Total(); at != bt {
-		t.Errorf("totals diverged: %+v vs %+v", at, bt)
+	if got := c.Total(); got != wantTotal {
+		t.Errorf("Total = %+v, want %+v", got, wantTotal)
 	}
 
-	// A Handle resolved after charges sees the accumulated state, and is the
-	// same pointer Charge has been feeding.
-	if got := *b.Handle(1); got != b.Task(1) {
-		t.Errorf("re-resolved handle reads %+v, want %+v", got, b.Task(1))
+	// A Handle resolved after charges is the same accumulator and sees the
+	// accumulated state.
+	if c.Handle(1) != h1 {
+		t.Error("re-resolved handle is a different accumulator")
+	}
+	if got := *c.Handle(1); got != c.Task(1) {
+		t.Errorf("re-resolved handle reads %+v, want %+v", got, c.Task(1))
 	}
 }

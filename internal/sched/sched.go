@@ -147,11 +147,6 @@ type Colocation struct {
 
 	onComplete []func(stream int, e Execution)
 	rng        *sim.Rand
-
-	// compat mirrors the machine's CompatStepping flag: batched loops
-	// degrade to quantum-by-quantum stepping when the legacy engine is
-	// selected.
-	compat bool
 }
 
 // Options configures a Colocation.
@@ -183,7 +178,6 @@ func New(m *machine.Machine, fg []*workload.Benchmark, bg []BGSpec, opts Options
 		fgClass: opts.FGClass,
 		bgClass: opts.BGClass,
 		rng:     sim.NewRand(opts.Seed ^ 0xd161e47), // "dirigent" mix constant
-		compat:  m.Config().CompatStepping,
 	}
 	for i, b := range fg {
 		if b.Kind != workload.Foreground {
@@ -415,25 +409,54 @@ func (c *Colocation) BGInstructions() float64 {
 	return sum
 }
 
-// Step advances the machine one quantum and processes completions: records
-// FG execution stats, restarts the stream (implicitly — programs wrap), and
-// rotates rotate-BG workers.
-func (c *Colocation) Step() {
-	c.handleCompletions(c.m.Step())
-}
+// Step advances the machine one quantum and processes its completions.
+func (c *Colocation) Step() { c.StepN(1) }
 
-// StepN advances the machine by up to max quanta in one skip-ahead batch
-// (stopping early at the first quantum with FG completions, so completion
-// processing happens at the same simulated instants as quantum-by-quantum
-// stepping) and returns how many quanta were advanced.
+// StepN advances the machine by up to max quanta in one batch (stopping
+// early at the first quantum with FG completions, so completion processing
+// happens at the exact quantum a completion occurs) and returns how many
+// quanta were advanced.
 func (c *Colocation) StepN(max int) int {
 	done, n := c.m.StepN(max)
 	c.handleCompletions(done)
 	return n
 }
 
-// handleCompletions processes one quantum's completions exactly as Step
-// always has: execution stats, telemetry, callbacks, BG rotation.
+// Advance steps toward until in batches and returns once Now() reaches
+// until (ceil-aligned, see machine.QuantaUntil) or right after a quantum in
+// which an FG execution completed, whichever comes first — so a caller
+// checking an execution goal between calls sees every count change at the
+// quantum it happens. It reports whether it stopped at a completion.
+func (c *Colocation) Advance(until sim.Time) (completed bool) {
+	for c.m.Now() < until {
+		done, _ := c.m.StepN(c.m.QuantaUntil(until))
+		c.handleCompletions(done)
+		if len(done) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Completed returns the minimum completed-execution count across active
+// (non-removed) FG streams: the progress every execution goal is measured
+// in.
+func (c *Colocation) Completed() int {
+	least := -1
+	for _, f := range c.fgs {
+		if !f.removed && (least < 0 || f.Completed() < least) {
+			least = f.Completed()
+		}
+	}
+	if least < 0 {
+		return 0
+	}
+	return least
+}
+
+// handleCompletions processes one quantum's completions: execution stats,
+// telemetry, callbacks, and BG rotation (FG completion is the rotate-BG
+// context switch).
 func (c *Colocation) handleCompletions(done []machine.Completion) {
 	for _, comp := range done {
 		for i, f := range c.fgs {
@@ -471,59 +494,26 @@ func (c *Colocation) handleCompletions(done []machine.Completion) {
 	}
 }
 
-// Run advances until the given simulated time, batching quanta through the
-// skip-ahead engine (interrupted only by FG completions, which need
-// processing at their exact instants). Coverage is ceil-aligned exactly like
-// machine.Run.
+// Run advances until the given simulated time (ceil-aligned like
+// machine.Run).
 func (c *Colocation) Run(until sim.Time) {
-	if c.compat {
-		for c.m.Now() < until {
-			c.Step()
-		}
-		return
-	}
 	for c.m.Now() < until {
-		c.StepN(c.quantaUntil(until))
+		c.Advance(until)
 	}
 }
 
-// quantaUntil returns how many quanta remain until limit, ceil-aligned with
-// the clock advance (at least 1 when Now() < limit).
-func (c *Colocation) quantaUntil(limit sim.Time) int {
-	q := sim.Time(c.m.Config().Quantum)
-	return int((limit - c.m.Now() + q - 1) / q)
-}
-
-// RunExecutions advances until every FG stream has at least n completed
-// executions or the simulated-time limit is reached; it returns an error on
-// timeout (a task that cannot complete under the limit indicates a
+// RunExecutions advances until every active FG stream has at least n
+// completed executions or the simulated-time limit is reached; it returns an
+// error on timeout (a task that cannot complete under the limit indicates a
 // mis-configured experiment).
 func (c *Colocation) RunExecutions(n int, limit sim.Time) error {
-	for {
-		minDone := -1
-		for _, f := range c.fgs {
-			if f.removed {
-				continue
-			}
-			if minDone < 0 || f.Completed() < minDone {
-				minDone = f.Completed()
-			}
-		}
-		if minDone >= n {
-			return nil
-		}
+	for c.Completed() < n {
 		if c.m.Now() >= limit {
-			return fmt.Errorf("sched: only %d/%d executions within %v", minDone, n, time.Duration(limit))
+			return fmt.Errorf("sched: only %d/%d executions within %v", c.Completed(), n, time.Duration(limit))
 		}
-		if c.compat {
-			c.Step()
-		} else {
-			// Completion counts only change when a batch stops (at a
-			// completion or at the limit), so checking between batches
-			// observes exactly the states the per-quantum loop did.
-			c.StepN(c.quantaUntil(limit))
-		}
+		c.Advance(limit)
 	}
+	return nil
 }
 
 func (c *Colocation) rotateAll() {

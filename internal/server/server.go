@@ -660,7 +660,6 @@ func (s *Server) runnerFor(class string) *experiment.Runner {
 		r.CalibExecutions = s.runner.CalibExecutions
 		r.ConvergenceWarmup = s.runner.ConvergenceWarmup
 		r.TimeLimit = s.runner.TimeLimit
-		r.CompatStepping = s.runner.CompatStepping
 		r.Recorder = s.runner.Recorder
 		r.MachineClass = class
 		s.classRunners[class] = r

@@ -158,6 +158,7 @@ func (t *Tenant) run() {
 	// stepBatch bounds command latency: at most this many quanta pass
 	// before queued control operations land.
 	const stepBatch = 256
+	batch := stepBatch * sim.Time(t.sess.Colocation().Machine().Config().Quantum)
 	for {
 		select {
 		case <-t.stop:
@@ -181,8 +182,12 @@ func (t *Tenant) run() {
 			}
 			continue
 		}
-		for i := 0; i < stepBatch && t.state == StateRunning; i++ {
-			if err := t.sess.Step(); err != nil {
+		// Advance returns after every quantum with a completion, so the goal
+		// is checked at the exact quantum it is met; no batch crosses the
+		// time limit.
+		end := min(t.sess.Now()+batch, t.limit)
+		for t.state == StateRunning {
+			if err := t.sess.Advance(end); err != nil {
 				t.state = StateFailed
 				t.errMsg = err.Error()
 				break
@@ -195,6 +200,9 @@ func (t *Tenant) run() {
 				t.state = StateFailed
 				t.errMsg = fmt.Sprintf("time limit: %d/%d executions within %v",
 					t.sess.Completed(), t.goal, time.Duration(t.limit))
+				break
+			}
+			if t.sess.Now() >= end {
 				break
 			}
 		}

@@ -106,8 +106,8 @@ func MustTicker(period time.Duration) *Ticker {
 // Period returns the ticker period.
 func (t *Ticker) Period() time.Duration { return t.period }
 
-// NextDue returns the next time Fire will report true — the deadline the
-// skip-ahead stepper must not batch across.
+// NextDue returns the next time Fire will report true — the instant a
+// batched stepping loop must stop at.
 func (t *Ticker) NextDue() Time { return t.next }
 
 // Fire reports whether the ticker is due at time now, and if so advances the

@@ -182,7 +182,7 @@ func (a *Aggregator) Record(ev Event) {
 }
 
 // RecordQuantumSteps folds a run of consecutive quantum-step events in one
-// call — the machine's skip-ahead fast path. The per-event float
+// call — one machine StepN batch. The per-event float
 // accumulators are added in stream order (identical rounding to Record);
 // the per-core residency advance is integer arithmetic and is folded to one
 // multiply per core, which is exact because the machine flushes a batch

@@ -109,8 +109,8 @@ func (j *JSONL) Record(ev Event) {
 }
 
 // RecordQuantumSteps encodes a run of consecutive quantum-step events into
-// the reused buffer and writes them in one call — the machine's skip-ahead
-// fast path amortizes the lock and the write syscall over the whole batch,
+// the reused buffer and writes them in one call — the machine's StepN
+// batches amortize the lock and the write syscall over the whole batch,
 // with zero per-event allocation.
 func (j *JSONL) RecordQuantumSteps(evs []Event) {
 	j.mu.Lock()

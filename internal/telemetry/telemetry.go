@@ -291,7 +291,7 @@ type Recorder interface {
 }
 
 // QuantumBatcher is an optional Recorder extension for the machine's
-// skip-ahead fast path: a sink implementing it receives a run of
+// StepN batches: a sink implementing it receives a run of
 // consecutive KindQuantumStep events in one call instead of one Record per
 // quantum. RecordQuantumSteps must be observationally identical to calling
 // Record on each event in order. The machine guarantees no other event is

@@ -210,22 +210,6 @@ func (p *Program) Phase() *Phase {
 	return &p.bench.Phases[len(p.bench.Phases)-1]
 }
 
-// PhaseScan is Phase without the cache: it rescans the cumulative phase sums
-// on every call, exactly as Phase did before the window cache existed. The
-// compat step engine calls it so the skip-ahead speedup gate times the
-// engine as it originally shipped; both return the same *Phase for every
-// position (pinned by TestProgramPhaseCache's sweep).
-func (p *Program) PhaseScan() *Phase {
-	cum := 0.0
-	for i := range p.bench.Phases {
-		cum += p.bench.Phases[i].Instructions
-		if p.executed < cum {
-			return &p.bench.Phases[i]
-		}
-	}
-	return &p.bench.Phases[len(p.bench.Phases)-1]
-}
-
 // Advance retires instr instructions. For Foreground benchmarks it returns
 // true when the pass completes (the program then resets to the start,
 // modelling the next task in the stream). Background benchmarks wrap

@@ -293,10 +293,7 @@ func TestProgramPhaseCache(t *testing.T) {
 		t.Fatalf("after wrap to 50: phase %s, want a", ph.Name)
 	}
 
-	// Result must always match an uncached rescan at every position — both
-	// the forced-rescan form and PhaseScan, the compat step engine's lookup.
-	// Phase and PhaseScan must also return the same *Phase pointer, since
-	// both engines hand it to the same solver.
+	// Result must always match an uncached rescan at every position.
 	fresh := MustProgram(b)
 	for pos := 0.0; pos < 600; pos += 37 {
 		p.SetOffset(pos)
@@ -304,9 +301,6 @@ func TestProgramPhaseCache(t *testing.T) {
 		fresh.phaseStart, fresh.phaseEnd = 0, 0 // force rescan
 		if got, want := p.Phase().Name, fresh.Phase().Name; got != want {
 			t.Errorf("at %g: cached %s, rescan %s", pos, got, want)
-		}
-		if got, want := p.PhaseScan(), p.Phase(); got != want {
-			t.Errorf("at %g: PhaseScan %s != Phase %s", pos, got.Name, want.Name)
 		}
 	}
 }

@@ -3,6 +3,8 @@
 #
 #   scripts/ci.sh             # full: gofmt + vet + dirigent-lint + build + tests
 #                             # + race detector
+#                             # + perfbench vet + tests (its own module, which
+#                             #   root go build ./... never compiles)
 #                             # + the shrunk fault-injection (resilience) smoke
 #                             # + the policy-sweep smoke (every QoS policy end to end)
 #                             # + the dirigent-serve API smoke (-selfcheck)
@@ -11,8 +13,6 @@
 #   scripts/ci.sh -short      # same legs, but skip the long end-to-end tests
 #   scripts/ci.sh -bench      # additionally run the perf/QoS regression gate
 #                             # (dirigent-ci -check against the latest BENCH_<n>.json)
-#                             # and the skip-ahead speedup gate (dirigent-ci
-#                             # -skipahead, hard fail below 2x)
 #   scripts/ci.sh -scenarios  # additionally run the declarative scenario suite
 #                             # (dirigent-ci -scenarios against scenarios/*.json)
 #
@@ -63,6 +63,7 @@ gofmt_clean() {
 
 run_tests() { go test $short ./...; }
 run_race() { go test -race $short ./internal/...; }
+run_perfbench() { (cd perfbench && go vet ./... && go test ./...); }
 run_resilience() { go run ./cmd/dirigent-bench -resilience -short >/dev/null; }
 run_policies() { go run ./cmd/dirigent-bench -policies -short >/dev/null; }
 run_serve() { go run ./cmd/dirigent-serve -selfcheck >/dev/null; }
@@ -81,6 +82,7 @@ leg "dirigent-lint" go run ./cmd/dirigent-lint
 leg "go build ./..." go build ./...
 leg "go test ./... $short" run_tests
 leg "go test -race ./internal/... $short" run_race
+leg "perfbench: go vet ./... && go test ./..." run_perfbench
 leg "dirigent-bench -resilience -short (fault-injection smoke)" run_resilience
 leg "dirigent-bench -policies -short (policy-sweep smoke)" run_policies
 leg "dirigent-serve -selfcheck (server API smoke)" run_serve
@@ -88,9 +90,6 @@ leg "dirigent-load (load-generator smoke)" run_load
 
 if $bench; then
 	leg "dirigent-ci -check" go run ./cmd/dirigent-ci -check
-	# The speedup is a ratio of two runs on this same machine, so unlike the
-	# wall-clock metrics it needs no recorded baseline to gate hard.
-	leg "dirigent-ci -skipahead" go run ./cmd/dirigent-ci -skipahead
 fi
 
 if $scenarios; then
