@@ -1,19 +1,19 @@
-// Command dirigent-ci is the perf/QoS regression gate. It runs the
-// internal/benchreg probe suite — wall-clock micro-benchmarks of the
-// simulator's hot path and telemetry sinks, plus seed-deterministic
-// predictor-accuracy and controller-QoS probes — and either records the
-// results as a versioned baseline or checks them against the committed one.
+// Command dirigent-ci is the QoS regression gate. It runs the
+// internal/benchreg probe suite — seed-deterministic predictor-accuracy,
+// controller-QoS, rival-policy, resilience and per-machine-class scenario
+// probes — and either records the results as a versioned baseline or
+// checks them, to a relative epsilon of 1e-9, against the committed one.
+// It times nothing: wall-clock measurement is perfbench's job.
 //
 // Usage:
 //
 //	dirigent-ci -record              # write BENCH_<n+1>.json
 //	dirigent-ci -check               # gate against the latest BENCH_<n>.json
-//	dirigent-ci -check -perf warn    # cloud CI: perf drifts warn, QoS still fails
-//	dirigent-ci -selftest            # prove the gate catches an injected slowdown
+//	dirigent-ci -selftest            # prove the scenario, lint and load gates can fail
 //	dirigent-ci -scenarios           # run the declarative scenario suite (scenarios/)
 //
-// Exit status: 0 when the gate passes (warnings allowed), 1 on failure or
-// error, 2 on usage errors.
+// Exit status: 0 when the gate passes, 1 on failure or error, 2 on usage
+// errors.
 package main
 
 import (
@@ -34,7 +34,7 @@ func main() {
 	var (
 		record    = flag.Bool("record", false, "run the suite and write the next BENCH_<n>.json baseline")
 		check     = flag.Bool("check", false, "run the suite and gate it against the latest baseline")
-		selftest  = flag.Bool("selftest", false, "validate the gate end-to-end (injected slowdown must fail)")
+		selftest  = flag.Bool("selftest", false, "validate the scenario, lint and load gates end to end (injected violations must fail)")
 		scenarios = flag.Bool("scenarios", false, "run the declarative scenario suite and gate on its goals")
 
 		dir         = flag.String("dir", ".", "directory holding BENCH_<n>.json baselines")
@@ -42,13 +42,8 @@ func main() {
 		out         = flag.String("out", "", "explicit output file for -record (default: next BENCH_<n>.json in -dir)")
 		scenarioDir = flag.String("scenario-dir", "scenarios", "directory holding *.json scenario specs for -scenarios")
 
-		perfMode = flag.String("perf", "fail", "perf-metric gating: fail, warn (cloud CI), or off")
-		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
-		mdOut    = flag.Bool("markdown", false, "emit the report as a Markdown table")
-		quick    = flag.Bool("quick", false, "use the reduced probe sizes (smoke runs; not for recorded baselines)")
-
-		samples    = flag.Int("samples", 0, "override perf sample count (min-of-N)")
-		executions = flag.Int("executions", 0, "override QoS probe execution count")
+		jsonOut = flag.Bool("json", false, "emit the report as JSON")
+		mdOut   = flag.Bool("markdown", false, "emit the report as a Markdown table")
 	)
 	flag.Parse()
 
@@ -63,29 +58,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	mode, err := benchreg.ParsePerfMode(*perfMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dirigent-ci:", err)
-		os.Exit(2)
-	}
-
 	opts := benchreg.DefaultOptions()
-	if *quick {
-		opts = benchreg.QuickOptions()
-	}
-	if *samples > 0 {
-		opts.PerfSamples = *samples
-	}
-	if *executions > 0 {
-		opts.Executions = *executions
-	}
+	var err error
 
 	switch {
 	case *selftest:
-		if err := benchreg.SelfTest(logf); err != nil {
-			fatal(err)
-		}
-		fmt.Println("dirigent-ci: selftest ok — the gate catches injected machine.Step slowdowns")
 		logf("running scenario-gate selftest")
 		if err := scenario.SelfTest(); err != nil {
 			fatal(err)
@@ -140,7 +117,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		logf("running probe suite (%d perf samples, %d QoS executions)", opts.PerfSamples, opts.Executions)
+		logf("running probe suite (%d QoS executions)", opts.Executions)
 		start := time.Now()
 		b, err := benchreg.Run(opts)
 		if err != nil {
@@ -165,14 +142,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		logf("running probe suite (%d perf samples, %d QoS executions)", opts.PerfSamples, opts.Executions)
+		logf("running probe suite (%d QoS executions)", opts.Executions)
 		start := time.Now()
 		cur, err := benchreg.Run(opts)
 		if err != nil {
 			fatal(err)
 		}
 		logf("suite done in %v", time.Since(start).Round(time.Millisecond))
-		rep := benchreg.Compare(base, cur, mode)
+		rep := benchreg.Compare(base, cur)
 		rep.BaselinePath = path
 		switch {
 		case *jsonOut:

@@ -159,16 +159,16 @@ type Config struct {
 	// walltime, maprange and nondetsched apply inside this set.
 	Deterministic []string
 	// Allow exempts directories from a single check, keyed by check
-	// name — e.g. internal/benchreg measures wall-clock time by design,
+	// name — e.g. internal/server enforces real-time deadlines by design,
 	// so it sits on the walltime allowlist.
 	Allow map[string][]string
 }
 
 // DefaultConfig is the repo's policy: everything under internal/, the
 // root facade, and the deterministic CLIs (dirigent-sim, dirigent-bench)
-// are determinism-critical. benchreg and the serving layer read the wall
-// clock by design; the experiment/scenario/server/telemetry fan-out paths
-// may use goroutines and selects.
+// are determinism-critical. The load generator and the serving layer read
+// the wall clock by design; the experiment/load/server/telemetry fan-out
+// paths may use goroutines and selects.
 func DefaultConfig() *Config {
 	return &Config{
 		Deterministic: []string{
@@ -179,15 +179,12 @@ func DefaultConfig() *Config {
 		},
 		Allow: map[string][]string{
 			"walltime": {
-				"internal/benchreg", // wall-clock benchmark harness
-				"internal/load",     // open-loop replay schedules in wall time
-				"internal/server",   // serving deadlines are real time
+				"internal/load",   // open-loop replay schedules in wall time
+				"internal/server", // serving deadlines are real time
 			},
 			"nondetsched": {
-				"internal/benchreg",   // parallel probe sampling
 				"internal/experiment", // sweep fan-out (DIRIGENT_MAX_PARALLEL)
 				"internal/load",       // concurrent open-loop dispatch
-				"internal/scenario",   // suite fan-out over seeded sessions
 				"internal/server",     // request handling is concurrent
 				"internal/telemetry",  // sink fan-out
 			},

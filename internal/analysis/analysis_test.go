@@ -185,8 +185,10 @@ func TestDefaultConfigScope(t *testing.T) {
 	if cfg.deterministic("cmd/dirigent-serve") {
 		t.Error("cmd/dirigent-serve should not be determinism-critical")
 	}
-	if cfg.inScope("walltime", "internal/benchreg") {
-		t.Error("benchreg should be on the walltime allowlist")
+	for _, check := range []string{"walltime", "nondetsched"} {
+		if !cfg.inScope(check, "internal/benchreg") {
+			t.Errorf("benchreg must be in %s scope: the QoS gate reads no wall clock and starts no goroutine", check)
+		}
 	}
 	if cfg.inScope("walltime", "internal/server") {
 		t.Error("server should be on the walltime allowlist")
@@ -199,5 +201,8 @@ func TestDefaultConfigScope(t *testing.T) {
 	}
 	if !cfg.inScope("nondetsched", "internal/machine") {
 		t.Error("machine must be in nondetsched scope")
+	}
+	if !cfg.inScope("nondetsched", "internal/scenario") {
+		t.Error("scenario must be in nondetsched scope: its suite fans out through experiment.FanOut")
 	}
 }

@@ -137,8 +137,7 @@ func isKeyCollectLoop(rng *ast.RangeStmt) bool {
 
 // nondetsched: goroutines, selects and sync.Map introduce scheduling
 // non-determinism; they are banned from deterministic packages outside
-// the explicit fan-out allowlist (experiment, scenario, server,
-// telemetry, benchreg).
+// the explicit fan-out allowlist (experiment, load, server, telemetry).
 var nondetschedAnalyzer = &Analyzer{
 	Name: "nondetsched",
 	Doc:  "no goroutines, selects or sync.Map in deterministic packages",

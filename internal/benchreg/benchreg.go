@@ -1,85 +1,19 @@
-// Package benchreg is the perf/QoS regression harness: a curated suite of
-// fast, seed-deterministic simulation probes plus wall-clock
-// micro-benchmarks, serialized to versioned BENCH_<n>.json baselines and
-// gated with noise-aware thresholds.
+// Package benchreg is the QoS regression gate: a curated suite of fast,
+// seed-deterministic simulation probes, serialized to versioned
+// BENCH_<n>.json baselines and compared at a relative epsilon of 1e-9.
 //
-// The suite measures two very different things and treats them differently:
+// Every metric is an output of the deterministic simulator under fixed
+// seeds: predictor accuracy, the paper's §5.4 quantities (FG success of
+// the fine controller alone and of fine+coarse, retained BG throughput,
+// the converged LLC partition), the QoS of the RT-Gang and CORD-style
+// rivals, fault-injection resilience, and one pinned scenario per machine
+// class. Same seeds must reproduce them bit for bit, so any drift means
+// the controllers' behaviour changed, and the gate fails until the change
+// is acknowledged by re-recording the baseline.
 //
-//   - Perf metrics (machine.Step ns/op, telemetry sink overhead) are wall
-//     clock and therefore noisy. They are sampled N times, compared
-//     min-against-min, and judged by a tolerance band: small drifts warn,
-//     large ones fail — and only when baseline and check ran on comparable
-//     hardware.
-//   - Exact metrics (predictor accuracy, fine/coarse controller completion
-//     rates, converged partition sizes) are outputs of the deterministic
-//     simulator under fixed seeds. They must reproduce bit-for-bit; any
-//     drift means the controllers' behaviour changed, and the gate fails
-//     until the change is acknowledged by re-recording the baseline.
+// The package reads no wall clock. Timing belongs to perfbench (see
+// BENCHMARK.json), which corrects for host drift and measures each layer.
 //
-// cmd/dirigent-ci exposes the harness (-record / -check / -selftest), and
+// cmd/dirigent-ci exposes the gate (-record / -check), and
 // scripts/ci.sh -bench wires it into CI.
 package benchreg
-
-import (
-	"fmt"
-	"time"
-)
-
-// SelfTest validates the gate end-to-end with quick options: a recorded
-// baseline must pass against a fresh identical run, and an artificially
-// injected machine.Step slowdown must make the check fail. It is the
-// executable proof that the harness would catch a real regression.
-func SelfTest(logf func(format string, args ...any)) error {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	o := QuickOptions()
-
-	logf("selftest: recording reference run")
-	base, err := Run(o)
-	if err != nil {
-		return fmt.Errorf("benchreg: selftest record: %w", err)
-	}
-
-	logf("selftest: verifying an unchanged tree passes")
-	cur, err := Run(o)
-	if err != nil {
-		return fmt.Errorf("benchreg: selftest re-run: %w", err)
-	}
-	// PerfWarn: back-to-back wall-clock runs may jitter; determinism of the
-	// exact metrics is the property under test here.
-	if rep := Compare(base, cur, PerfWarn); !rep.OK() {
-		return fmt.Errorf("benchreg: selftest: identical run failed the gate:\n%s", rep.Text())
-	}
-
-	logf("selftest: verifying an injected machine.Step slowdown fails")
-	slow := o
-	// Far above the +30% fail band even when the baseline Step itself is
-	// inflated — by the race detector, or by the rest of the test suite
-	// running in parallel — so the injected regression is always caught.
-	slow.StepHook = busyWait(12 * time.Microsecond)
-	slowed, err := Run(slow)
-	if err != nil {
-		return fmt.Errorf("benchreg: selftest slow run: %w", err)
-	}
-	rep := Compare(base, slowed, PerfFail)
-	if rep.OK() {
-		return fmt.Errorf("benchreg: selftest: injected slowdown was NOT caught:\n%s", rep.Text())
-	}
-	for _, f := range rep.Findings {
-		if f.Metric == "machine_step_wall_ns" && f.Outcome == Fail {
-			logf("selftest: gate caught the slowdown (%+.0f%% on machine_step_wall_ns)", f.Delta*100)
-			return nil
-		}
-	}
-	return fmt.Errorf("benchreg: selftest: gate failed but not on machine_step_wall_ns:\n%s", rep.Text())
-}
-
-// busyWait returns a hook that burns roughly d of wall-clock time.
-func busyWait(d time.Duration) func() {
-	return func() {
-		end := time.Now().Add(d)
-		for time.Now().Before(end) {
-		}
-	}
-}

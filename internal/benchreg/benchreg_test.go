@@ -41,7 +41,7 @@ func clone(t *testing.T, b *Baseline) *Baseline {
 }
 
 // TestBaselineRoundTrip is the recorder's core contract: record → save →
-// load → check on an unchanged tree passes with zero warnings and failures.
+// load → check on an unchanged tree passes with zero failures.
 // In particular the JSON encoding must round-trip every float64 exactly, or
 // the Exact regime's 1e-9 epsilon would trip on serialization alone.
 func TestBaselineRoundTrip(t *testing.T) {
@@ -57,66 +57,34 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if len(loaded.Metrics) != len(b.Metrics) {
 		t.Fatalf("round trip changed metric count: %d != %d", len(loaded.Metrics), len(b.Metrics))
 	}
-	rep := Compare(loaded, b, PerfFail)
-	if rep.Fails != 0 || rep.Warns != 0 {
-		t.Fatalf("check against own recording not clean: %d fails, %d warns\n%s",
-			rep.Fails, rep.Warns, rep.Text())
-	}
-	if !rep.EnvComparable {
-		t.Fatal("environment must compare equal to itself")
+	rep := Compare(loaded, b)
+	if !rep.OK() {
+		t.Fatalf("check against own recording not clean: %d fails\n%s", rep.Fails, rep.Text())
 	}
 }
 
 // TestInjectedQoSRegressionFails verifies the gate's reason for existing: a
-// 20% drop in a deterministic QoS completion rate must fail the check, in
-// every perf mode — exact metrics are never demoted.
+// 20% drop in a deterministic QoS completion rate must fail the check.
 func TestInjectedQoSRegressionFails(t *testing.T) {
 	base := mustQuickRun(t)
-	for _, mode := range []PerfMode{PerfFail, PerfWarn, PerfOff} {
-		cur := clone(t, base)
-		injected := ""
-		for i := range cur.Metrics {
-			m := &cur.Metrics[i]
-			if m.Kind == Exact && m.HigherBetter {
-				scaleMetric(m, 0.8)
-				injected = m.Name
-				break
-			}
-		}
-		if injected == "" {
-			t.Fatal("suite produced no higher-is-better exact metric to degrade")
-		}
-		rep := Compare(base, cur, mode)
-		if rep.OK() {
-			t.Fatalf("mode %s: 20%% drop in %s passed the gate\n%s", mode, injected, rep.Text())
-		}
-		assertOutcome(t, rep, injected, Fail)
-	}
-}
-
-// TestInjectedPerfRegression verifies the perf band: a 50% slowdown fails
-// under -perf fail but is demoted to a warning under -perf warn.
-func TestInjectedPerfRegression(t *testing.T) {
-	base := mustQuickRun(t)
 	cur := clone(t, base)
-	const name = "machine_step_wall_ns"
-	m := cur.Metric(name)
-	if m == nil {
-		t.Fatalf("suite produced no %s metric", name)
+	injected := ""
+	for i := range cur.Metrics {
+		m := &cur.Metrics[i]
+		if m.HigherBetter {
+			scaleMetric(m, 0.8)
+			injected = m.Name
+			break
+		}
 	}
-	scaleMetric(m, 1.5)
-
-	rep := Compare(base, cur, PerfFail)
+	if injected == "" {
+		t.Fatal("suite produced no higher-is-better metric to degrade")
+	}
+	rep := Compare(base, cur)
 	if rep.OK() {
-		t.Fatalf("50%% Step slowdown passed under PerfFail\n%s", rep.Text())
+		t.Fatalf("20%% drop in %s passed the gate\n%s", injected, rep.Text())
 	}
-	assertOutcome(t, rep, name, Fail)
-
-	rep = Compare(base, cur, PerfWarn)
-	if !rep.OK() {
-		t.Fatalf("PerfWarn must demote perf failures to warnings\n%s", rep.Text())
-	}
-	assertOutcome(t, rep, name, Warn)
+	assertOutcome(t, rep, injected, Fail)
 }
 
 // scaleMetric multiplies every field a comparison might read.
@@ -141,8 +109,8 @@ func assertOutcome(t *testing.T, rep *Report, metric string, want Outcome) {
 	t.Fatalf("no finding for %s", metric)
 }
 
-// TestSuiteDeterministic re-runs the suite and requires every exact metric
-// to reproduce bit-for-bit: the simulation is seeded, so the probes must be
+// TestSuiteDeterministic re-runs the suite and requires every metric to
+// reproduce bit-for-bit: the simulation is seeded, so the probes must be
 // too. Skipped in -short mode (it costs a second full quick run).
 func TestSuiteDeterministic(t *testing.T) {
 	if testing.Short() {
@@ -153,81 +121,51 @@ func TestSuiteDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Compare(first, second, PerfOff)
+	rep := Compare(first, second)
 	for _, f := range rep.Findings {
-		if f.Kind == Exact && f.Outcome != OK {
+		if f.Outcome != OK {
 			t.Errorf("%s: %g != %g across identical runs (%s)", f.Metric, f.Base, f.Cur, f.Msg)
 		}
 	}
 }
 
-// TestSelfTest smoke-runs the end-to-end gate validation (record, clean
-// re-check, injected Step slowdown must trip). Skipped in -short mode: it
-// runs the quick suite three times.
-func TestSelfTest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("selftest runs the quick suite three times")
-	}
-	if err := SelfTest(t.Logf); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCompareSyntheticOutcomes(t *testing.T) {
 	env := CurrentEnvironment()
-	mk := func(name string, kind MetricKind, stat string, v float64) Metric {
-		return newMetric(name, "u", stat, kind, false, []float64{v})
-	}
 	base := &Baseline{Schema: SchemaVersion, Env: env, Metrics: []Metric{
-		mk("p_ok", Perf, StatMin, 100),
-		mk("p_warn", Perf, StatMin, 100),
-		mk("p_fail", Perf, StatMin, 100),
-		mk("e_same", Exact, StatMedian, 0.95),
-		mk("gone", Exact, StatMedian, 1),
+		exact("same", "u", true, 0.95),
+		exact("worse", "u", true, 0.95),
+		exact("changed", "u", false, 4),
+		exact("gone", "u", true, 1),
 	}}
 	cur := &Baseline{Schema: SchemaVersion, Env: env, Metrics: []Metric{
-		mk("p_ok", Perf, StatMin, 104),   // +4%: inside the noise band
-		mk("p_warn", Perf, StatMin, 115), // +15%: warn band
-		mk("p_fail", Perf, StatMin, 150), // +50%: fail band
-		mk("e_same", Exact, StatMedian, 0.95),
-		mk("fresh", Exact, StatMedian, 2), // not in baseline
+		exact("same", "u", true, 0.95),
+		exact("worse", "u", true, 0.9),
+		exact("changed", "u", false, 3), // a lower error is still a change
+		exact("fresh", "u", true, 2),    // not in baseline
 	}}
-	rep := Compare(base, cur, PerfFail)
-	assertOutcome(t, rep, "p_ok", OK)
-	assertOutcome(t, rep, "p_warn", Warn)
-	assertOutcome(t, rep, "p_fail", Fail)
-	assertOutcome(t, rep, "e_same", OK)
+	rep := Compare(base, cur)
+	assertOutcome(t, rep, "same", OK)
+	assertOutcome(t, rep, "worse", Fail)
+	assertOutcome(t, rep, "changed", Fail)
 	assertOutcome(t, rep, "gone", Fail) // a vanished probe is a regression
 	assertOutcome(t, rep, "fresh", New)
-	if rep.Fails != 2 || rep.Warns != 1 {
-		t.Fatalf("fails=%d warns=%d, want 2 and 1\n%s", rep.Fails, rep.Warns, rep.Text())
+	if rep.Fails != 3 {
+		t.Fatalf("fails=%d, want 3\n%s", rep.Fails, rep.Text())
 	}
-
-	// Different hardware demotes the perf failure but keeps exact failures.
-	far := clone(t, cur)
-	far.Env.NumCPU = env.NumCPU + 8
-	far.Metric("e_same").Median = 0.5
-	far.Metric("e_same").Samples[0] = 0.5
-	rep = Compare(base, far, PerfFail)
-	if rep.EnvComparable {
-		t.Fatal("different NumCPU must not be comparable")
-	}
-	assertOutcome(t, rep, "p_fail", Warn)
-	assertOutcome(t, rep, "e_same", Fail)
 }
 
 func TestExactEpsilon(t *testing.T) {
 	env := CurrentEnvironment()
 	mk := func(v float64) *Baseline {
 		return &Baseline{Schema: SchemaVersion, Env: env,
-			Metrics: []Metric{newMetric("m", "u", StatMedian, Exact, true, []float64{v})}}
+			Metrics: []Metric{exact("m", "u", true, v)}}
 	}
 	v := 0.9583333333333334
-	rep := Compare(mk(v), mk(v*(1+1e-12)), PerfFail)
+	rep := Compare(mk(v), mk(v*(1+1e-12)))
 	if !rep.OK() {
 		t.Fatalf("sub-epsilon drift must pass\n%s", rep.Text())
 	}
-	rep = Compare(mk(v), mk(v*(1+1e-6)), PerfFail)
+	rep = Compare(mk(v), mk(v*(1+1e-6)))
 	if rep.OK() {
 		t.Fatalf("super-epsilon drift must fail\n%s", rep.Text())
 	}
@@ -246,7 +184,7 @@ func TestBaselineNumbering(t *testing.T) {
 		t.Fatalf("first baseline is %s, want BENCH_1.json", filepath.Base(next))
 	}
 	b := &Baseline{Schema: SchemaVersion, Tool: "test", Env: CurrentEnvironment(),
-		Metrics: []Metric{newMetric("m", "u", StatMedian, Exact, false, []float64{1})}}
+		Metrics: []Metric{exact("m", "u", false, 1)}}
 	for _, name := range []string{"BENCH_1.json", "BENCH_2.json", "BENCH_10.json"} {
 		if err := b.Save(filepath.Join(dir, name)); err != nil {
 			t.Fatal(err)
@@ -286,24 +224,18 @@ func TestLoadRejectsBadFiles(t *testing.T) {
 	}
 }
 
+// TestMetricStats pins the schema-1 record of a value: every summary field
+// an older reader of BENCH_<n>.json might compare carries the value.
 func TestMetricStats(t *testing.T) {
-	m := newMetric("m", "ns", StatMin, Perf, false, []float64{5, 3, 9, 4})
-	if m.Min != 3 {
-		t.Fatalf("min = %g, want 3", m.Min)
+	m := exact("m", "fraction", true, 0.75)
+	if m.Kind != Exact || m.Stat != "median" || !m.HigherBetter {
+		t.Fatalf("record %+v, want kind exact, stat median, higher-better", m)
 	}
-	if m.Median != 4.5 {
-		t.Fatalf("median = %g, want 4.5", m.Median)
+	if len(m.Samples) != 1 || m.Samples[0] != 0.75 || m.Median != 0.75 || m.Min != 0.75 {
+		t.Fatalf("record %+v does not carry 0.75 in samples, median and min", m)
 	}
-	if m.Value() != 3 {
-		t.Fatalf("StatMin value = %g, want the min", m.Value())
-	}
-	m.Stat = StatMedian
-	if m.Value() != 4.5 {
-		t.Fatalf("StatMedian value = %g, want the median", m.Value())
-	}
-	odd := newMetric("m", "ns", StatMedian, Perf, false, []float64{2, 1, 3})
-	if odd.Median != 2 {
-		t.Fatalf("odd median = %g, want 2", odd.Median)
+	if m.Value() != 0.75 {
+		t.Fatalf("value = %g, want 0.75", m.Value())
 	}
 }
 
@@ -312,10 +244,6 @@ func TestMetricStats(t *testing.T) {
 func TestSuiteShape(t *testing.T) {
 	b := mustQuickRun(t)
 	for _, name := range []string{
-		"machine_step_wall_ns",
-		"machine_step_telemetry_ratio",
-		"telemetry_aggregator_record_ns",
-		"telemetry_jsonl_record_ns",
 		"predictor_mean_error_raytrace_rs",
 		"qos_baseline_success_ferret_rs",
 		"qos_dirigentfreq_success_ferret_rs",
@@ -333,11 +261,8 @@ func TestSuiteShape(t *testing.T) {
 		}
 	}
 	for _, m := range b.Metrics {
-		if m.Kind != Perf && m.Kind != Exact {
-			t.Errorf("%s has unknown kind %q", m.Name, m.Kind)
-		}
-		if m.Stat != StatMin && m.Stat != StatMedian {
-			t.Errorf("%s has unknown stat %q", m.Name, m.Stat)
+		if m.Kind != Exact {
+			t.Errorf("%s has kind %q, want %q", m.Name, m.Kind, Exact)
 		}
 	}
 }

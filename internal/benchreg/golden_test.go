@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"dirigent/internal/config"
 	"dirigent/internal/experiment"
@@ -61,12 +60,7 @@ func TestScenarioProbeGoldens(t *testing.T) {
 			TraceSHA256 string                `json:"trace_sha256"`
 		}
 		g.Baseline = run(experiment.RunParams{Config: config.Baseline, BGLevel: -1, Executions: r.Executions})
-		targets := make([]time.Duration, len(g.Baseline.Streams))
-		deadlines := make([]float64, len(g.Baseline.Streams))
-		for i, s := range g.Baseline.Streams {
-			deadlines[i] = s.Summary.Mean + experiment.DeadlineSigma*s.Summary.Std
-			targets[i] = time.Duration(deadlines[i] * float64(time.Second))
-		}
+		deadlines, targets := experiment.Deadlines(g.Baseline)
 		g.Managed = run(experiment.RunParams{
 			Config: config.Dirigent, Policy: spec.Policy, Targets: targets, Deadlines: deadlines,
 			BGLevel: -1, Executions: r.Executions, ExtraWarmup: r.ConvergenceWarmup,

@@ -2,30 +2,17 @@ package benchreg
 
 import (
 	"fmt"
-	"io"
 	"strings"
-	"time"
 
 	"dirigent/internal/config"
 	"dirigent/internal/experiment"
-	"dirigent/internal/machine"
 	"dirigent/internal/policy"
 	"dirigent/internal/scenario"
-	"dirigent/internal/sim"
-	"dirigent/internal/telemetry"
-	"dirigent/internal/workload"
 )
 
 // Options sizes the suite. The defaults keep a full run in single-digit
 // seconds so the gate is cheap enough for every push.
 type Options struct {
-	// PerfSamples is how many independent repetitions each wall-clock probe
-	// gets; comparison uses the minimum (the noise floor).
-	PerfSamples int
-	// StepIters is the number of machine quanta timed per sample.
-	StepIters int
-	// EventIters is the number of telemetry events folded per sink sample.
-	EventIters int
 	// Executions is the post-warmup FG execution count of each QoS run.
 	Executions int
 	// PredictionExecutions is the per-mix execution count of the predictor
@@ -34,33 +21,23 @@ type Options struct {
 	// ResilienceExecutions is the per-run FG execution count of the
 	// fault-injection probes.
 	ResilienceExecutions int
-	// Quick trims the exact probes to one mix per family — for self-tests
-	// and smoke runs, not for recorded baselines.
+	// Quick trims the probes to one mix per family — for the package's own
+	// tests, not for recorded baselines.
 	Quick bool
-	// StepHook is installed into every timed machine's configuration. The
-	// self-test injects a busy-wait here to prove the perf gate catches a
-	// machine.Step slowdown; it must stay nil otherwise.
-	StepHook func()
 }
 
 // DefaultOptions sizes the suite for recorded baselines.
 func DefaultOptions() Options {
 	return Options{
-		PerfSamples:          5,
-		StepIters:            20000,
-		EventIters:           200000,
 		Executions:           12,
 		PredictionExecutions: 16,
 		ResilienceExecutions: 40,
 	}
 }
 
-// QuickOptions sizes the suite for self-tests and smoke runs.
+// QuickOptions sizes the suite for the package's own tests.
 func QuickOptions() Options {
 	return Options{
-		PerfSamples:          3,
-		StepIters:            4000,
-		EventIters:           40000,
 		Executions:           8,
 		PredictionExecutions: 8,
 		ResilienceExecutions: 24,
@@ -69,8 +46,7 @@ func QuickOptions() Options {
 }
 
 func (o Options) validate() error {
-	if o.PerfSamples < 1 || o.StepIters < 1 || o.EventIters < 1 ||
-		o.Executions < 4 || o.PredictionExecutions < 4 || o.ResilienceExecutions < 8 {
+	if o.Executions < 4 || o.PredictionExecutions < 4 || o.ResilienceExecutions < 8 {
 		return fmt.Errorf("benchreg: invalid options %+v", o)
 	}
 	return nil
@@ -124,33 +100,7 @@ func Run(o Options) (*Baseline, error) {
 		Env:    CurrentEnvironment(),
 	}
 
-	// --- Wall-clock probes (Kind Perf) -----------------------------------
-	stepNop := make([]float64, 0, o.PerfSamples)
-	stepRatio := make([]float64, 0, o.PerfSamples)
-	aggNs := make([]float64, 0, o.PerfSamples)
-	jsonlNs := make([]float64, 0, o.PerfSamples)
-	for s := 0; s < o.PerfSamples; s++ {
-		nop, err := stepSample(o, telemetry.Nop())
-		if err != nil {
-			return nil, err
-		}
-		traced, err := stepSample(o, telemetry.NewAggregator())
-		if err != nil {
-			return nil, err
-		}
-		stepNop = append(stepNop, nop)
-		stepRatio = append(stepRatio, traced/nop)
-		aggNs = append(aggNs, sinkSample(telemetry.NewAggregator(), o.EventIters))
-		jsonlNs = append(jsonlNs, sinkSample(telemetry.NewJSONL(io.Discard).Include(telemetry.KindQuantumStep), o.EventIters))
-	}
-	b.Metrics = append(b.Metrics,
-		newMetric("machine_step_wall_ns", "ns/op", StatMin, Perf, false, stepNop),
-		newMetric("machine_step_telemetry_ratio", "ratio", StatMedian, Perf, false, stepRatio),
-		newMetric("telemetry_aggregator_record_ns", "ns/event", StatMin, Perf, false, aggNs),
-		newMetric("telemetry_jsonl_record_ns", "ns/event", StatMin, Perf, false, jsonlNs),
-	)
-
-	// --- Predictor accuracy (Kind Exact) ---------------------------------
+	// --- Predictor accuracy ------------------------------------------------
 	// A fresh runner per family keeps profile caches deterministic and
 	// independent of probe ordering.
 	pr := experiment.NewRunner()
@@ -160,12 +110,10 @@ func Run(o Options) (*Baseline, error) {
 			return nil, fmt.Errorf("benchreg: prediction probe %s: %w", mix.Name, err)
 		}
 		slug := metricSlug(mix.Name)
-		b.Metrics = append(b.Metrics,
-			newMetric("predictor_mean_error_"+slug, "fraction", StatMedian, Exact, false, []float64{res.MeanError}),
-		)
+		b.Metrics = append(b.Metrics, exact("predictor_mean_error_"+slug, "fraction", false, res.MeanError))
 	}
 
-	// --- Controller QoS (Kind Exact) -------------------------------------
+	// --- Controller QoS ----------------------------------------------------
 	// Baseline + the two Dirigent configurations: completion rates of the
 	// fine controller alone and of fine+coarse, the converged partition, and
 	// the BG throughput retained — the paper's §5.4 quantities, derived from
@@ -182,20 +130,15 @@ func Run(o Options) (*Baseline, error) {
 		slug := metricSlug(mix.Name)
 		dir := res.ByConfig[config.Dirigent]
 		b.Metrics = append(b.Metrics,
-			newMetric("qos_baseline_success_"+slug, "fraction", StatMedian, Exact, true,
-				[]float64{res.ByConfig[config.Baseline].MeanSuccessRate()}),
-			newMetric("qos_dirigentfreq_success_"+slug, "fraction", StatMedian, Exact, true,
-				[]float64{res.ByConfig[config.DirigentFreq].MeanSuccessRate()}),
-			newMetric("qos_dirigent_success_"+slug, "fraction", StatMedian, Exact, true,
-				[]float64{dir.MeanSuccessRate()}),
-			newMetric("qos_dirigent_bg_throughput_"+slug, "ratio", StatMedian, Exact, true,
-				[]float64{res.RelBGThroughput(config.Dirigent)}),
-			newMetric("qos_dirigent_fg_ways_"+slug, "ways", StatMedian, Exact, false,
-				[]float64{float64(dir.FGWays)}),
+			exact("qos_baseline_success_"+slug, "fraction", true, res.ByConfig[config.Baseline].MeanSuccessRate()),
+			exact("qos_dirigentfreq_success_"+slug, "fraction", true, res.ByConfig[config.DirigentFreq].MeanSuccessRate()),
+			exact("qos_dirigent_success_"+slug, "fraction", true, dir.MeanSuccessRate()),
+			exact("qos_dirigent_bg_throughput_"+slug, "ratio", true, res.RelBGThroughput(config.Dirigent)),
+			exact("qos_dirigent_fg_ways_"+slug, "ways", false, float64(dir.FGWays)),
 		)
 	}
 
-	// --- Rival policy QoS (Kind Exact) -----------------------------------
+	// --- Rival policy QoS --------------------------------------------------
 	// The competing controllers behind the policy engine (RT-Gang and the
 	// CORD-style static decomposition), pinned on the detailed mix. They run
 	// in their own runner so the dirigent metrics above stay byte-identical
@@ -213,17 +156,13 @@ func Run(o Options) (*Baseline, error) {
 	pslug := metricSlug(pmix.Name)
 	pmr := sweep.Mixes[0]
 	b.Metrics = append(b.Metrics,
-		newMetric("policy_rtgang_qos_"+pslug, "fraction", StatMedian, Exact, true,
-			[]float64{pmr.ByPolicy[policy.NameRTGang].MeanSuccessRate()}),
-		newMetric("policy_rtgang_bg_throughput_"+pslug, "ratio", StatMedian, Exact, true,
-			[]float64{pmr.RelBGThroughput(policy.NameRTGang)}),
-		newMetric("policy_cordlike_qos_"+pslug, "fraction", StatMedian, Exact, true,
-			[]float64{pmr.ByPolicy[policy.NameCORDLike].MeanSuccessRate()}),
-		newMetric("policy_cordlike_bg_throughput_"+pslug, "ratio", StatMedian, Exact, true,
-			[]float64{pmr.RelBGThroughput(policy.NameCORDLike)}),
+		exact("policy_rtgang_qos_"+pslug, "fraction", true, pmr.ByPolicy[policy.NameRTGang].MeanSuccessRate()),
+		exact("policy_rtgang_bg_throughput_"+pslug, "ratio", true, pmr.RelBGThroughput(policy.NameRTGang)),
+		exact("policy_cordlike_qos_"+pslug, "fraction", true, pmr.ByPolicy[policy.NameCORDLike].MeanSuccessRate()),
+		exact("policy_cordlike_bg_throughput_"+pslug, "ratio", true, pmr.RelBGThroughput(policy.NameCORDLike)),
 	)
 
-	// --- Resilience (Kind Exact) -----------------------------------------
+	// --- Resilience --------------------------------------------------------
 	// A shrunk fault-injection sweep (single moderate intensity) over the
 	// detailed mix. The graceful-degradation contract is enforced here, not
 	// just recorded: the worst per-class FG success at moderate intensity
@@ -250,13 +189,11 @@ func Run(o Options) (*Baseline, error) {
 	}
 	rslug := metricSlug(rmix.Name)
 	b.Metrics = append(b.Metrics,
-		newMetric("resilience_min_success_"+rslug, "fraction", StatMedian, Exact, true,
-			[]float64{minSucc}),
-		newMetric("resilience_reprofile_success_"+rslug, "fraction", StatMedian, Exact, true,
-			[]float64{res.RecoveredSuccess}),
+		exact("resilience_min_success_"+rslug, "fraction", true, minSucc),
+		exact("resilience_reprofile_success_"+rslug, "fraction", true, res.RecoveredSuccess),
 	)
 
-	// --- Scenario suite (Kind Exact) ---------------------------------------
+	// --- Scenario suite ----------------------------------------------------
 	// One pinned scenario per machine class, so a change to the class
 	// configurations, the heterogeneous solver, or the scenario harness
 	// shows up as metric drift even when no scenarios/*.json goal trips.
@@ -267,22 +204,11 @@ func Run(o Options) (*Baseline, error) {
 		}
 		cslug := strings.ReplaceAll(spec.MachineClass, "-", "_")
 		b.Metrics = append(b.Metrics,
-			newMetric("scenario_qos_"+cslug, "fraction", StatMedian, Exact, true,
-				[]float64{sres.QoSSuccess}),
-			newMetric("scenario_bg_throughput_"+cslug, "ratio", StatMedian, Exact, true,
-				[]float64{sres.BGThroughput}),
+			exact("scenario_qos_"+cslug, "fraction", true, sres.QoSSuccess),
+			exact("scenario_bg_throughput_"+cslug, "ratio", true, sres.BGThroughput),
 		)
 	}
 
-	// --- Load generator (Exact counts + Perf latency) ----------------------
-	// Appended last, on an entirely fresh server/runner stack, so every
-	// metric above stays byte-identical to baselines recorded before the
-	// load probe existed.
-	lm, err := loadProbe(o)
-	if err != nil {
-		return nil, err
-	}
-	b.Metrics = append(b.Metrics, lm...)
 	return b, nil
 }
 
@@ -328,81 +254,4 @@ func scenarioProbes(quick bool) []scenario.Spec {
 		return specs[:1]
 	}
 	return specs
-}
-
-// stepSample times o.StepIters machine quanta on the standard fully loaded
-// colocation (one FG task, five BG tasks — the paper's collocation shape)
-// with the given recorder attached, returning wall nanoseconds per quantum.
-// The quanta run in StepN batches, as every stepping loop drives them.
-func stepSample(o Options, rec telemetry.Recorder) (float64, error) {
-	cfg := machine.DefaultConfig()
-	cfg.StepHook = o.StepHook
-	m, err := machine.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	m.SetRecorder(rec)
-	fg := workload.FG()[0]
-	if _, err := m.Launch(fg.Name, workload.MustProgram(fg), 0, 0); err != nil {
-		return 0, err
-	}
-	bg := workload.SingleBG()[0]
-	for c := 1; c < m.NumCores(); c++ {
-		if _, err := m.Launch(bg.Name, workload.MustProgram(bg), c, 0); err != nil {
-			return 0, err
-		}
-	}
-	// Warm the solver state and caches before timing.
-	warm := o.StepIters / 10
-	if warm < 16 {
-		warm = 16
-	}
-	stepQuanta(m, warm)
-	start := time.Now()
-	stepQuanta(m, o.StepIters)
-	return float64(time.Since(start).Nanoseconds()) / float64(o.StepIters), nil
-}
-
-// stepQuanta advances m by exactly n quanta in StepN batches.
-func stepQuanta(m *machine.Machine, n int) {
-	for n > 0 {
-		_, k := m.StepN(n)
-		n -= k
-	}
-}
-
-// sinkSample times folding a synthetic but representative event stream into
-// a sink, returning wall nanoseconds per event.
-func sinkSample(rec telemetry.Recorder, events int) float64 {
-	stream := syntheticEvents()
-	rec.Record(stream[0]) // machine start primes geometry-dependent sinks
-	start := time.Now()
-	for i := 0; i < events; i++ {
-		rec.Record(stream[1+i%(len(stream)-1)])
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(events)
-}
-
-// syntheticEvents builds a fixed event mix that weights the hot kinds the
-// way a real trace does: dominated by quantum steps, with periodic DVFS
-// moves, controller decisions, and execution completions.
-func syntheticEvents() []telemetry.Event {
-	evs := []telemetry.Event{{
-		Kind: telemetry.KindMachineStart, Cores: 6, Levels: 9, TopLevel: 8,
-		Quantum: machine.DefaultConfig().Quantum,
-	}}
-	for i := 0; i < 16; i++ {
-		evs = append(evs, telemetry.Event{
-			Kind: telemetry.KindQuantumStep, At: sim.Time(i) * sim.DefaultQuantum,
-			Utilization: 0.42, Instructions: 1.1e6, LLCMisses: 1.7e3,
-		})
-	}
-	evs = append(evs,
-		telemetry.Event{Kind: telemetry.KindDVFSTransition, Core: 3, FromLevel: 8, ToLevel: 5},
-		telemetry.Event{Kind: telemetry.KindFineDecision, Reason: telemetry.ReasonFGBehind, Behind: 1, Streams: 1},
-		telemetry.Event{Kind: telemetry.KindFineAction, Action: telemetry.ActionBGThrottle},
-		telemetry.Event{Kind: telemetry.KindExecutionComplete, Stream: 0, Task: 1,
-			Duration: 480 * time.Millisecond, Instructions: 2.4e9, LLCMisses: 3.1e6},
-	)
-	return evs
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
-	"sort"
 	"strconv"
 )
 
@@ -19,79 +18,50 @@ const SchemaVersion = 1
 // baselinePattern matches committed baseline files: BENCH_<n>.json.
 var baselinePattern = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 
-// MetricKind separates the two comparison regimes of the suite.
+// MetricKind names a metric's comparison regime. Exact is the only one
+// the suite records; the "perf" metrics of BENCH_1 to BENCH_6 still load,
+// and fail a check as missing.
 type MetricKind string
 
-const (
-	// Perf marks wall-clock measurements (ns/op, overhead ratios). They are
-	// noisy, so comparison is min-of-N against min-of-N with a per-metric
-	// tolerance band: small drifts warn, large ones fail.
-	Perf MetricKind = "perf"
-	// Exact marks seed-deterministic simulation outputs (QoS completion
-	// rates, prediction error). Same seeds must reproduce them bit-for-bit,
-	// so any deviation beyond float-printing noise fails the gate — a
-	// behaviour change must be acknowledged by re-recording the baseline.
-	Exact MetricKind = "exact"
-)
+// Exact marks seed-deterministic simulation outputs (QoS completion rates,
+// prediction error). Same seeds must reproduce them bit for bit, so any
+// deviation beyond float-printing noise fails the gate: a behaviour change
+// must be acknowledged by re-recording the baseline.
+const Exact MetricKind = "exact"
 
-// Metric is one measured quantity of a suite run.
+// Metric is one measured quantity of a suite run. Its fields are the
+// schema-1 record; Stat, Samples and Min are written for older readers of
+// the format and carry the one value again.
 type Metric struct {
 	// Name identifies the metric; comparison is by name.
 	Name string `json:"name"`
-	// Unit is the human-readable unit ("ns/op", "ratio", "fraction", ...).
+	// Unit is the human-readable unit ("ratio", "fraction", "ways", ...).
 	Unit string `json:"unit"`
-	// Kind selects the comparison regime.
+	// Kind is the comparison regime (always Exact).
 	Kind MetricKind `json:"kind"`
-	// HigherBetter orients regression detection (true for success rates and
-	// throughput, false for latencies and error fractions).
+	// HigherBetter orients the failure message (true for success rates and
+	// throughput, false for error fractions).
 	HigherBetter bool `json:"higher_better,omitempty"`
-	// Stat names the sample statistic used for comparison: "min" for raw
-	// timings (the noise floor of repeated runs — min-of-N), "median" for
-	// ratios and deterministic values, where noise is two-sided.
+	// Stat names the compared statistic (always "median").
 	Stat string `json:"stat"`
-	// Samples are the raw per-repetition values (one entry for Exact
-	// metrics, PerfSamples entries for Perf metrics).
+	// Samples holds the value as the one sample.
 	Samples []float64 `json:"samples"`
-	// Median and Min summarize Samples.
+	// Median is the compared value; Min repeats it.
 	Median float64 `json:"median"`
 	Min    float64 `json:"min"`
 }
 
-// Statistic names.
-const (
-	StatMin    = "min"
-	StatMedian = "median"
-)
+// Value returns the number used for comparison.
+func (m *Metric) Value() float64 { return m.Median }
 
-// Value returns the number used for comparison, per Stat.
-func (m *Metric) Value() float64 {
-	if m.Stat == StatMin {
-		return m.Min
-	}
-	return m.Median
+// exact builds the schema-1 record of one seed-deterministic value.
+func exact(name, unit string, higherBetter bool, v float64) Metric {
+	return Metric{Name: name, Unit: unit, Kind: Exact, HigherBetter: higherBetter,
+		Stat: "median", Samples: []float64{v}, Median: v, Min: v}
 }
 
-// newMetric builds a metric from raw samples, computing the summary fields.
-func newMetric(name, unit, stat string, kind MetricKind, higherBetter bool, samples []float64) Metric {
-	met := Metric{Name: name, Unit: unit, Stat: stat, Kind: kind, HigherBetter: higherBetter, Samples: samples}
-	if len(samples) == 0 {
-		return met
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	met.Min = sorted[0]
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		met.Median = sorted[mid]
-	} else {
-		met.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return met
-}
-
-// Environment stamps where a baseline was recorded. Perf numbers only
-// transfer between identical environments; the comparator demotes perf
-// failures to warnings when the environment differs.
+// Environment stamps where a baseline was recorded. The exact metrics do
+// not depend on it; it is kept as provenance.
 type Environment struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
@@ -107,12 +77,6 @@ func CurrentEnvironment() Environment {
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 	}
-}
-
-// Comparable reports whether perf numbers recorded under e can be held
-// against ones measured under o with hard thresholds.
-func (e Environment) Comparable(o Environment) bool {
-	return e.GOOS == o.GOOS && e.GOARCH == o.GOARCH && e.NumCPU == o.NumCPU
 }
 
 // Baseline is one recorded suite run — the content of a BENCH_<n>.json file.

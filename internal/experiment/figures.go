@@ -300,7 +300,7 @@ func (r *Runner) PredictionAccuracy(executions, skip int) ([]*PredictionProbeRes
 	mixes := AllSingleFGMixes()
 	out := make([]*PredictionProbeResult, len(mixes))
 	errs := make([]error, len(mixes))
-	fanOut(len(mixes), func(i int) {
+	FanOut(len(mixes), func(i int) {
 		out[i], errs[i] = r.PredictionProbe(mixes[i], executions, skip)
 	})
 	for i, err := range errs {
@@ -390,12 +390,7 @@ func (r *Runner) PartitionSweep(mix Mix, minWays, maxWays int) (*PartitionSweepR
 	if err != nil {
 		return nil, err
 	}
-	targets := make([]time.Duration, len(base.Streams))
-	deadlines := make([]float64, len(base.Streams))
-	for i, s := range base.Streams {
-		deadlines[i] = s.Summary.Mean + DeadlineSigma*s.Summary.Std
-		targets[i] = time.Duration(deadlines[i] * float64(time.Second))
-	}
+	deadlines, targets := Deadlines(base)
 	dir, err := r.runOne(mix, runSpec{
 		cfg: config.MustByName(config.Dirigent), targets: targets, deadlines: deadlines,
 		bgLevel: -1, execs: r.Executions,

@@ -58,7 +58,7 @@ func (r *Runner) PolicySweep(mixes []Mix, policies []string) (*PolicySweepResult
 	}
 	res := &PolicySweepResult{Policies: policies, Mixes: make([]*PolicyMixResult, len(mixes))}
 	errs := make([]error, len(mixes))
-	fanOut(len(mixes), func(i int) {
+	FanOut(len(mixes), func(i int) {
 		res.Mixes[i], errs[i] = r.policySweepMix(mixes[i], policies)
 	})
 	for i, err := range errs {
@@ -78,7 +78,7 @@ func (r *Runner) policySweepMix(mix Mix, policies []string) (*PolicyMixResult, e
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	deadlines, targets := deadlinesFromBaseline(base)
+	deadlines, targets := Deadlines(base)
 	applyDeadlines(base, deadlines)
 	pmr := &PolicyMixResult{Mix: mix, Deadlines: deadlines, Baseline: base, ByPolicy: map[string]*RunResult{}}
 	for _, p := range policies {

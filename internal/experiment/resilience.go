@@ -255,7 +255,7 @@ func (r *Runner) ResilienceSweep(mix Mix, opts ResilienceOptions) (*ResilienceRe
 
 	runs := make([]*RunResult, len(jobs))
 	errs := make([]error, len(jobs))
-	fanOut(len(jobs), func(i int) {
+	FanOut(len(jobs), func(i int) {
 		runs[i], errs[i] = r.runOne(mix, jobs[i].spec)
 	})
 	for i, err := range errs {

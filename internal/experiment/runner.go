@@ -335,7 +335,7 @@ func (r *Runner) RunConfigs(mix Mix, names ...config.Name) (*MixResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("baseline %s: %w", mix.Name, err)
 	}
-	deadlines, targets := deadlinesFromBaseline(base)
+	deadlines, targets := Deadlines(base)
 	applyDeadlines(base, deadlines)
 	res.Deadlines = deadlines
 	res.ByConfig[config.Baseline] = base
@@ -416,10 +416,11 @@ func (r *Runner) calibrateStaticBGLevel(mix Mix, fgWays int, deadlines []float64
 	return grades[0], nil
 }
 
-// deadlinesFromBaseline derives the paper's per-stream deadlines
-// (µ + 0.3·σ over the Baseline pass, §5.4) and the equivalent runtime
-// targets.
-func deadlinesFromBaseline(base *RunResult) ([]float64, []time.Duration) {
+// Deadlines derives the paper's per-stream deadlines (µ + 0.3·σ over the
+// Baseline pass, §5.4) and the equivalent runtime targets. Every caller
+// that sets deadlines from a Baseline pass goes through it, so the goldens
+// pin one floating-point expression.
+func Deadlines(base *RunResult) ([]float64, []time.Duration) {
 	deadlines := make([]float64, len(base.Streams))
 	targets := make([]time.Duration, len(base.Streams))
 	for i, s := range base.Streams {
@@ -557,7 +558,7 @@ func durationsSeconds(durs []time.Duration) []float64 {
 func (r *Runner) RunMixes(mixes []Mix) ([]*MixResult, error) {
 	out := make([]*MixResult, len(mixes))
 	errs := make([]error, len(mixes))
-	fanOut(len(mixes), func(i int) {
+	FanOut(len(mixes), func(i int) {
 		out[i], errs[i] = r.RunMix(mixes[i])
 	})
 	for i, err := range errs {
@@ -568,12 +569,13 @@ func (r *Runner) RunMixes(mixes []Mix) ([]*MixResult, error) {
 	return out, nil
 }
 
-// fanOut runs fn(0), …, fn(n-1) on goroutines, at most MaxParallel at a
+// FanOut runs fn(0), …, fn(n-1) on goroutines, at most MaxParallel at a
 // time, and waits for all of them. It is the one bounded fan-out every
 // concurrent sweep (mixes, policy sweeps, resilience jobs, prediction
-// probes) goes through: each fn owns slot i of its caller's result/error
-// slices, so no synchronization beyond the barrier is needed.
-func fanOut(n int, fn func(i int)) {
+// probes, the scenario suite) goes through: each fn owns slot i of its
+// caller's result/error slices, so no synchronization beyond the barrier
+// is needed.
+func FanOut(n int, fn func(i int)) {
 	sem := make(chan struct{}, MaxParallel())
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

@@ -330,10 +330,10 @@ func TestMaxParallelEnv(t *testing.T) {
 	// deadlocking value, a bounded fan-out still completes.
 	t.Setenv("DIRIGENT_MAX_PARALLEL", "0")
 	ran := make([]bool, 4)
-	fanOut(len(ran), func(i int) { ran[i] = true })
+	FanOut(len(ran), func(i int) { ran[i] = true })
 	for i, ok := range ran {
 		if !ok {
-			t.Errorf("fanOut skipped slot %d", i)
+			t.Errorf("FanOut skipped slot %d", i)
 		}
 	}
 }

@@ -19,6 +19,6 @@
 //     gated replay properties are the structural ones — zero leaked
 //     tenants after drain, zero dropped events in the CI smoke.
 //
-// cmd/dirigent-load is the CLI front end; internal/benchreg records a
-// seeded short-run load probe on top of the same entry points.
+// cmd/dirigent-load is the CLI front end. TestPinnedTraceGolden pins one
+// short seeded trace byte for byte.
 package load

@@ -13,8 +13,8 @@ import (
 // StartLocal boots an in-process dirigent-serve on a loopback port and
 // returns its base URL plus a shutdown function that drains the HTTP
 // server and every tenant worker. It backs `dirigent-load -inproc`, the
-// CI load smoke, and the benchreg load probe, so none of them need an
-// externally managed server.
+// CI load smoke, and perfbench's served-tenant workloads, so none of them
+// need an externally managed server.
 func StartLocal(cfg server.Config) (baseURL string, shutdown func() error, err error) {
 	srv := server.New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -40,7 +40,7 @@ func BenchmarkMachineStep(b *testing.B) {
 
 // BenchmarkMachineStepAggregator measures the same hot path with the
 // telemetry Aggregator attached — the configuration every experiment run
-// uses, and the numerator of the benchreg suite's overhead-ratio metric.
+// uses, whose cost perfbench's end-to-end sim_rate includes.
 func BenchmarkMachineStepAggregator(b *testing.B) {
 	m := benchMachine(b)
 	m.SetRecorder(telemetry.NewAggregator())

@@ -106,12 +106,6 @@ type Config struct {
 	SlowJitterSigma float64
 	// SlowJitterPeriod is how long each slow-noise draw is held.
 	SlowJitterPeriod time.Duration
-	// StepHook, when non-nil, is invoked once at the start of every Step.
-	// It must not touch simulation state: the hook exists so the regression
-	// harness (internal/benchreg) can inject an artificial wall-clock
-	// slowdown and verify that its perf gate detects a slower Step. Always
-	// nil in production configurations.
-	StepHook func()
 	// Faults, when non-nil, injects actuation faults: SetFreqLevel may fail
 	// (ErrActuation) or commit only after a latency, and Pause/Resume may
 	// fail. Strictly opt-in — nil (the default) leaves every code path
@@ -808,9 +802,6 @@ func (m *Machine) flushQuanta() {
 // (TestStepEnginesEquivalent and the experiment and benchreg goldens), so
 // reassociating any of them is a deliberate re-baseline.
 func (m *Machine) step() []Completion {
-	if m.cfg.StepHook != nil {
-		m.cfg.StepHook()
-	}
 	dt := m.cfg.Quantum
 	dtSec := m.quantumSec
 	now := m.clock.Advance()

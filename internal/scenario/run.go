@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"dirigent/internal/config"
 	"dirigent/internal/experiment"
@@ -102,14 +100,7 @@ func RunSpec(spec Spec) (Result, error) {
 		return Result{}, fmt.Errorf("scenario %q: baseline: %w", spec.Name, err)
 	}
 
-	// The paper's deadline rule over the Baseline pass.
-	deadlines := make([]float64, len(base.Streams))
-	targets := make([]time.Duration, len(base.Streams))
-	for i, s := range base.Streams {
-		deadlines[i] = s.Summary.Mean + experiment.DeadlineSigma*s.Summary.Std
-		targets[i] = time.Duration(deadlines[i] * float64(time.Second))
-	}
-
+	deadlines, targets := experiment.Deadlines(base)
 	managed, err := run(experiment.RunParams{
 		Config:      config.Dirigent,
 		Policy:      spec.Policy,
@@ -191,25 +182,16 @@ func mixLabel(m MixSpec) string {
 	return label
 }
 
-// RunSuite executes every spec concurrently (bounded by
-// experiment.MaxParallel, the shared DIRIGENT_MAX_PARALLEL machinery) and
-// returns results in spec order. The first run error aborts the suite — an
-// unrunnable scenario is a broken gate, not a failed goal.
+// RunSuite executes every spec concurrently through experiment.FanOut
+// (bounded by DIRIGENT_MAX_PARALLEL) and returns results in spec order.
+// The first run error aborts the suite — an unrunnable scenario is a
+// broken gate, not a failed goal.
 func RunSuite(specs []Spec) (*SuiteResult, error) {
 	results := make([]Result, len(specs))
 	errs := make([]error, len(specs))
-	sem := make(chan struct{}, experiment.MaxParallel())
-	var wg sync.WaitGroup
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = RunSpec(specs[i])
-		}(i)
-	}
-	wg.Wait()
+	experiment.FanOut(len(specs), func(i int) {
+		results[i], errs[i] = RunSpec(specs[i])
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q: %w", specs[i].Name, err)

@@ -11,8 +11,9 @@
 #                             # + the load-generator smoke (seeded 5 s open-loop
 #                             #   churn: trace determinism, zero drops, zero leaks)
 #   scripts/ci.sh -short      # same legs, but skip the long end-to-end tests
-#   scripts/ci.sh -bench      # additionally run the perf/QoS regression gate
-#                             # (dirigent-ci -check against the latest BENCH_<n>.json)
+#   scripts/ci.sh -bench      # additionally run the QoS regression gate
+#                             # (dirigent-ci -check: every seed-deterministic
+#                             #  metric exact against the latest BENCH_<n>.json)
 #   scripts/ci.sh -scenarios  # additionally run the declarative scenario suite
 #                             # (dirigent-ci -scenarios against scenarios/*.json)
 #
