@@ -242,14 +242,6 @@ func (l *LLC) Ref(task int) *TaskRef {
 	return l.tasks[task]
 }
 
-// reuseSkew is the exponent of the hit-rate vs resident-fraction curve.
-// Reuse is skewed: the hottest lines are cached first (LRU keeps what is
-// touched most), so a task holding 25% of its working set captures well
-// over 25% of its potential hits. The concave curve (exponent < 1) is what
-// produces the knee in partition-size sweeps (the paper's Fig. 8): early
-// ways buy large miss reductions, later ways diminishing ones.
-const reuseSkew = 0.5
-
 // HitRateRef returns the probability that an access by the task behind st
 // hits, given the task's working-set size in bytes and locality in [0,1].
 // Locality is the hit rate the task would see with its entire working set
@@ -269,7 +261,16 @@ func (l *LLC) HitRateRef(st *TaskRef, wss, locality float64) float64 {
 	if resident >= 1 {
 		return locality
 	}
-	return locality * math.Pow(resident, reuseSkew)
+	// The hit rate grows as the square root of the resident fraction.
+	// Reuse is skewed: the hottest lines are cached first (LRU keeps what
+	// is touched most), so a task holding 25% of its working set captures
+	// well over 25% of its potential hits. The concave curve (exponent
+	// 0.5 < 1) is what produces the knee in partition-size sweeps (the
+	// paper's Fig. 8): early ways buy large miss reductions, later ways
+	// diminishing ones. Sqrt gives the bits math.Pow(x, 0.5) would: Pow
+	// returns Sqrt for that exponent after its special-case checks, and
+	// the two differ only at −0, which occupancy never is.
+	return locality * math.Sqrt(resident)
 }
 
 // Traffic describes one task's cache activity during a quantum, produced by

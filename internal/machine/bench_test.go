@@ -25,10 +25,10 @@ func benchMachine(b *testing.B) *Machine {
 	return m
 }
 
-// BenchmarkMachineStep measures the per-quantum fixed-point solver on a
-// fully loaded machine — the simulator's hot path. It is the reference
-// against which telemetry overhead is judged: with the no-op recorder the
-// cost per Step must stay within a few percent of this baseline.
+// BenchmarkMachineStep measures one quantum of a fully loaded machine with
+// the no-op recorder — the simulator's hot path: jitter draws, the hoisted
+// per-core terms, the memory fixed point and the commit. It is a local
+// profiling aid; speed claims go through perfbench.
 func BenchmarkMachineStep(b *testing.B) {
 	m := benchMachine(b)
 	b.ReportAllocs()

@@ -2,9 +2,12 @@ package machine
 
 import (
 	"errors"
+	"slices"
 	"testing"
+	"time"
 
 	"dirigent/internal/fault"
+	"dirigent/internal/telemetry"
 )
 
 func newFaultyMachine(t *testing.T, plan fault.Plan) *Machine {
@@ -39,7 +42,34 @@ func TestSetFreqLevelFaultFail(t *testing.T) {
 
 func TestSetFreqLevelFaultLatency(t *testing.T) {
 	m := newFaultyMachine(t, fault.Plan{DVFSLate: 1})
+	agg := telemetry.NewAggregator()
+	m.SetRecorder(agg)
 	launch(t, m, "ferret", 0, 0)
+	launch(t, m, "lbm", 1, 0)
+	// The machine folds frequency residency lazily; at every read point it
+	// must equal the aggregator's, which is rebuilt independently from the
+	// quantum-step and DVFS events, and each core's row must sum to the
+	// elapsed simulated time.
+	checkResidency := func(when string) {
+		t.Helper()
+		for c := 0; c < m.NumCores(); c++ {
+			res, err := m.FreqResidency(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := agg.FreqResidency(c); !slices.Equal(res, want) {
+				t.Errorf("%s: core %d residency %v, aggregator %v", when, c, res, want)
+			}
+			var sum time.Duration
+			for _, d := range res {
+				sum += d
+			}
+			if sum != m.Now() {
+				t.Errorf("%s: core %d residency sums to %v, now %v", when, c, sum, m.Now())
+			}
+		}
+	}
+	checkResidency("before any quantum")
 	if err := m.SetFreqLevel(0, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +85,41 @@ func TestSetFreqLevelFaultLatency(t *testing.T) {
 	if got := m.cfg.Faults.Count(fault.ClassDVFSLate); got != 1 {
 		t.Errorf("DVFSLate count = %d, want 1", got)
 	}
-	// Step past the 500 µs default latency (250 µs quanta): two quanta in
-	// flight, committed at the start of the third.
+	// Step past the 500 µs default latency (250 µs quanta).
 	for i := 0; i < 3; i++ {
 		m.Step()
 	}
 	if l, _ := m.FreqLevel(0); l != 3 {
 		t.Errorf("transition did not commit after its latency: level %d", l)
+	}
+	checkResidency("after the delayed commit")
+	// A step reads the clock at its quantum's end, so the transition due at
+	// 500 µs commits at the top of the second quantum, which therefore runs
+	// at the new level.
+	q := m.Config().Quantum
+	if res, _ := m.FreqResidency(0); res[m.MaxFreqLevel()] != q || res[3] != 2*q {
+		t.Errorf("core 0 residency %v, want 1 quantum at the top level and 2 at level 3", res)
+	}
+
+	// A delayed commit inside a StepN batch, then batches and back-to-back
+	// reads with no level change between them.
+	if err := m.SetFreqLevel(1, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, n := m.StepN(10); n != 10 {
+		t.Fatalf("StepN advanced %d quanta, want 10", n)
+	}
+	if l, _ := m.FreqLevel(1); l != 5 {
+		t.Errorf("mid-batch transition did not commit: level %d", l)
+	}
+	checkResidency("after a mid-batch commit")
+	for _, n := range []int{7, 1, 13} {
+		m.StepN(n)
+		checkResidency("after a batch")
+	}
+	checkResidency("on a second read with no level change")
+	if res, _ := m.FreqResidency(1); res[m.MaxFreqLevel()] != 4*q || res[5] != 30*q {
+		t.Errorf("core 1 residency %v, want 4 quanta at the top level and 30 at level 5", res)
 	}
 }
 

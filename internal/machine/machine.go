@@ -5,7 +5,7 @@
 // steps from 1.2 to 2.0 GHz, a 15 MB 20-way L3 with Intel CAT, and four
 // DDR4-2133 channels (§5.1).
 //
-// The machine is an interval simulator. Each quantum (100 µs by default)
+// The machine is an interval simulator. Each quantum (250 µs by default)
 // resolves, for every running task, the coupled system
 //
 //	instructions ← cycles / CPI_eff
@@ -187,8 +187,15 @@ type Machine struct {
 	pendingFreq []pendingTransition
 
 	// freqResidency accumulates time spent at each frequency level per
-	// core, for Fig. 12.
+	// core, for Fig. 12. It is folded lazily: quanta counts the quanta
+	// stepped so far and residencyMark[c] how many of them core c's row
+	// already holds, so a quantum costs one increment rather than a
+	// per-core update. foldResidency credits the difference to the core's
+	// current level before commitFreq changes it and before FreqResidency
+	// reads it.
 	freqResidency [][]time.Duration
+	residencyMark []int64
+	quanta        int64
 
 	// Per-core heterogeneity, expanded from Config.CoreSets. For
 	// homogeneous machines every ladder entry aliases cfg.FreqLevelsGHz
@@ -198,15 +205,12 @@ type Machine struct {
 	cpiScale   []float64   // BaseCPI multiplier per core (1/IPCScale)
 	coreSocket []int       // memory socket per core
 
-	// multiSocket selects the per-socket solver; scratchSockDemand,
-	// scratchSockLat and scratchSockU are its reused buffers.
+	// multiSocket selects the per-socket commit; scratchSockDemand is its
+	// reused buffer.
 	multiSocket       bool
 	scratchSockDemand []float64
-	scratchSockLat    []float64
-	scratchSockU      []float64
 
-	lastUtilization float64
-	rng             *sim.Rand
+	rng *sim.Rand
 
 	// rec is the telemetry bus; never nil (the no-op recorder by
 	// default). Hot-path emissions gate on rec.Enabled.
@@ -314,6 +318,7 @@ func New(cfg Config) (*Machine, error) {
 		nextID:         1,
 		overheadOwed:   make([]time.Duration, cfg.Cores),
 		freqResidency:  make([][]time.Duration, cfg.Cores),
+		residencyMark:  make([]int64, cfg.Cores),
 		ladder:         make([][]float64, cfg.Cores),
 		cpiScale:       make([]float64, cfg.Cores),
 		coreSocket:     make([]int, cfg.Cores),
@@ -360,8 +365,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 	if m.multiSocket {
 		m.scratchSockDemand = make([]float64, sockets)
-		m.scratchSockLat = make([]float64, sockets)
-		m.scratchSockU = make([]float64, sockets)
 	}
 	// Cores start at maximum frequency.
 	top := len(cfg.FreqLevelsGHz) - 1
@@ -651,6 +654,7 @@ func (m *Machine) commitFreq(core, level int) {
 		return
 	}
 	m.flushQuanta()
+	m.foldResidency(core)
 	m.coreFreq[core] = level
 	m.coreGHz[core] = m.ladder[core][level]
 	if m.rec.Enabled(telemetry.KindDVFSTransition) {
@@ -707,7 +711,15 @@ func (m *Machine) FreqResidency(core int) ([]time.Duration, error) {
 	if err := m.checkCore(core); err != nil {
 		return nil, err
 	}
+	m.foldResidency(core)
 	return append([]time.Duration(nil), m.freqResidency[core]...), nil
+}
+
+// foldResidency credits core's current level with the quanta stepped since
+// its last fold.
+func (m *Machine) foldResidency(core int) {
+	m.freqResidency[core][m.coreFreq[core]] += m.cfg.Quantum * time.Duration(m.quanta-m.residencyMark[core])
+	m.residencyMark[core] = m.quanta
 }
 
 // ChargeOverhead steals d of CPU time from core, consumed from its next
@@ -725,7 +737,7 @@ func (m *Machine) ChargeOverhead(core int, d time.Duration) error {
 }
 
 // LastUtilization returns memory utilization of the last quantum.
-func (m *Machine) LastUtilization() float64 { return m.lastUtilization }
+func (m *Machine) LastUtilization() float64 { return m.memory.LastUtilization() }
 
 // Step advances the machine by one quantum and returns any foreground
 // completions that occurred in it.
@@ -817,6 +829,7 @@ func (m *Machine) step() []Completion {
 			}
 		}
 	}
+	m.quanta++
 
 	// Hoist pass: one traversal computes every per-core term the solver
 	// iterations and the commit read. Within a quantum these cannot change —
@@ -833,7 +846,6 @@ func (m *Machine) step() []Completion {
 			m.overheadOwed[c] -= steal
 			m.scratchEff[c] = (dt - steal).Seconds()
 		}
-		m.freqResidency[c][m.coreFreq[c]] += dt
 		m.scratchJitter[c] = 1
 		m.scratchPhase[c] = nil
 		t := m.coreTask[c]
@@ -864,34 +876,33 @@ func (m *Machine) step() []Completion {
 		m.scratchMLP[c] = ph.EffectiveMLP()
 	}
 
-	// Damped fixed point over memory utilization, reading the hoisted terms.
-	// Multi-socket machines solve one utilization per socket.
-	if m.multiSocket {
-		m.solvePerSocket(dt)
-	} else {
-		u := m.lastUtilization
-		latNs := 0.0
+	// Damped fixed point over memory utilization, reading the hoisted terms:
+	// one utilization per socket (the shared pool is socket 0). A core's
+	// instructions depend only on its own socket's latency, so sockets solve
+	// independently. Latency is whole nanoseconds and every other per-core
+	// term is fixed within the quantum, so an iteration whose latency equals
+	// the previous one's would recompute its socket's instructions and
+	// demand bit for bit: it skips the per-core pass and only advances the
+	// damped u.
+	for s, n := 0, m.memory.NumSockets(); s < n; s++ {
+		// The shared pool starts from and converts through what its commit
+		// (Apply) uses: LastUtilization and Utilization, never a socket
+		// entry (a one-entry Sockets list is still the shared pool).
+		u := m.memory.LastUtilization()
+		if m.multiSocket {
+			u = m.memory.LastSocketUtilization(s)
+		}
+		prevLat := time.Duration(-1)
+		uNew := 0.0
 		for iter := 0; iter < solverIterations; iter++ {
-			latNs = float64(m.memory.Latency(u).Nanoseconds())
-			if latNs <= 0 {
-				// Sub-nanosecond idle latency configs still need a positive
-				// value; fall back to the float form.
-				latNs = m.memory.LatencyStretch(u) * float64(m.memory.Config().IdleLatency) / float64(time.Nanosecond)
-			}
-			demand := 0.0
-			for c := 0; c < m.cfg.Cores; c++ {
-				m.scratchInstr[c] = 0
-				if m.scratchPhase[c] == nil || m.scratchEff[c] <= 0 {
-					continue
+			if lat := m.memory.Latency(u); lat != prevLat {
+				prevLat = lat
+				if demand := m.corePass(s, lat); m.multiSocket {
+					uNew = m.memory.UtilizationOn(s, demand, dt)
+				} else {
+					uNew = m.memory.Utilization(demand, dt)
 				}
-				f := m.scratchF[c]
-				missPerInstr := m.scratchMPI[c]
-				cpi := m.scratchBJ[c] + missPerInstr*latNs*f/m.scratchMLP[c]
-				instr := f * 1e9 * m.scratchEff[c] / cpi
-				m.scratchInstr[c] = instr
-				demand += instr * missPerInstr * BytesPerMiss
 			}
-			uNew := m.memory.Utilization(demand, dt)
 			u = 0.5*u + 0.5*uNew
 		}
 	}
@@ -951,53 +962,50 @@ func (m *Machine) step() []Completion {
 	} else {
 		m.memory.Apply(demand, dt)
 	}
-	m.lastUtilization = m.memory.LastUtilization()
 	if m.rec.Enabled(telemetry.KindQuantumStep) {
-		m.batchQ = append(m.batchQ, telemetry.Event{
-			Kind:         telemetry.KindQuantumStep,
-			At:           now,
-			Utilization:  m.lastUtilization,
-			Instructions: totInstr,
-			LLCMisses:    totMisses,
-			Completions:  len(completions),
-		})
+		// Written in place: batchQ only ever holds quantum-step events,
+		// which set exactly the fields below, so a reused slot (or a
+		// freshly grown zero one) needs no clearing and no literal is
+		// copied.
+		n := len(m.batchQ)
+		if n < cap(m.batchQ) {
+			m.batchQ = m.batchQ[:n+1]
+		} else {
+			m.batchQ = append(m.batchQ, telemetry.Event{})
+		}
+		ev := &m.batchQ[n]
+		ev.Kind = telemetry.KindQuantumStep
+		ev.At = now
+		ev.Utilization = m.memory.LastUtilization()
+		ev.Instructions = totInstr
+		ev.LLCMisses = totMisses
+		ev.Completions = len(completions)
 	}
 	return completions
 }
 
-// solvePerSocket is the multi-socket variant of step's damped fixed point:
-// one utilization per socket, each core charged its own socket's latency
-// and its miss traffic accumulated against its own socket's pool.
-func (m *Machine) solvePerSocket(dt time.Duration) {
-	us, lat, dem := m.scratchSockU, m.scratchSockLat, m.scratchSockDemand
-	for s := range us {
-		us[s] = m.memory.LastSocketUtilization(s)
+// corePass is one solver pass over socket's cores at memory latency lat:
+// it stores each core's instructions for the quantum in scratchInstr and
+// returns the socket's miss traffic in bytes.
+func (m *Machine) corePass(socket int, lat time.Duration) float64 {
+	latNs := float64(lat.Nanoseconds())
+	demand := 0.0
+	for c := 0; c < m.cfg.Cores; c++ {
+		if m.coreSocket[c] != socket {
+			continue
+		}
+		m.scratchInstr[c] = 0
+		if m.scratchPhase[c] == nil || m.scratchEff[c] <= 0 {
+			continue
+		}
+		f := m.scratchF[c]
+		missPerInstr := m.scratchMPI[c]
+		cpi := m.scratchBJ[c] + missPerInstr*latNs*f/m.scratchMLP[c]
+		instr := f * 1e9 * m.scratchEff[c] / cpi
+		m.scratchInstr[c] = instr
+		demand += instr * missPerInstr * BytesPerMiss
 	}
-	for iter := 0; iter < solverIterations; iter++ {
-		for s := range us {
-			l := float64(m.memory.Latency(us[s]).Nanoseconds())
-			if l <= 0 {
-				l = m.memory.LatencyStretch(us[s]) * float64(m.memory.Config().IdleLatency) / float64(time.Nanosecond)
-			}
-			lat[s] = l
-			dem[s] = 0
-		}
-		for c := 0; c < m.cfg.Cores; c++ {
-			m.scratchInstr[c] = 0
-			if m.scratchPhase[c] == nil || m.scratchEff[c] <= 0 {
-				continue
-			}
-			f := m.scratchF[c]
-			missPerInstr := m.scratchMPI[c]
-			cpi := m.scratchBJ[c] + missPerInstr*lat[m.coreSocket[c]]*f/m.scratchMLP[c]
-			instr := f * 1e9 * m.scratchEff[c] / cpi
-			m.scratchInstr[c] = instr
-			dem[m.coreSocket[c]] += instr * missPerInstr * BytesPerMiss
-		}
-		for s := range us {
-			us[s] = 0.5*us[s] + 0.5*m.memory.UtilizationOn(s, dem[s], dt)
-		}
-	}
+	return demand
 }
 
 // Run advances the machine until the given simulated time, invoking onStep

@@ -62,7 +62,6 @@ type Memory struct {
 	// multiple sockets lastUtilization tracks the bottleneck (max) socket
 	// and lastSocketUtil holds the per-socket values.
 	lastUtilization float64
-	lastStretch     float64
 	lastSocketUtil  []float64
 	totalBytes      float64 // lifetime traffic, for counters
 }
@@ -83,7 +82,7 @@ func New(cfg Config) (*Memory, error) {
 			return nil, fmt.Errorf("mem: socket %d peak bandwidth %g must be positive", i, s.PeakBandwidth)
 		}
 	}
-	m := &Memory{cfg: cfg, lastStretch: 1}
+	m := &Memory{cfg: cfg}
 	if len(cfg.Sockets) > 0 {
 		m.lastSocketUtil = make([]float64, len(cfg.Sockets))
 	}
@@ -143,7 +142,6 @@ func (m *Memory) Latency(utilization float64) time.Duration {
 func (m *Memory) Apply(demandBytes float64, dt time.Duration) {
 	u := m.Utilization(demandBytes, dt)
 	m.lastUtilization = u
-	m.lastStretch = m.LatencyStretch(u)
 	m.totalBytes += demandBytes
 }
 
@@ -191,7 +189,6 @@ func (m *Memory) ApplySockets(demands []float64, dt time.Duration) {
 		total += d
 	}
 	m.lastUtilization = maxU
-	m.lastStretch = m.LatencyStretch(maxU)
 	m.totalBytes += total
 }
 
@@ -207,8 +204,9 @@ func (m *Memory) LastSocketUtilization(i int) float64 {
 // LastUtilization returns the utilization of the most recent quantum.
 func (m *Memory) LastUtilization() float64 { return m.lastUtilization }
 
-// LastStretch returns the latency stretch of the most recent quantum.
-func (m *Memory) LastStretch() float64 { return m.lastStretch }
+// LastStretch returns the latency stretch of the most recent quantum (1
+// before the first). It is computed on read from LastUtilization.
+func (m *Memory) LastStretch() float64 { return m.LatencyStretch(m.lastUtilization) }
 
 // TotalBytes returns lifetime traffic through the memory system.
 func (m *Memory) TotalBytes() float64 { return m.totalBytes }
@@ -216,7 +214,6 @@ func (m *Memory) TotalBytes() float64 { return m.totalBytes }
 // Reset clears observability state (not the configuration).
 func (m *Memory) Reset() {
 	m.lastUtilization = 0
-	m.lastStretch = 1
 	m.totalBytes = 0
 	for i := range m.lastSocketUtil {
 		m.lastSocketUtil[i] = 0

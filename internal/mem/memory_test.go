@@ -99,6 +99,15 @@ func TestLatency(t *testing.T) {
 	if got := m.Latency(0.5); got != 200*time.Nanosecond {
 		t.Errorf("loaded Latency = %v", got)
 	}
+	// The machine's solver reads Latency as whole nanoseconds and relies on
+	// it never truncating below one: the smallest valid idle latency is
+	// 1 ns and the stretch is at least 1 at every utilization.
+	floor := MustNew(Config{PeakBandwidth: 1e9, IdleLatency: time.Nanosecond, MaxStretch: 10})
+	for _, u := range []float64{-1, 0, 0.5, 0.99, 2} {
+		if got := floor.Latency(u); got < time.Nanosecond {
+			t.Errorf("Latency(%g) with 1ns idle latency = %v, want >= 1ns", u, got)
+		}
+	}
 }
 
 func TestApplyAndCounters(t *testing.T) {

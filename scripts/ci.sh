@@ -14,6 +14,9 @@
 #   scripts/ci.sh -bench      # additionally run the QoS regression gate
 #                             # (dirigent-ci -check: every seed-deterministic
 #                             #  metric exact against the latest BENCH_<n>.json)
+#                             # and perfbench's output checks on the sessions
+#                             # and serve-tenants workloads (short runs that
+#                             # must report "correct":true)
 #   scripts/ci.sh -scenarios  # additionally run the declarative scenario suite
 #                             # (dirigent-ci -scenarios against scenarios/*.json)
 #
@@ -76,6 +79,24 @@ run_load() {
 		-check-determinism -inproc -speed 4 -fail-on-drops -quiet >/dev/null
 }
 
+# perfbench_correct <workload> <seconds>: a short perfbench run whose output
+# checks must pass. sessions checks that pass 0 reproduces scenario.RunSuite
+# exactly; serve-tenants that served /results are byte-equal to direct
+# experiment runs. The last output line is the JSON result. serve-control
+# is left out: its run-validity rule (generator p99 lateness) depends on
+# host timing.
+perfbench_correct() {
+	_out=$(bash perfbench/run.sh --workload "$1" --seed 1 --seconds "$2" --trace 0)
+	case "$(printf '%s\n' "$_out" | tail -n 1)" in
+	*'"correct":true'*) ;;
+	*)
+		printf '%s\n' "$_out" >&2
+		echo "ci: perfbench $1: output checks failed" >&2
+		exit 1
+		;;
+	esac
+}
+
 leg "gofmt -l" gofmt_clean
 leg "go vet ./..." go vet ./...
 leg "dirigent-lint -selftest" go run ./cmd/dirigent-lint -selftest
@@ -91,6 +112,8 @@ leg "dirigent-load (load-generator smoke)" run_load
 
 if $bench; then
 	leg "dirigent-ci -check" go run ./cmd/dirigent-ci -check
+	leg "perfbench sessions (output checks)" perfbench_correct sessions 2
+	leg "perfbench serve-tenants (output checks)" perfbench_correct serve-tenants 5
 fi
 
 if $scenarios; then
