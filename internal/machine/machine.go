@@ -149,7 +149,7 @@ type task struct {
 	program *workload.Program
 	core    int
 	paused  bool
-	jitter  *sim.Rand
+	jitter  sim.LogNormals
 
 	// Slow OS-noise state: the current multiplier and when to redraw.
 	slowJitter float64
@@ -452,7 +452,7 @@ func (m *Machine) Launch(name string, prog *workload.Program, core int, class ca
 		return 0, err
 	}
 	m.nextID++
-	t := &task{id: id, name: name, program: prog, core: core, jitter: m.rng.Split(), slowJitter: 1,
+	t := &task{id: id, name: name, program: prog, core: core, jitter: sim.NewLogNormals(m.rng.Split()), slowJitter: 1,
 		cref: m.llc.Ref(id), sample: m.counters.Handle(id)}
 	m.tasks[id] = t
 	m.coreTask[core] = t
@@ -853,11 +853,11 @@ func (m *Machine) step() []Completion {
 			continue
 		}
 		if sigma := t.program.Benchmark().CPIJitter; sigma > 0 {
-			m.scratchJitter[c] = t.jitter.LogNormal(0, sigma)
+			m.scratchJitter[c] = t.jitter.Draw(sigma)
 		}
 		if m.cfg.SlowJitterSigma > 0 {
 			if now >= t.slowUntil {
-				t.slowJitter = t.jitter.LogNormal(0, m.cfg.SlowJitterSigma)
+				t.slowJitter = t.jitter.Draw(m.cfg.SlowJitterSigma)
 				t.slowUntil = now + sim.Time(m.cfg.SlowJitterPeriod)
 			}
 			m.scratchJitter[c] *= t.slowJitter
@@ -886,8 +886,8 @@ func (m *Machine) step() []Completion {
 	// damped u.
 	for s, n := 0, m.memory.NumSockets(); s < n; s++ {
 		// The shared pool starts from and converts through what its commit
-		// (Apply) uses: LastUtilization and Utilization, never a socket
-		// entry (a one-entry Sockets list is still the shared pool).
+		// (Apply) uses: LastUtilization and Utilization (mem.New rejects a
+		// one-entry Sockets list, so one socket is always the shared pool).
 		u := m.memory.LastUtilization()
 		if m.multiSocket {
 			u = m.memory.LastSocketUtilization(s)

@@ -13,6 +13,7 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
 	"time"
 )
@@ -36,11 +37,12 @@ type Config struct {
 	// MaxStretch caps the queueing multiplier so a saturated quantum
 	// degrades throughput smoothly instead of dividing by zero.
 	MaxStretch float64
-	// Sockets, when non-empty, splits the machine into per-socket bandwidth
-	// pools: traffic from a socket's cores contends only against that
-	// socket's PeakBandwidth (IdleLatency and MaxStretch stay shared).
-	// Empty (the default) keeps the single shared pool above, byte-identical
-	// to machines built before multi-socket support existed.
+	// Sockets, when it has two or more entries, splits the machine into
+	// per-socket bandwidth pools: traffic from a socket's cores contends
+	// only against that socket's PeakBandwidth (IdleLatency and MaxStretch
+	// stay shared). Empty (the default) keeps the single shared pool above,
+	// byte-identical to machines built before multi-socket support existed.
+	// A one-entry list is rejected: a single pool is set with PeakBandwidth.
 	Sockets []Socket
 }
 
@@ -76,6 +78,9 @@ func New(cfg Config) (*Memory, error) {
 	}
 	if cfg.MaxStretch < 1 {
 		return nil, fmt.Errorf("mem: max stretch %g must be >= 1", cfg.MaxStretch)
+	}
+	if len(cfg.Sockets) == 1 {
+		return nil, errors.New("mem: Sockets has one entry; a single pool is set with PeakBandwidth")
 	}
 	for i, s := range cfg.Sockets {
 		if s.PeakBandwidth <= 0 {

@@ -16,6 +16,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{PeakBandwidth: 1e9, IdleLatency: time.Nanosecond, MaxStretch: 0.5}); err == nil {
 		t.Error("stretch < 1 should error")
 	}
+	if _, err := New(Config{PeakBandwidth: 1e9, IdleLatency: time.Nanosecond, MaxStretch: 2,
+		Sockets: []Socket{{PeakBandwidth: 3e9}}}); err == nil {
+		t.Error("one-entry Sockets list should error")
+	}
 	m := MustNew(DefaultConfig())
 	if m.Config().PeakBandwidth != 22e9 {
 		t.Errorf("Config = %+v", m.Config())

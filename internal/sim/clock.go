@@ -7,6 +7,12 @@
 // removes scheduler and GC jitter from the control loop while preserving the
 // cadence of every paper mechanism (5 ms sampling, 25 ms control decisions,
 // 100 µs runtime overhead).
+//
+// Every stream has one owner. A component that draws gets its own Rand from
+// Split, so adding draws in one component never shifts another's values.
+// LogNormals goes further: it owns its Rand outright and draws a block of
+// normals ahead, which is exact only because nothing else reads that
+// stream. A Rand handed to NewLogNormals must not be drawn from again.
 package sim
 
 import (

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -160,5 +162,73 @@ func TestSplitIndependence(t *testing.T) {
 	}
 	if match > 2 {
 		t.Errorf("child stream matches parent continuation %d/50 times", match)
+	}
+}
+
+// cosTurn's bits are pinned here on every architecture. On amd64 they are
+// math.Cos's (TestCosTurnMatchesMathCos); elsewhere math.Cos fuses
+// multiply-adds and differs, while cosTurn must not.
+func TestCosTurnDigest(t *testing.T) {
+	r := NewRand(23)
+	h := fnv.New64a()
+	var buf [8]byte
+	for i := 0; i < 1_000_000; i++ {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(cosTurn(r.Float64())))
+		h.Write(buf[:])
+	}
+	const want = 0xaec5dbd9ec5fb022
+	if got := h.Sum64(); got != want {
+		t.Errorf("cosTurn digest over 1M draws = %#x, want %#x", got, uint64(want))
+	}
+}
+
+func TestLogNormalsMatchLogNormal(t *testing.T) {
+	const cpi, slow = 0.02, 0.03
+	// machine draws the way machine.step does: a CPI σ every quantum, and a
+	// slow σ right after it every k-th quantum, first at quantum 0.
+	machine := func(k int) []float64 {
+		var s []float64
+		for q := 0; q < 400; q++ {
+			s = append(s, cpi)
+			if q%k == 0 {
+				s = append(s, slow)
+			}
+		}
+		return s
+	}
+	repeat := func(n int, sigma float64) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = sigma
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name       string
+		sigmas     []float64
+		slowRefill bool // some block must be filled at the slow σ
+	}{
+		// Slow draws sit at 5m+1, so the fifth block (draw 256) is filled
+		// at the slow σ and the CPI draws after it recompute.
+		{"cpi, slow every 4th quantum", machine(4), true},
+		{"cpi, slow every 7th quantum", machine(7), false},
+		{"sigma change mid-block", append(repeat(100, 0.01), repeat(300, cpi)...), false},
+		{"slow only", repeat(300, slow), true},
+	} {
+		ref := NewRand(99)
+		l := NewLogNormals(NewRand(99))
+		slowRefills := 0
+		for i, sigma := range c.sigmas {
+			if l.left == 0 && sigma == slow {
+				slowRefills++
+			}
+			got, want := l.Draw(sigma), ref.LogNormal(0, sigma)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: draw %d (σ=%v) = %v, LogNormal = %v", c.name, i, sigma, got, want)
+			}
+		}
+		if c.slowRefill && slowRefills == 0 {
+			t.Errorf("%s: no block was filled at the slow σ", c.name)
+		}
 	}
 }

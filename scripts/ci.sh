@@ -3,6 +3,7 @@
 #
 #   scripts/ci.sh             # full: gofmt + vet + dirigent-lint + build + tests
 #                             # + race detector
+#                             # + the goldens as a GOAMD64=v3 (FMA-capable) build
 #                             # + perfbench vet + tests (its own module, which
 #                             #   root go build ./... never compiles)
 #                             # + the shrunk fault-injection (resilience) smoke
@@ -67,6 +68,13 @@ gofmt_clean() {
 
 run_tests() { go test $short ./...; }
 run_race() { go test -race $short ./internal/...; }
+# The golden-pinned packages built for x86-64-v3, which has FMA: such a
+# build must fuse no floating-point expression, or every golden moves. No
+# -short, which would skip the experiment and benchreg goldens.
+run_goamd64_v3() {
+	GOAMD64=v3 go test ./internal/sim ./internal/mem ./internal/cache ./internal/machine \
+		./internal/core ./internal/experiment ./internal/benchreg ./internal/load
+}
 run_perfbench() { (cd perfbench && go vet ./... && go test ./...); }
 run_resilience() { go run ./cmd/dirigent-bench -resilience -short >/dev/null; }
 run_policies() { go run ./cmd/dirigent-bench -policies -short >/dev/null; }
@@ -104,6 +112,7 @@ leg "dirigent-lint" go run ./cmd/dirigent-lint
 leg "go build ./..." go build ./...
 leg "go test ./... $short" run_tests
 leg "go test -race ./internal/... $short" run_race
+leg "GOAMD64=v3 go test (goldens)" run_goamd64_v3
 leg "perfbench: go vet ./... && go test ./..." run_perfbench
 leg "dirigent-bench -resilience -short (fault-injection smoke)" run_resilience
 leg "dirigent-bench -policies -short (policy-sweep smoke)" run_policies
