@@ -1,6 +1,7 @@
-// Command dirigent-sim runs one workload mix under one of the five
-// evaluated configurations and reports per-execution times and summary
-// statistics.
+// Command dirigent-sim runs one workload mix under all five evaluated
+// configurations and reports each one's FG success, relative BG
+// throughput and relative standard deviation. The configuration named by
+// -config is marked with "*", and -v adds its per-execution times.
 //
 // Usage:
 //
@@ -12,9 +13,8 @@
 // configurations to the registered QoS policies (dirigent, rtgang,
 // cordlike), each run under the full runtime.
 //
-// The deadline defaults to the paper's rule (µ+0.3σ of a Baseline pass run
-// first); pass -target to override with an explicit per-execution latency
-// target in seconds.
+// Deadlines follow the paper's rule: µ+0.3σ of the execution times of a
+// Baseline pass that runs first.
 package main
 
 import (

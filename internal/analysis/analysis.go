@@ -2,7 +2,7 @@
 // mini driver (go/parser + go/types + a recursive source importer) that
 // type-checks every package in the module and runs a registry of
 // analyzers with full type information. It exists because the regression
-// story — benchreg's seed-deterministic gates, TestServedDeterminism, the
+// story — the seed-deterministic goldens, TestServedDeterminism, the
 // scenario suite — rests on invariants (no wall clock, no unseeded
 // randomness, no order-dependent map iteration, no goroutine scheduling
 // in the Step path) that conventions alone cannot enforce.

@@ -187,7 +187,7 @@ func TestDefaultConfigScope(t *testing.T) {
 	}
 	for _, check := range []string{"walltime", "nondetsched"} {
 		if !cfg.inScope(check, "internal/benchreg") {
-			t.Errorf("benchreg must be in %s scope: the QoS gate reads no wall clock and starts no goroutine", check)
+			t.Errorf("benchreg must be in %s scope: the QoS probe suite reads no wall clock and starts no goroutine", check)
 		}
 	}
 	if cfg.inScope("walltime", "internal/server") {

@@ -1,21 +1,54 @@
 package benchreg
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"dirigent/internal/config"
 	"dirigent/internal/experiment"
+	"dirigent/internal/golden"
 	"dirigent/internal/scenario"
 	"dirigent/internal/sim"
 	"dirigent/internal/telemetry"
 )
+
+// probeRun runs the suite once for the tests that read it.
+var probeRun = sync.OnceValues(Run)
+
+// TestProbeSuiteGolden pins the suite's values bit for bit, in suite
+// order. It runs in -short mode too: it is the gate on the §5.4
+// quantities and the predictor error.
+func TestProbeSuiteGolden(t *testing.T) {
+	ms, err := probeRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "testdata/probes.json", ms)
+}
+
+// TestSuiteDeterministic runs the suite a second time in the same process
+// and requires an identical result, so a golden mismatch caused by
+// nondeterminism is told apart from a change in behaviour.
+func TestSuiteDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("second suite run")
+	}
+	first, err := probeRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(first, second) {
+		t.Errorf("identical suite runs differ:\n%v\n%v", first, second)
+	}
+}
 
 // TestScenarioProbeGoldens pins the four scenario probes (one per machine
 // class; dual-socket runs the per-socket solver) byte for byte: both
@@ -29,7 +62,7 @@ func TestScenarioProbeGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eight scenario sessions")
 	}
-	for _, spec := range scenarioProbes(false) {
+	for _, spec := range scenarioProbes() {
 		r := experiment.NewRunner()
 		r.MachineClass = spec.MachineClass
 		r.Executions = spec.Executions
@@ -70,18 +103,6 @@ func TestScenarioProbeGoldens(t *testing.T) {
 		}
 		g.TraceEvents = jsonl.Events()
 		g.TraceSHA256 = hex.EncodeToString(h.Sum(nil))
-
-		got, err := json.MarshalIndent(g, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := "scenario_" + strings.ReplaceAll(spec.MachineClass, "-", "_") + ".json"
-		want, err := os.ReadFile(filepath.Join("testdata", "golden", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(append(got, '\n'), want) {
-			t.Errorf("%s: sessions differ from the recorded golden\ngot:\n%s", name, got)
-		}
+		golden.Check(t, "testdata/golden/scenario_"+strings.ReplaceAll(spec.MachineClass, "-", "_")+".json", g)
 	}
 }

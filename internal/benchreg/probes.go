@@ -1,3 +1,18 @@
+// Package benchreg is the QoS probe suite: a curated set of fast,
+// seed-deterministic simulation probes whose 27 values are pinned bit for
+// bit by the golden testdata/probes.json (TestProbeSuiteGolden).
+//
+// Every metric is an output of the deterministic simulator under fixed
+// seeds: predictor accuracy, the paper's §5.4 quantities (FG success of
+// the fine controller alone and of fine+coarse, retained BG throughput,
+// the converged LLC partition), the QoS of the RT-Gang and CORD-style
+// rivals, fault-injection resilience, and one pinned scenario per machine
+// class. Same seeds must reproduce them bit for bit, so any drift means
+// the controllers' behaviour changed, and the golden fails until the
+// change is acknowledged by re-recording it.
+//
+// The package reads no wall clock. Timing belongs to perfbench (see
+// BENCHMARK.json), which corrects for host drift and measures each layer.
 package benchreg
 
 import (
@@ -10,73 +25,41 @@ import (
 	"dirigent/internal/scenario"
 )
 
-// Options sizes the suite. The defaults keep a full run in single-digit
-// seconds so the gate is cheap enough for every push.
-type Options struct {
-	// Executions is the post-warmup FG execution count of each QoS run.
-	Executions int
-	// PredictionExecutions is the per-mix execution count of the predictor
-	// accuracy probes.
-	PredictionExecutions int
-	// ResilienceExecutions is the per-run FG execution count of the
-	// fault-injection probes.
-	ResilienceExecutions int
-	// Quick trims the probes to one mix per family — for the package's own
-	// tests, not for recorded baselines.
-	Quick bool
-}
+// The suite's sizes: post-warmup FG executions of each QoS run, per-mix
+// executions of the predictor-accuracy probes, and per-run FG executions
+// of the fault-injection probes.
+const (
+	qosExecutions        = 12
+	predictionExecutions = 16
+	resilienceExecutions = 40
+)
 
-// DefaultOptions sizes the suite for recorded baselines.
-func DefaultOptions() Options {
-	return Options{
-		Executions:           12,
-		PredictionExecutions: 16,
-		ResilienceExecutions: 40,
-	}
-}
-
-// QuickOptions sizes the suite for the package's own tests.
-func QuickOptions() Options {
-	return Options{
-		Executions:           8,
-		PredictionExecutions: 8,
-		ResilienceExecutions: 24,
-		Quick:                true,
-	}
-}
-
-func (o Options) validate() error {
-	if o.Executions < 4 || o.PredictionExecutions < 4 || o.ResilienceExecutions < 8 {
-		return fmt.Errorf("benchreg: invalid options %+v", o)
-	}
-	return nil
+// Metric is one value of the suite.
+type Metric struct {
+	Name string `json:"name"`
+	// Unit is the human-readable unit ("ratio", "fraction", "ways").
+	Unit  string  `json:"unit"`
+	Value float64 `json:"value"`
 }
 
 // predictionMixes are the predictor-accuracy probe workloads: the paper's
 // Fig. 6 mix plus one per remaining standalone BG benchmark, covering the
 // bandwidth-heavy, cache-heavy, and mixed interference regimes.
-func predictionMixes(quick bool) []experiment.Mix {
-	mixes := []experiment.Mix{
+func predictionMixes() []experiment.Mix {
+	return []experiment.Mix{
 		{Name: "raytrace rs", FG: []string{"raytrace"}, BG: fiveBG("rs")},
 		{Name: "ferret bwaves", FG: []string{"ferret"}, BG: fiveBG("bwaves")},
 		{Name: "streamcluster pca", FG: []string{"streamcluster"}, BG: fiveBG("pca")},
 	}
-	if quick {
-		return mixes[:1]
-	}
-	return mixes
 }
 
-// qosMixes are the completion-rate probe workloads.
-func qosMixes(quick bool) []experiment.Mix {
-	mixes := []experiment.Mix{
+// qosMixes are the completion-rate probe workloads. The first is the
+// detailed mix the rival-policy and resilience probes also run.
+func qosMixes() []experiment.Mix {
+	return []experiment.Mix{
 		{Name: "ferret rs", FG: []string{"ferret"}, BG: fiveBG("rs")},
 		{Name: "bodytrack pca", FG: []string{"bodytrack"}, BG: fiveBG("pca")},
 	}
-	if quick {
-		return mixes[:1]
-	}
-	return mixes
 }
 
 func fiveBG(name string) []string {
@@ -88,29 +71,23 @@ func metricSlug(mixName string) string {
 	return strings.ReplaceAll(mixName, " ", "_")
 }
 
-// Run executes the full probe suite and returns an unstamped baseline
-// (RecordedAt empty; the caller stamps it when recording).
-func Run(o Options) (*Baseline, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	b := &Baseline{
-		Schema: SchemaVersion,
-		Tool:   "dirigent-ci",
-		Env:    CurrentEnvironment(),
-	}
+// Run executes the probe suite and returns its metrics in suite order. It
+// fails when a probe errors or the resilience probe breaks its
+// graceful-degradation bounds.
+func Run() ([]Metric, error) {
+	var ms []Metric
 
 	// --- Predictor accuracy ------------------------------------------------
 	// A fresh runner per family keeps profile caches deterministic and
 	// independent of probe ordering.
 	pr := experiment.NewRunner()
-	for _, mix := range predictionMixes(o.Quick) {
-		res, err := pr.PredictionProbe(mix, o.PredictionExecutions, 3)
+	for _, mix := range predictionMixes() {
+		res, err := pr.PredictionProbe(mix, predictionExecutions, 3)
 		if err != nil {
 			return nil, fmt.Errorf("benchreg: prediction probe %s: %w", mix.Name, err)
 		}
 		slug := metricSlug(mix.Name)
-		b.Metrics = append(b.Metrics, exact("predictor_mean_error_"+slug, "fraction", false, res.MeanError))
+		ms = append(ms, Metric{"predictor_mean_error_" + slug, "fraction", res.MeanError})
 	}
 
 	// --- Controller QoS ----------------------------------------------------
@@ -119,22 +96,22 @@ func Run(o Options) (*Baseline, error) {
 	// the BG throughput retained — the paper's §5.4 quantities, derived from
 	// each run's telemetry event stream by the experiment harness.
 	qr := experiment.NewRunner()
-	qr.Executions = o.Executions
+	qr.Executions = qosExecutions
 	qr.Warmup = 2
 	qr.ConvergenceWarmup = 10
-	for _, mix := range qosMixes(o.Quick) {
+	for _, mix := range qosMixes() {
 		res, err := qr.RunConfigs(mix, config.Baseline, config.DirigentFreq, config.Dirigent)
 		if err != nil {
 			return nil, fmt.Errorf("benchreg: qos probe %s: %w", mix.Name, err)
 		}
 		slug := metricSlug(mix.Name)
 		dir := res.ByConfig[config.Dirigent]
-		b.Metrics = append(b.Metrics,
-			exact("qos_baseline_success_"+slug, "fraction", true, res.ByConfig[config.Baseline].MeanSuccessRate()),
-			exact("qos_dirigentfreq_success_"+slug, "fraction", true, res.ByConfig[config.DirigentFreq].MeanSuccessRate()),
-			exact("qos_dirigent_success_"+slug, "fraction", true, dir.MeanSuccessRate()),
-			exact("qos_dirigent_bg_throughput_"+slug, "ratio", true, res.RelBGThroughput(config.Dirigent)),
-			exact("qos_dirigent_fg_ways_"+slug, "ways", false, float64(dir.FGWays)),
+		ms = append(ms,
+			Metric{"qos_baseline_success_" + slug, "fraction", res.ByConfig[config.Baseline].MeanSuccessRate()},
+			Metric{"qos_dirigentfreq_success_" + slug, "fraction", res.ByConfig[config.DirigentFreq].MeanSuccessRate()},
+			Metric{"qos_dirigent_success_" + slug, "fraction", dir.MeanSuccessRate()},
+			Metric{"qos_dirigent_bg_throughput_" + slug, "ratio", res.RelBGThroughput(config.Dirigent)},
+			Metric{"qos_dirigent_fg_ways_" + slug, "ways", float64(dir.FGWays)},
 		)
 	}
 
@@ -142,12 +119,12 @@ func Run(o Options) (*Baseline, error) {
 	// The competing controllers behind the policy engine (RT-Gang and the
 	// CORD-style static decomposition), pinned on the detailed mix. They run
 	// in their own runner so the dirigent metrics above stay byte-identical
-	// to baselines recorded before the policy engine existed.
+	// to those recorded before the policy engine existed.
 	sr := experiment.NewRunner()
-	sr.Executions = o.Executions
+	sr.Executions = qosExecutions
 	sr.Warmup = 2
 	sr.ConvergenceWarmup = 10
-	pmix := qosMixes(true)[0]
+	pmix := qosMixes()[0]
 	sweep, err := sr.PolicySweep([]experiment.Mix{pmix},
 		[]string{policy.NameRTGang, policy.NameCORDLike})
 	if err != nil {
@@ -155,11 +132,11 @@ func Run(o Options) (*Baseline, error) {
 	}
 	pslug := metricSlug(pmix.Name)
 	pmr := sweep.Mixes[0]
-	b.Metrics = append(b.Metrics,
-		exact("policy_rtgang_qos_"+pslug, "fraction", true, pmr.ByPolicy[policy.NameRTGang].MeanSuccessRate()),
-		exact("policy_rtgang_bg_throughput_"+pslug, "ratio", true, pmr.RelBGThroughput(policy.NameRTGang)),
-		exact("policy_cordlike_qos_"+pslug, "fraction", true, pmr.ByPolicy[policy.NameCORDLike].MeanSuccessRate()),
-		exact("policy_cordlike_bg_throughput_"+pslug, "ratio", true, pmr.RelBGThroughput(policy.NameCORDLike)),
+	ms = append(ms,
+		Metric{"policy_rtgang_qos_" + pslug, "fraction", pmr.ByPolicy[policy.NameRTGang].MeanSuccessRate()},
+		Metric{"policy_rtgang_bg_throughput_" + pslug, "ratio", pmr.RelBGThroughput(policy.NameRTGang)},
+		Metric{"policy_cordlike_qos_" + pslug, "fraction", pmr.ByPolicy[policy.NameCORDLike].MeanSuccessRate()},
+		Metric{"policy_cordlike_bg_throughput_" + pslug, "ratio", pmr.RelBGThroughput(policy.NameCORDLike)},
 	)
 
 	// --- Resilience --------------------------------------------------------
@@ -168,12 +145,12 @@ func Run(o Options) (*Baseline, error) {
 	// just recorded: the worst per-class FG success at moderate intensity
 	// must stay within 10 points of fault-free Dirigent, and re-profiling
 	// must recover a stale profile to within 2 points of the fault-free
-	// transient reference. The recorded values pin the exact
-	// seed-deterministic outcomes on top of that.
+	// transient reference. The golden pins the exact seed-deterministic
+	// outcomes on top of that.
 	rr := experiment.NewRunner()
-	rr.Executions = o.ResilienceExecutions
+	rr.Executions = resilienceExecutions
 	rr.ConvergenceWarmup = 16
-	rmix := qosMixes(true)[0]
+	rmix := qosMixes()[0]
 	res, err := rr.ResilienceSweep(rmix, experiment.ResilienceOptions{Intensities: []float64{0.3}})
 	if err != nil {
 		return nil, fmt.Errorf("benchreg: resilience probe %s: %w", rmix.Name, err)
@@ -188,35 +165,34 @@ func Run(o Options) (*Baseline, error) {
 			rmix.Name, res.RecoveredSuccess, res.StaleCleanSuccess)
 	}
 	rslug := metricSlug(rmix.Name)
-	b.Metrics = append(b.Metrics,
-		exact("resilience_min_success_"+rslug, "fraction", true, minSucc),
-		exact("resilience_reprofile_success_"+rslug, "fraction", true, res.RecoveredSuccess),
+	ms = append(ms,
+		Metric{"resilience_min_success_" + rslug, "fraction", minSucc},
+		Metric{"resilience_reprofile_success_" + rslug, "fraction", res.RecoveredSuccess},
 	)
 
 	// --- Scenario suite ----------------------------------------------------
 	// One pinned scenario per machine class, so a change to the class
 	// configurations, the heterogeneous solver, or the scenario harness
 	// shows up as metric drift even when no scenarios/*.json goal trips.
-	for _, spec := range scenarioProbes(o.Quick) {
+	for _, spec := range scenarioProbes() {
 		sres, err := scenario.RunSpec(spec)
 		if err != nil {
 			return nil, fmt.Errorf("benchreg: scenario probe %s: %w", spec.Name, err)
 		}
 		cslug := strings.ReplaceAll(spec.MachineClass, "-", "_")
-		b.Metrics = append(b.Metrics,
-			exact("scenario_qos_"+cslug, "fraction", true, sres.QoSSuccess),
-			exact("scenario_bg_throughput_"+cslug, "ratio", true, sres.BGThroughput),
+		ms = append(ms,
+			Metric{"scenario_qos_" + cslug, "fraction", sres.QoSSuccess},
+			Metric{"scenario_bg_throughput_" + cslug, "ratio", sres.BGThroughput},
 		)
 	}
-
-	return b, nil
+	return ms, nil
 }
 
 // scenarioProbes pins one scenario per machine class. The goals are
-// deliberately loose: the benchreg gate compares the exact recorded values,
-// which is far stricter than any goal threshold.
-func scenarioProbes(quick bool) []scenario.Spec {
-	specs := []scenario.Spec{
+// deliberately loose: the golden pins the exact values, which is far
+// stricter than any goal threshold.
+func scenarioProbes() []scenario.Spec {
+	return []scenario.Spec{
 		{
 			Name:         "probe-xeon-e5",
 			MachineClass: "xeon-e5",
@@ -250,8 +226,4 @@ func scenarioProbes(quick bool) []scenario.Spec {
 			Goals:        scenario.GoalSpec{MinQoSSuccess: 0.01},
 		},
 	}
-	if quick {
-		return specs[:1]
-	}
-	return specs
 }

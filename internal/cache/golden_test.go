@@ -1,14 +1,12 @@
 package cache
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"dirigent/internal/golden"
 )
 
 // TestApplyFastMatchesApply pins the occupancy update bit for bit to the
@@ -93,23 +91,5 @@ func TestApplyFastMatchesApply(t *testing.T) {
 	for i := 0; i < nTasks; i++ {
 		g.Final = append(g.Final, l.Occupancy(i+1))
 	}
-	checkGolden(t, "apply_sequence.json", g)
-}
-
-// checkGolden compares v, marshalled as indented JSON, with a recorded
-// file under testdata/golden.
-func checkGolden(t *testing.T, name string, v any) {
-	t.Helper()
-	got, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s: output differs from the recorded golden\ngot:\n%s", name, got)
-	}
+	golden.Check(t, "testdata/golden/apply_sequence.json", g)
 }

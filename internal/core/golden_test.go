@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
+	"dirigent/internal/golden"
 	"dirigent/internal/machine"
 	"dirigent/internal/workload"
 )
@@ -18,8 +15,8 @@ import (
 // and batched stepping produced them identically.
 func TestProfileGolden(t *testing.T) {
 	for _, g := range []struct{ file, bench, class string }{
-		{"profile_ferret.json", "ferret", machine.DefaultClass},
-		{"profile_bodytrack_dual_socket.json", "bodytrack", "dual-socket"},
+		{"testdata/golden/profile_ferret.json", "ferret", machine.DefaultClass},
+		{"testdata/golden/profile_bodytrack_dual_socket.json", "bodytrack", "dual-socket"},
 	} {
 		mcfg, err := machine.ClassConfig(g.class)
 		if err != nil {
@@ -29,16 +26,6 @@ func TestProfileGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := json.MarshalIndent(p, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join("testdata", "golden", g.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(append(got, '\n'), want) {
-			t.Errorf("%s: profile differs from the recorded golden\ngot:\n%s", g.file, got)
-		}
+		golden.Check(t, g.file, p)
 	}
 }

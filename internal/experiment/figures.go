@@ -172,33 +172,22 @@ type PredictionProbeResult struct {
 }
 
 // PredictionProbe runs a mix in the Baseline configuration (no resource
-// management, §5.2) while feeding the first FG stream's progress to a
-// Dirigent predictor every ΔT, recording the prediction made at the
-// midpoint of each execution. The first `skip` executions are treated as
-// training (the penalty EMAs need at least one pass) and excluded.
+// management, §5.2) on the runner's machine class, while feeding the first
+// FG stream's progress to a Dirigent predictor every ΔT, recording the
+// prediction made at the midpoint of each execution. The first `skip`
+// executions are treated as training (the penalty EMAs need at least one
+// pass) and excluded.
 func (r *Runner) PredictionProbe(mix Mix, executions, skip int) (*PredictionProbeResult, error) {
 	if err := mix.Validate(); err != nil {
 		return nil, err
 	}
+	sess, err := r.startSession(mix, runSpec{cfg: config.MustByName(config.Baseline), bgLevel: -1, execs: executions})
+	if err != nil {
+		return nil, err
+	}
+	colo := sess.Colocation()
+	m := colo.Machine()
 	profile, err := r.Profile(mix.FG[0])
-	if err != nil {
-		return nil, err
-	}
-	mcfg := machine.DefaultConfig()
-	mcfg.Seed = mix.Seed()
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return nil, err
-	}
-	fgb, err := mix.FGBenchmarks()
-	if err != nil {
-		return nil, err
-	}
-	specs, err := mix.BGSpecs()
-	if err != nil {
-		return nil, err
-	}
-	colo, err := sched.New(m, fgb, specs, sched.Options{Seed: mix.Seed()})
 	if err != nil {
 		return nil, err
 	}

@@ -116,6 +116,13 @@ func TestPredictionProbeInvalid(t *testing.T) {
 	if _, err := r.PredictionProbe(Mix{Name: "bad"}, 5, 0); err == nil {
 		t.Error("invalid mix should error")
 	}
+	// The probe runs on the runner's machine class: six tasks do not fit
+	// quad-low's four cores.
+	r.MachineClass = "quad-low"
+	wide := Mix{Name: "raytrace rs", FG: []string{"raytrace"}, BG: repeat("rs", 5)}
+	if _, err := r.PredictionProbe(wide, 5, 0); err == nil {
+		t.Error("a six-task mix on quad-low should error")
+	}
 }
 
 func TestPartitionSweep(t *testing.T) {

@@ -1,14 +1,11 @@
 package experiment
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
+	"dirigent/internal/golden"
 	"dirigent/internal/telemetry"
 )
 
@@ -26,24 +23,6 @@ func goldenRunner() *Runner {
 	r.CalibExecutions = 5
 	r.ConvergenceWarmup = 8
 	return r
-}
-
-// checkGolden compares v, marshalled as indented JSON, with a recorded
-// file under testdata/golden.
-func checkGolden(t *testing.T, name string, v any) {
-	t.Helper()
-	got, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s: output differs from the recorded golden\ngot:\n%s", name, got)
-	}
 }
 
 // traceDigest is the SHA-256 of a full JSONL trace, quantum steps included.
@@ -72,8 +51,8 @@ func TestSkipaheadEquivalentFullRun(t *testing.T) {
 	if err := jsonl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "fullrun_result.json", res)
-	checkGolden(t, "fullrun_trace.json", traceDigest{Events: jsonl.Events(), SHA256: hex.EncodeToString(h.Sum(nil))})
+	golden.Check(t, "testdata/golden/fullrun_result.json", res)
+	golden.Check(t, "testdata/golden/fullrun_trace.json", traceDigest{Events: jsonl.Events(), SHA256: hex.EncodeToString(h.Sum(nil))})
 }
 
 // TestSkipaheadEquivalentResilience extends the contract to fault plans: a
@@ -92,7 +71,7 @@ func TestSkipaheadEquivalentResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "resilience_result.json", res)
+	golden.Check(t, "testdata/golden/resilience_result.json", res)
 }
 
 // TestPredictionProbeGolden pins the predictor-accuracy probe, which steps
@@ -106,5 +85,5 @@ func TestPredictionProbeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "prediction_probe.json", res)
+	golden.Check(t, "testdata/golden/prediction_probe.json", res)
 }

@@ -41,7 +41,7 @@ func (m Mix) Validate() error {
 		}
 	}
 	for _, s := range m.BG {
-		if _, err := parseBGSpec(s); err != nil {
+		if _, err := ParseBGSpec(s); err != nil {
 			return err
 		}
 	}
@@ -60,7 +60,7 @@ func (m Mix) Seed() uint64 {
 func (m Mix) BGSpecs() ([]sched.BGSpec, error) {
 	out := make([]sched.BGSpec, len(m.BG))
 	for i, s := range m.BG {
-		spec, err := parseBGSpec(s)
+		spec, err := ParseBGSpec(s)
 		if err != nil {
 			return nil, err
 		}
@@ -82,26 +82,37 @@ func (m Mix) FGBenchmarks() ([]*workload.Benchmark, error) {
 	return out, nil
 }
 
-func parseBGSpec(s string) (sched.BGSpec, error) {
+// ParseBGSpec parses one BG worker spec: a background benchmark name
+// ("bwaves") or a rotate pair of them ("lbm+namd").
+func ParseBGSpec(s string) (sched.BGSpec, error) {
 	if a, b, ok := strings.Cut(s, "+"); ok {
-		ba, err := workload.ByName(a)
+		ba, err := bgBenchmark(a)
 		if err != nil {
 			return sched.BGSpec{}, err
 		}
-		bb, err := workload.ByName(b)
+		bb, err := bgBenchmark(b)
 		if err != nil {
 			return sched.BGSpec{}, err
 		}
 		return sched.BGSpec{Pair: [2]*workload.Benchmark{ba, bb}}, nil
 	}
-	b, err := workload.ByName(s)
+	b, err := bgBenchmark(s)
 	if err != nil {
 		return sched.BGSpec{}, err
 	}
-	if b.Kind != workload.Background {
-		return sched.BGSpec{}, fmt.Errorf("experiment: %s is not a BG benchmark", s)
-	}
 	return sched.BGSpec{Bench: b}, nil
+}
+
+// bgBenchmark resolves a background benchmark name.
+func bgBenchmark(name string) (*workload.Benchmark, error) {
+	b, err := workload.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if b.Kind != workload.Background {
+		return nil, fmt.Errorf("experiment: %s is not a BG benchmark", name)
+	}
+	return b, nil
 }
 
 // repeat returns n copies of s.

@@ -67,6 +67,7 @@ func TestMixValidateErrors(t *testing.T) {
 		{Name: "bad bg", FG: []string{"ferret"}, BG: []string{"nope"}},
 		{Name: "fg as bg", FG: []string{"ferret"}, BG: []string{"raytrace"}},
 		{Name: "bad pair", FG: []string{"ferret"}, BG: []string{"lbm+nope"}},
+		{Name: "fg in pair", FG: []string{"ferret"}, BG: []string{"ferret+namd"}},
 	}
 	for _, m := range cases {
 		if err := m.Validate(); err == nil {

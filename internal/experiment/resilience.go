@@ -15,7 +15,7 @@ import (
 // gracefully the control loop degrades when its inputs lie: lost and noisy
 // counter samples, missed runtime invocations, failed DVFS and pause
 // actuation, and stale profiles. dirigent-bench -resilience renders it;
-// internal/benchreg pins its key numbers.
+// the probe-suite golden of internal/benchreg pins its key numbers.
 
 // DefaultResilienceIntensities are the sweep's fault-intensity grid; 0.3 is
 // the "moderate" point the regression probes pin, 0.9 the near-saturation

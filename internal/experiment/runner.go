@@ -314,9 +314,9 @@ func (r *Runner) RunMix(mix Mix) (*MixResult, error) {
 // When StaticBoth is requested without Dirigent, its static partition falls
 // back to the default 10 ways instead of Dirigent's converged value.
 //
-// Lighter subsets are what the regression harness (internal/benchreg) runs
-// in CI: Baseline + the Dirigent configurations give the QoS completion
-// rates without paying for StaticBoth's offline calibration sweep.
+// Lighter subsets are what the QoS probe suite (internal/benchreg) runs:
+// Baseline + the Dirigent configurations give the QoS completion rates
+// without paying for StaticBoth's offline calibration sweep.
 func (r *Runner) RunConfigs(mix Mix, names ...config.Name) (*MixResult, error) {
 	if err := mix.Validate(); err != nil {
 		return nil, err

@@ -4,7 +4,8 @@
 // actuation — but the shared machines the paper targets are noisy and
 // drifting. This package perturbs those inputs through explicit,
 // seeded hooks so the robustness of the control loop can be measured
-// (experiment.ResilienceSweep) and pinned (internal/benchreg):
+// (experiment.ResilienceSweep) and pinned (the probe-suite golden of
+// internal/benchreg):
 //
 //   - counter-sample dropout and multiplicative noise, applied to the
 //     runtime's per-ΔT progress reads;

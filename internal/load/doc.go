@@ -12,7 +12,7 @@
 //   - Trace synthesis (Spec, Synthesize, Trace) is seed-deterministic:
 //     the same spec and seed reproduce the identical trace byte for byte.
 //     That property is tested and gated — a trace is a versionable
-//     artifact, like a scenario file or a BENCH_<n>.json baseline.
+//     artifact, like a scenario file or a golden.
 //   - Replay (Replay, Report) is wall-clock by nature: it measures a real
 //     server's API latency and QoS outcomes under churn. Latencies are
 //     reported (p50/p95/p99 per operation) but never gated hard; the

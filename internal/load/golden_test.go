@@ -1,18 +1,15 @@
 package load
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"dirigent/internal/golden"
 )
 
 // pinnedSpec is a short bursty churn across a runtime and a non-runtime
-// template. BENCH_1 to BENCH_6 record its trace's event counts as the
-// load_trace_* metrics; TestPinnedTraceGolden now pins them here, next to
+// template. TestPinnedTraceGolden pins its trace's event counts, next to
 // the generator, together with a digest of the whole trace.
 func pinnedSpec() Spec {
 	return Spec{
@@ -42,7 +39,7 @@ func pinnedSpec() Spec {
 
 // TestPinnedTraceGolden pins the synthesized trace of pinnedSpec byte for
 // byte: its per-operation counts and the SHA-256 of its canonical JSONL
-// encoding (Trace.Encode). A mismatch prints the new JSON.
+// encoding (Trace.Encode).
 func TestPinnedTraceGolden(t *testing.T) {
 	tr, err := Synthesize(pinnedSpec(), 0)
 	if err != nil {
@@ -61,16 +58,5 @@ func TestPinnedTraceGolden(t *testing.T) {
 	g.Creates, g.Retargets, g.Evicts = tr.Counts()
 	sum := sha256.Sum256(tr.Encode())
 	g.TraceSHA256 = hex.EncodeToString(sum[:])
-
-	got, err := json.MarshalIndent(g, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "pinned_trace.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(append(got, '\n'), want) {
-		t.Errorf("pinned trace differs from the recorded golden\ngot:\n%s", got)
-	}
+	golden.Check(t, "testdata/golden/pinned_trace.json", g)
 }

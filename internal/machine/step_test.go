@@ -1,16 +1,13 @@
 package machine
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"dirigent/internal/cache"
+	"dirigent/internal/golden"
 	"dirigent/internal/perf"
 	"dirigent/internal/sim"
 	"dirigent/internal/telemetry"
@@ -141,25 +138,7 @@ func TestStepEnginesEquivalent(t *testing.T) {
 	g.AggLLCMisses = agg.LLCMisses()
 	g.TraceEvents = jsonl.Events()
 	g.TraceSHA256 = hex.EncodeToString(h.Sum(nil))
-	checkGolden(t, "step_schedule.json", g)
-}
-
-// checkGolden compares v, marshalled as indented JSON, with a recorded
-// file under testdata/golden.
-func checkGolden(t *testing.T, name string, v any) {
-	t.Helper()
-	got, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s: output differs from the recorded golden\ngot:\n%s", name, got)
-	}
+	golden.Check(t, "testdata/golden/step_schedule.json", g)
 }
 
 // TestStepNEarlyStop pins StepN's completion semantics: a batch stops at the

@@ -2,10 +2,13 @@ package server
 
 import (
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dirigent/internal/config"
+	"dirigent/internal/core"
 	"dirigent/internal/experiment"
 )
 
@@ -114,5 +117,42 @@ func TestCreateMachineClass(t *testing.T) {
 	st := waitDone(t, client, ts.URL, created.ID)
 	if st.State != StateDone {
 		t.Fatalf("quad-low tenant ended %s (%s)", st.State, st.Error)
+	}
+
+	// An FG stream admitted mid-run is profiled on the tenant's class: its
+	// predictor must hold quad-low's profile, not the default class's.
+	managed := CreateTenantRequest{
+		Mix:          MixSpec{Name: "mc admit", FG: []string{"ferret"}, BG: []string{"pca"}},
+		Config:       string(config.Dirigent),
+		MachineClass: "quad-low",
+		TargetsNS:    []int64{int64(1500 * time.Millisecond)},
+		Executions:   100_000, // stays running while the stream is admitted
+	}
+	if code, raw := doJSON(t, client, "POST", ts.URL+"/v1/tenants", managed, &created); code != http.StatusCreated {
+		t.Fatalf("create Dirigent tenant on quad-low: %d %s", code, raw)
+	}
+	var fg admitFGResponse
+	if code, raw := doJSON(t, client, "POST", ts.URL+"/v1/tenants/"+created.ID+"/fg",
+		admitFGRequest{Bench: "bodytrack", TargetNS: int64(2 * time.Second)}, &fg); code != http.StatusCreated {
+		t.Fatalf("admit fg on quad-low: %d %s", code, raw)
+	}
+	srv.mu.Lock()
+	tn := srv.tenants[created.ID]
+	srv.mu.Unlock()
+	v, err := tn.do(func() (any, error) {
+		return tn.sess.Runtime().Predictors()[fg.Stream].Profile(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qr := experiment.NewRunner()
+	qr.MachineClass = "quad-low"
+	want, err := qr.Profile("bodytrack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.(*core.Profile); !reflect.DeepEqual(got, want) {
+		t.Errorf("admitted bodytrack predicts from a %d-segment profile, want quad-low's %d segments",
+			len(got.Segments), len(want.Segments))
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"dirigent/internal/fault"
 	"dirigent/internal/machine"
 	"dirigent/internal/policy"
-	"dirigent/internal/sched"
 	"dirigent/internal/sim"
 	"dirigent/internal/telemetry"
 	"dirigent/internal/workload"
@@ -319,7 +318,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	t := newTenant(id, req.Name, sess, bcast, limit, s.cfg.CommandTimeout)
+	t := newTenant(id, req.Name, runner, sess, bcast, limit, s.cfg.CommandTimeout)
 	s.mu.Lock()
 	if s.closed {
 		delete(s.tenants, id)
@@ -457,9 +456,10 @@ func (s *Server) handleAdmitFG(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	// Profile outside the worker: the runner cache is single-flight and
-	// shared, so a cold profile stalls this request, not the simulation.
-	profile, err := s.runner.Profile(req.Bench)
+	// Profile outside the worker, on the tenant's machine class: the runner
+	// cache is single-flight and shared, so a cold profile stalls this
+	// request, not the simulation.
+	profile, err := t.runner.Profile(req.Bench)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -511,7 +511,7 @@ func (s *Server) handleAdmitBG(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	spec, err := parseBGSpec(req.Spec)
+	spec, err := experiment.ParseBGSpec(req.Spec)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -688,27 +688,6 @@ func joinConfigNames() string {
 		out[i] = string(n)
 	}
 	return strings.Join(out, ", ")
-}
-
-// parseBGSpec parses the "name" / "a+b" worker syntax shared with
-// experiment mixes.
-func parseBGSpec(s string) (sched.BGSpec, error) {
-	if a, b, ok := strings.Cut(s, "+"); ok {
-		ba, err := workload.ByName(a)
-		if err != nil {
-			return sched.BGSpec{}, err
-		}
-		bb, err := workload.ByName(b)
-		if err != nil {
-			return sched.BGSpec{}, err
-		}
-		return sched.BGSpec{Pair: [2]*workload.Benchmark{ba, bb}}, nil
-	}
-	b, err := workload.ByName(s)
-	if err != nil {
-		return sched.BGSpec{}, err
-	}
-	return sched.BGSpec{Bench: b}, nil
 }
 
 func sortStats(xs []TenantStats) {

@@ -298,6 +298,16 @@ func TestTenantControlPlane(t *testing.T) {
 	if code, raw := doJSON(t, client, "DELETE", fmt.Sprintf("%s/bg/%d", base, bg.Task), nil, nil); code != http.StatusOK {
 		t.Fatalf("remove bg: %d %s", code, raw)
 	}
+	// A spec naming a FG benchmark is invalid, alone or in a pair; a pair
+	// of BG benchmarks is admitted.
+	for _, spec := range []string{"ferret", "ferret+namd"} {
+		if code, raw := doJSON(t, client, "POST", base+"/bg", admitBGRequest{Spec: spec}, nil); code != http.StatusBadRequest {
+			t.Fatalf("admit bg %q: %d %s (want 400)", spec, code, raw)
+		}
+	}
+	if code, raw := doJSON(t, client, "POST", base+"/bg", admitBGRequest{Spec: "lbm+namd"}, nil); code != http.StatusCreated {
+		t.Fatalf("admit bg lbm+namd: %d %s", code, raw)
+	}
 
 	// Admit a second FG stream with its own target, then evict it.
 	var fg admitFGResponse

@@ -99,6 +99,10 @@ type Tenant struct {
 	goal  int
 	limit sim.Time
 
+	// runner is the one the session was started from: it carries the
+	// tenant's machine class, so admitted FG streams are profiled on it.
+	runner *experiment.Runner
+
 	cmds   chan cmd
 	stop   chan struct{}
 	ended  chan struct{} // closed when the run reaches done/failed
@@ -112,10 +116,11 @@ type Tenant struct {
 	result *experiment.RunResult
 }
 
-// newTenant wraps an assembled session. The caller starts the worker.
-func newTenant(id, name string, sess *experiment.Session, bcast *broadcaster, limit sim.Time, cmdTimeout time.Duration) *Tenant {
+// newTenant wraps a session assembled by runner. The caller starts the
+// worker.
+func newTenant(id, name string, runner *experiment.Runner, sess *experiment.Session, bcast *broadcaster, limit sim.Time, cmdTimeout time.Duration) *Tenant {
 	return &Tenant{
-		id: id, name: name, sess: sess, bcast: bcast,
+		id: id, name: name, runner: runner, sess: sess, bcast: bcast,
 		goal: sess.Goal(), limit: limit,
 		cmds:   make(chan cmd),
 		stop:   make(chan struct{}),

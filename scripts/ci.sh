@@ -2,6 +2,7 @@
 # Tier-1 verification: everything a change must pass before merging.
 #
 #   scripts/ci.sh             # full: gofmt + vet + dirigent-lint + build + tests
+#                             #   (every golden, the QoS probe suite's included)
 #                             # + race detector
 #                             # + the goldens as a GOAMD64=v3 (FMA-capable) build
 #                             # + perfbench vet + tests (its own module, which
@@ -12,12 +13,9 @@
 #                             # + the load-generator smoke (seeded 5 s open-loop
 #                             #   churn: trace determinism, zero drops, zero leaks)
 #   scripts/ci.sh -short      # same legs, but skip the long end-to-end tests
-#   scripts/ci.sh -bench      # additionally run the QoS regression gate
-#                             # (dirigent-ci -check: every seed-deterministic
-#                             #  metric exact against the latest BENCH_<n>.json)
-#                             # and perfbench's output checks on the sessions
-#                             # and serve-tenants workloads (short runs that
-#                             # must report "correct":true)
+#   scripts/ci.sh -bench      # additionally run perfbench's output checks on
+#                             # the sessions and serve-tenants workloads (short
+#                             # runs that must report "correct":true)
 #   scripts/ci.sh -scenarios  # additionally run the declarative scenario suite
 #                             # (dirigent-ci -scenarios against scenarios/*.json)
 #
@@ -120,7 +118,6 @@ leg "dirigent-serve -selfcheck (server API smoke)" run_serve
 leg "dirigent-load (load-generator smoke)" run_load
 
 if $bench; then
-	leg "dirigent-ci -check" go run ./cmd/dirigent-ci -check
 	leg "perfbench sessions (output checks)" perfbench_correct sessions 2
 	leg "perfbench serve-tenants (output checks)" perfbench_correct serve-tenants 5
 fi
