@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dirigent-bench -all
-//	dirigent-bench -fig9a -fig10 -executions 60
+//	dirigent-bench -fig9a -fig11 -executions 60
 package main
 
 import (
@@ -40,7 +40,6 @@ func main() {
 
 		executions = flag.Int("executions", 60, "FG executions per run")
 		predExecs  = flag.Int("pred-executions", 50, "executions per prediction probe")
-		short      = flag.Bool("short", false, "shrink -resilience to a CI smoke (one intensity, fewer executions)")
 		trace      = flag.String("trace", "", "write a JSONL telemetry trace of every run to this file")
 	)
 	flag.Parse()
@@ -190,16 +189,7 @@ func main() {
 	}
 	if *resil {
 		mix := experiment.Mix{Name: "ferret rs", FG: []string{"ferret"}, BG: five("rs")}
-		opts := experiment.ResilienceOptions{}
-		if *short {
-			// CI smoke: one moderate intensity and a shortened run keep this
-			// under a minute while still exercising every fault hook end to
-			// end.
-			opts.Intensities = []float64{0.3}
-			r.Executions = min(r.Executions, 30)
-			r.ConvergenceWarmup = min(r.ConvergenceWarmup, 10)
-		}
-		res, err := r.ResilienceSweep(mix, opts)
+		res, err := r.ResilienceSweep(mix, experiment.ResilienceOptions{})
 		check(err)
 		fmt.Println(experiment.RenderResilience(res))
 	}
@@ -207,13 +197,6 @@ func main() {
 		mixes := []experiment.Mix{
 			{Name: "ferret rs", FG: []string{"ferret"}, BG: five("rs")},
 			{Name: "bodytrack pca", FG: []string{"bodytrack"}, BG: five("pca")},
-		}
-		if *short {
-			// CI smoke: one mix, shorter runs — every policy still goes
-			// through the full engine end to end.
-			mixes = mixes[:1]
-			r.Executions = min(r.Executions, 20)
-			r.ConvergenceWarmup = min(r.ConvergenceWarmup, 10)
 		}
 		res, err := r.PolicySweep(mixes, nil)
 		check(err)

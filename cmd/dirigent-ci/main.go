@@ -1,65 +1,40 @@
-// Command dirigent-ci runs the repository's end-to-end gates that are not
-// Go tests: the declarative scenario suite under scenarios/, and a
-// selftest proving that the scenario, lint and load gates can fail. It
-// times nothing: wall-clock measurement is perfbench's job. The QoS probe
-// suite (internal/benchreg) is pinned by a golden and gated by go test.
+// Command dirigent-ci runs the declarative scenario suite under
+// scenarios/ and gates on each scenario's goals. It times nothing:
+// wall-clock measurement is perfbench's job. The QoS probe suite
+// (internal/benchreg) is pinned by a golden and gated by go test, which
+// also proves the scenario gate can fail (scenario.TestSelfTest).
 //
 // Usage:
 //
-//	dirigent-ci -scenarios           # run the declarative scenario suite (scenarios/)
-//	dirigent-ci -scenarios -json     # the same, as byte-deterministic JSON
-//	dirigent-ci -selftest            # prove the scenario, lint and load gates can fail
+//	dirigent-ci                      # run the declarative scenario suite (scenarios/)
+//	dirigent-ci -json                # the same, as byte-deterministic JSON
+//	dirigent-ci -scenario-dir dir    # run the specs in another directory
 //
-// Exit status: 0 when the gate passes, 1 on failure or error, 2 on usage
-// errors.
+// Exit status: 0 when every goal is met, 1 on a violated goal or error, 2
+// on usage errors.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
-	"dirigent/internal/analysis"
-	"dirigent/internal/load"
 	"dirigent/internal/scenario"
 )
 
 func main() {
 	var (
-		selftest    = flag.Bool("selftest", false, "validate the scenario, lint and load gates end to end (injected violations must fail)")
-		scenarios   = flag.Bool("scenarios", false, "run the declarative scenario suite and gate on its goals")
-		scenarioDir = flag.String("scenario-dir", "scenarios", "directory holding *.json scenario specs for -scenarios")
+		scenarioDir = flag.String("scenario-dir", "scenarios", "directory holding the *.json scenario specs")
 
 		jsonOut = flag.Bool("json", false, "emit the report as JSON")
 		mdOut   = flag.Bool("markdown", false, "emit the report as a Markdown table")
 	)
 	flag.Parse()
-
-	if *selftest == *scenarios {
-		fmt.Fprintln(os.Stderr, "dirigent-ci: exactly one of -selftest, -scenarios is required")
+	if flag.NArg() != 0 {
+		fmt.Fprintln(os.Stderr, "dirigent-ci: unexpected arguments:", flag.Args())
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *selftest {
-		logf("running scenario-gate selftest")
-		if err := scenario.SelfTest(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("dirigent-ci: selftest ok — the scenario gate reports injected goal violations")
-		logf("running static-analysis selftest")
-		if err := analysis.SelfTest(filepath.Join("internal", "analysis", "testdata")); err != nil {
-			fatal(err)
-		}
-		fmt.Println("dirigent-ci: selftest ok — every lint analyzer catches its seeded fixture violation")
-		logf("running load-generator selftest")
-		if err := load.SelfTest(logf); err != nil {
-			fatal(err)
-		}
-		fmt.Println("dirigent-ci: selftest ok — the load gates catch nondeterministic traces and dropped events")
-		return
 	}
 
 	specs, err := scenario.LoadDir(*scenarioDir)

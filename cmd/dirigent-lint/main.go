@@ -22,10 +22,10 @@
 //
 //	dirigent-lint [-root dir] [-checks a,b,...] [-json|-md]
 //	dirigent-lint -list
-//	dirigent-lint -selftest
 //
-// Exit status: 0 when clean, 1 when findings exist (or the selftest
-// fails), 2 on usage or load errors.
+// Exit status: 0 when clean, 1 when findings exist, 2 on usage or load
+// errors. The analyzers' own fixture test is internal/analysis's
+// TestSelfTest.
 package main
 
 import (
@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"dirigent/internal/analysis"
 )
@@ -46,12 +45,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dirigent-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		root     = fs.String("root", ".", "module root to analyze")
-		checks   = fs.String("checks", "", "comma-separated analyzer subset (default: all)")
-		jsonOut  = fs.Bool("json", false, "emit the report as JSON")
-		mdOut    = fs.Bool("md", false, "emit the report as Markdown (CI step summaries)")
-		list     = fs.Bool("list", false, "list the registered analyzers and exit")
-		selftest = fs.Bool("selftest", false, "run the analyzer selftest over internal/analysis/testdata")
+		root    = fs.String("root", ".", "module root to analyze")
+		checks  = fs.String("checks", "", "comma-separated analyzer subset (default: all)")
+		jsonOut = fs.Bool("json", false, "emit the report as JSON")
+		mdOut   = fs.Bool("md", false, "emit the report as Markdown (CI step summaries)")
+		list    = fs.Bool("list", false, "list the registered analyzers and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -65,14 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, a := range analysis.Analyzers() {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
-		return 0
-	}
-	if *selftest {
-		if err := analysis.SelfTest(filepath.Join(*root, "internal", "analysis", "testdata")); err != nil {
-			fmt.Fprintln(stderr, "dirigent-lint:", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "dirigent-lint: selftest ok — every analyzer fires on its seeded fixture violation and stays quiet elsewhere")
 		return 0
 	}
 

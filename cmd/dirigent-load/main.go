@@ -10,13 +10,13 @@
 //	dirigent-load -spec loadspecs/smoke.json -seed 42 -trace-out t.jsonl   # synthesize only
 //	dirigent-load -spec loadspecs/smoke.json -inproc -speed 4              # synthesize + replay in-process
 //	dirigent-load -spec loadspecs/smoke.json -trace-in t.jsonl -target http://host:8080
-//	dirigent-load -spec loadspecs/smoke.json -check-determinism            # gate: two syntheses byte-equal
 //
 // Synthesis is deterministic: the same spec and seed produce the identical
-// trace, which is what -check-determinism gates in CI. Replay is wall-clock
-// and therefore reported, never gated — except its structural invariants:
-// the process exits 1 if any tenant leaks past the post-replay drain, and
-// (under -fail-on-drops) if the open-loop driver had to drop events.
+// trace, which internal/load's TestSynthesizeDeterministic checks for every
+// shipped spec. Replay is wall-clock and therefore reported, never gated —
+// except its structural invariants: the process exits 1 if any tenant
+// leaks past the post-replay drain, and (under -fail-on-drops) if the
+// open-loop driver had to drop events.
 package main
 
 import (
@@ -43,14 +43,13 @@ func main() {
 		maxInFlt   = flag.Int("max-inflight", 0, "max concurrent API ops (0 = DIRIGENT_MAX_PARALLEL machinery)")
 		lateMS     = flag.Float64("late-budget-ms", 0, "drop ops this late in ms (0 = 2000, negative disables)")
 		report     = flag.String("report", "text", "report format: text, json, markdown")
-		checkDet   = flag.Bool("check-determinism", false, "synthesize twice and fail unless byte-identical")
 		failDrops  = flag.Bool("fail-on-drops", false, "exit 1 if the replay dropped events")
 		quiet      = flag.Bool("quiet", false, "suppress progress lines")
 	)
 	flag.Parse()
 	if err := run(*specPath, *seed, *duration, *traceOut, *traceIn, *target,
 		*inproc, *maxTenants, *speed, *maxInFlt, *lateMS, *report,
-		*checkDet, *failDrops, *quiet); err != nil {
+		*failDrops, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "dirigent-load:", err)
 		os.Exit(1)
 	}
@@ -58,7 +57,7 @@ func main() {
 
 func run(specPath string, seed uint64, duration float64, traceOut, traceIn, target string,
 	inproc bool, maxTenants int, speed float64, maxInFlight int, lateMS float64,
-	report string, checkDet, failDrops, quiet bool) error {
+	report string, failDrops, quiet bool) error {
 	switch report {
 	case "text", "json", "markdown":
 	default:
@@ -82,13 +81,6 @@ func run(specPath string, seed uint64, duration float64, traceOut, traceIn, targ
 	}
 	if duration > 0 {
 		spec.DurationS = duration
-	}
-
-	if checkDet {
-		if err := load.CheckDeterminism(spec, seed); err != nil {
-			return err
-		}
-		logf("determinism check OK: spec %s seed %d synthesizes byte-identically", spec.Name, seed)
 	}
 
 	// Obtain the trace: replay input, or fresh synthesis.

@@ -8,26 +8,19 @@
 //	dirigent-serve                       # serve on :8080
 //	dirigent-serve -addr 127.0.0.1:9000  # custom listen address
 //	dirigent-serve -max-tenants 64      # cap hosted simulations
-//	dirigent-serve -selfcheck            # in-process API smoke test, then exit
 //
-// The -selfcheck mode is what scripts/ci.sh runs: it starts the server on a
-// loopback port, creates a tenant, drives it to completion, checks the
-// stats and result endpoints, and shuts down cleanly. Exit status 0 on
-// success, 1 on failure.
+// SIGINT or SIGTERM stops accepting requests and drains every tenant
+// worker and subscriber stream; exit status 1 if the drain fails.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -38,20 +31,10 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		maxTenants = flag.Int("max-tenants", 0, "max concurrent tenants (0 = default 256)")
-		selfcheck  = flag.Bool("selfcheck", false, "run an in-process API smoke test and exit")
 	)
 	flag.Parse()
 
 	srv := server.New(server.Config{MaxTenants: *maxTenants})
-
-	if *selfcheck {
-		if err := runSelfcheck(srv); err != nil {
-			fmt.Fprintln(os.Stderr, "selfcheck FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("selfcheck OK")
-		return
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -88,204 +71,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tenant drain:", err)
 		os.Exit(1)
 	}
-}
-
-// runSelfcheck exercises the API end to end against a loopback listener:
-// create a tenant, wait for it to finish, check stats and result, delete,
-// and shut the server down.
-func runSelfcheck(srv *server.Server) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	go hs.Serve(ln)
-	base := "http://" + ln.Addr().String()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = hs.Shutdown(ctx)
-		_ = srv.Shutdown(ctx)
-	}()
-
-	req := server.CreateTenantRequest{
-		Name:       "selfcheck",
-		Mix:        server.MixSpec{Name: "selfcheck ferret pca", FG: []string{"ferret"}, BG: []string{"pca", "pca"}},
-		Config:     "Baseline",
-		Executions: 8,
-	}
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(base+"/v1/tenants", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	var created struct {
-		ID string `json:"id"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&created)
-	_ = resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusCreated || created.ID == "" {
-		return fmt.Errorf("create tenant: status %d", resp.StatusCode)
-	}
-
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		var st struct {
-			State      string `json:"state"`
-			Error      string `json:"error"`
-			Executions int    `json:"executions"`
-		}
-		if err := getJSON(base+"/v1/tenants/"+created.ID, &st); err != nil {
-			return err
-		}
-		if st.State == "done" {
-			if st.Executions == 0 {
-				return errors.New("done with zero executions")
-			}
-			break
-		}
-		if st.State == "failed" {
-			return fmt.Errorf("tenant failed: %s", st.Error)
-		}
-		if time.Now().After(deadline) {
-			return errors.New("tenant did not finish in time")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-
-	var result struct {
-		Streams []struct {
-			Mean float64 `json:"Mean"`
-		}
-	}
-	if err := getJSON(base+"/v1/tenants/"+created.ID+"/result", &result); err != nil {
-		return err
-	}
-
-	del, err := http.NewRequest(http.MethodDelete, base+"/v1/tenants/"+created.ID, nil)
-	if err != nil {
-		return err
-	}
-	dresp, err := http.DefaultClient.Do(del)
-	if err != nil {
-		return err
-	}
-	_ = dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK {
-		return fmt.Errorf("delete tenant: status %d", dresp.StatusCode)
-	}
-
-	if err := checkPolicyTenant(base); err != nil {
-		return fmt.Errorf("policy tenant: %w", err)
-	}
-	return getJSON(base+"/v1/healthz", &struct{}{})
-}
-
-// checkPolicyTenant exercises the policy engine through the API: a bogus
-// policy name must 400 with the valid values listed, and a tenant under a
-// non-default policy must run to completion reporting that policy in its
-// stats.
-func checkPolicyTenant(base string) error {
-	bad := server.CreateTenantRequest{
-		Mix:       server.MixSpec{Name: "bad policy", FG: []string{"ferret"}, BG: []string{"pca"}},
-		Config:    "DirigentFreq",
-		Policy:    "nope",
-		TargetsNS: []int64{int64(time.Second)},
-	}
-	body, _ := json.Marshal(bad)
-	resp, err := http.Post(base+"/v1/tenants", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	var apiErr struct {
-		Error string `json:"error"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&apiErr)
-	_ = resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusBadRequest {
-		return fmt.Errorf("bogus policy: status %d, want 400", resp.StatusCode)
-	}
-	if !strings.Contains(apiErr.Error, "rtgang") {
-		return fmt.Errorf("bogus policy error %q should list valid policies", apiErr.Error)
-	}
-
-	req := server.CreateTenantRequest{
-		Name:       "selfcheck-rtgang",
-		Mix:        server.MixSpec{Name: "selfcheck ferret pca rtgang", FG: []string{"ferret"}, BG: []string{"pca", "pca"}},
-		Config:     "DirigentFreq",
-		Policy:     "rtgang",
-		TargetsNS:  []int64{int64(2 * time.Second)},
-		Executions: 8,
-	}
-	body, _ = json.Marshal(req)
-	resp, err = http.Post(base+"/v1/tenants", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	var created struct {
-		ID string `json:"id"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&created)
-	_ = resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusCreated || created.ID == "" {
-		return fmt.Errorf("create: status %d", resp.StatusCode)
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		var st struct {
-			State  string `json:"state"`
-			Error  string `json:"error"`
-			Policy string `json:"policy"`
-		}
-		if err := getJSON(base+"/v1/tenants/"+created.ID, &st); err != nil {
-			return err
-		}
-		if st.Policy != "rtgang" {
-			return fmt.Errorf("stats policy %q, want rtgang", st.Policy)
-		}
-		if st.State == "done" {
-			break
-		}
-		if st.State == "failed" {
-			return fmt.Errorf("tenant failed: %s", st.Error)
-		}
-		if time.Now().After(deadline) {
-			return errors.New("tenant did not finish in time")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	del, err := http.NewRequest(http.MethodDelete, base+"/v1/tenants/"+created.ID, nil)
-	if err != nil {
-		return err
-	}
-	dresp, err := http.DefaultClient.Do(del)
-	if err != nil {
-		return err
-	}
-	_ = dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK {
-		return fmt.Errorf("delete: status %d", dresp.StatusCode)
-	}
-	return nil
-}
-
-func getJSON(url string, out any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -9,15 +9,6 @@ import (
 	"testing"
 )
 
-// TestSelfTest runs the full want-comment selftest over the fixture
-// module: every analyzer must fire on its seeded violation and stay
-// quiet on the negative cases.
-func TestSelfTest(t *testing.T) {
-	if err := SelfTest("testdata"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFixtureSuppression pins the suppression accounting: the fixture
 // has exactly two honored directives (leading and trailing form), and
 // the malformed/mismatched ones must not suppress.

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -9,6 +8,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"testing"
 )
 
 // A want is one expectation comment in a fixture file:
@@ -18,7 +18,7 @@ import (
 // The analyzer named must report a finding on that line whose message
 // contains the quoted substring. pkgdoc wants match the package-level
 // finding of the file's package. Fixture lines without a want comment
-// must stay quiet, so the selftest proves each analyzer both fires on
+// must stay quiet, so TestSelfTest proves each analyzer both fires on
 // its seeded violation and holds its silence on the negative cases.
 type want struct {
 	file   string // fixture-root-relative
@@ -41,28 +41,28 @@ func fixtureConfig() *Config {
 	}
 }
 
-// SelfTest proves the analysis gate end to end: it runs the full
+// TestSelfTest proves the analysis gate end to end: it runs the full
 // registry over the fixture module and checks the findings against the
 // fixtures' want comments, both directions — every seeded violation must
-// be caught (so an analyzer that stops firing fails the selftest) and
-// nothing else may be reported (so a noisy analyzer fails it too).
-func SelfTest(fixtureRoot string) error {
-	res, err := Run(Options{Root: fixtureRoot, Config: fixtureConfig()})
+// be caught (so an analyzer that stops firing fails the test) and nothing
+// else may be reported (so a noisy analyzer fails it too).
+func TestSelfTest(t *testing.T) {
+	res, err := Run(Options{Root: "testdata", Config: fixtureConfig()})
 	if err != nil {
-		return fmt.Errorf("analysis selftest: %w", err)
+		t.Fatal(err)
 	}
-	wants, err := collectWants(fixtureRoot)
+	wants, err := collectWants("testdata")
 	if err != nil {
-		return fmt.Errorf("analysis selftest: %w", err)
+		t.Fatal(err)
 	}
 	if len(wants) == 0 {
-		return errors.New("analysis selftest: no want comments found in fixtures")
+		t.Fatal("no want comments found in fixtures")
 	}
 	if len(res.Findings) == 0 {
-		return errors.New("analysis selftest: zero findings over seeded fixture violations; the gate cannot fail")
+		t.Fatal("zero findings over seeded fixture violations; the gate cannot fail")
 	}
 	if res.Suppressed == 0 {
-		return errors.New("analysis selftest: no suppressed findings; lint:ignore directives are not honored")
+		t.Fatal("no suppressed findings; lint:ignore directives are not honored")
 	}
 
 	matchedWant := make([]bool, len(wants))
@@ -93,11 +93,10 @@ func SelfTest(fixtureRoot string) error {
 			problems = append(problems, fmt.Sprintf("%s:%d: analyzer %s did not report the seeded violation (want %q)", w.file, w.line, w.check, w.substr))
 		}
 	}
-	if len(problems) > 0 {
-		sort.Strings(problems)
-		return fmt.Errorf("analysis selftest: %d problem(s):\n  %s", len(problems), strings.Join(problems, "\n  "))
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
 	}
-	return nil
 }
 
 // collectWants scans the fixture tree for want comments.

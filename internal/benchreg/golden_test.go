@@ -20,8 +20,7 @@ import (
 var probeRun = sync.OnceValues(Run)
 
 // TestProbeSuiteGolden pins the suite's values bit for bit, in suite
-// order. It runs in -short mode too: it is the gate on the §5.4
-// quantities and the predictor error.
+// order: it is the gate on the §5.4 quantities and the predictor error.
 func TestProbeSuiteGolden(t *testing.T) {
 	ms, err := probeRun()
 	if err != nil {
@@ -34,9 +33,6 @@ func TestProbeSuiteGolden(t *testing.T) {
 // and requires an identical result, so a golden mismatch caused by
 // nondeterminism is told apart from a change in behaviour.
 func TestSuiteDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("second suite run")
-	}
 	first, err := probeRun()
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +55,6 @@ func TestSuiteDeterministic(t *testing.T) {
 // where the per-quantum reference engine and batched stepping produced them
 // identically.
 func TestScenarioProbeGoldens(t *testing.T) {
-	if testing.Short() {
-		t.Skip("eight scenario sessions")
-	}
 	for _, spec := range scenarioProbes() {
 		r := experiment.NewRunner()
 		r.MachineClass = spec.MachineClass

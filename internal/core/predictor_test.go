@@ -276,9 +276,6 @@ func TestPredictorAgainstRealMachineBaseline(t *testing.T) {
 	// offline, run it against 5 bwaves with no management, feed the
 	// predictor every 5 ms, record the midpoint prediction for each
 	// execution, compare against the actual completion.
-	if testing.Short() {
-		t.Skip("long accuracy test")
-	}
 	res, err := probePredictionAccuracy(t, "ferret", "bwaves", 30)
 	if err != nil {
 		t.Fatal(err)

@@ -89,9 +89,6 @@ func TestNewRuntimeValidation(t *testing.T) {
 func TestRuntimeReducesVariance(t *testing.T) {
 	// The headline claim (§5.4): Dirigent cuts execution-time variance
 	// dramatically versus free-running contention, at modest BG cost.
-	if testing.Short() {
-		t.Skip("long end-to-end test")
-	}
 	const execs = 50
 	fg, bgName := "bodytrack", "pca"
 
@@ -149,9 +146,6 @@ func TestRuntimeReducesVariance(t *testing.T) {
 func TestRuntimeMeetsTightAndLooseTargets(t *testing.T) {
 	// §5.5: Dirigent tracks the target across a range. A loose target lets
 	// the FG run slower (mean stretches toward the target) while BG gains.
-	if testing.Short() {
-		t.Skip("long end-to-end test")
-	}
 	fg := "raytrace"
 	prof := profileFor(t, fg)
 	run := func(target time.Duration) (mean float64, bgRate float64) {
@@ -234,9 +228,6 @@ func TestRuntimeChargesOverheadToBGCore(t *testing.T) {
 }
 
 func TestRuntimeCoarseControllerEngages(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long end-to-end test")
-	}
 	// streamcluster + pca is the paper's partition-hungry mix (§5.3): the
 	// coarse controller must move the partition away from its start.
 	colo := buildColo(t, []string{"streamcluster"}, "pca", true, 7)
@@ -258,9 +249,6 @@ func TestRuntimeCoarseControllerEngages(t *testing.T) {
 }
 
 func TestRuntimeMultiFG(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long end-to-end test")
-	}
 	colo := buildColo(t, []string{"fluidanimate", "raytrace"}, "bwaves", true, 11)
 	profs := []*Profile{profileFor(t, "fluidanimate"), profileFor(t, "raytrace")}
 	rt := MustRuntime(colo, profs, RuntimeConfig{

@@ -20,9 +20,6 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFGOverview(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy figure")
-	}
 	r := smallRunner()
 	rows, err := r.FGOverview()
 	if err != nil {
@@ -49,9 +46,6 @@ func TestFGOverview(t *testing.T) {
 }
 
 func TestBGOverview(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy figure")
-	}
 	r := smallRunner()
 	rows, err := r.BGOverview()
 	if err != nil {
@@ -81,9 +75,6 @@ func TestBGOverview(t *testing.T) {
 }
 
 func TestPredictionProbe(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy figure")
-	}
 	r := smallRunner()
 	mix := Mix{Name: "raytrace rs", FG: []string{"raytrace"}, BG: repeat("rs", 5)}
 	res, err := r.PredictionProbe(mix, 25, 3)
@@ -126,9 +117,6 @@ func TestPredictionProbeInvalid(t *testing.T) {
 }
 
 func TestPartitionSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy figure")
-	}
 	r := smallRunner()
 	// The paper's Fig. 8 mix: streamcluster FG, PCA BG.
 	mix := Mix{Name: "streamcluster pca", FG: []string{"streamcluster"}, BG: repeat("pca", 5)}
@@ -255,6 +243,42 @@ func TestRenderComparisonAndStd(t *testing.T) {
 	if !strings.Contains(out, "Fig. 14") {
 		t.Error("std render incomplete")
 	}
+
+	// The policy sweep: one column per policy, one row per mix, each cell
+	// the mean FG success over streams / BG throughput relative to
+	// Baseline.
+	run := func(bg float64, succ ...float64) *RunResult {
+		rr := &RunResult{BGInstrRate: bg}
+		for _, s := range succ {
+			rr.Streams = append(rr.Streams, StreamResult{SuccessRate: s})
+		}
+		return rr
+	}
+	sweep := &PolicySweepResult{
+		Policies: []string{"rtgang", "cordlike"},
+		Mixes: []*PolicyMixResult{
+			{Mix: Mix{Name: "ferret rs"}, Baseline: run(10, 0.5),
+				ByPolicy: map[string]*RunResult{"rtgang": run(4, 0.5, 1), "cordlike": run(8, 0.9)}},
+			{Mix: Mix{Name: "bodytrack pca"}, Baseline: run(20, 0.4),
+				ByPolicy: map[string]*RunResult{"rtgang": run(5, 0.6), "cordlike": run(30, 1)}},
+		},
+	}
+	out = RenderPolicySweep("Policy sweep", sweep)
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 4 || lines[0] != "Policy sweep" {
+		t.Fatalf("policy sweep render: want the title, a header and one row per mix:\n%s", out)
+	}
+	if h := strings.Fields(lines[1]); h[0] != "mix" || h[1] != "rtgang" || h[2] != "cordlike" {
+		t.Errorf("policy sweep header %q: want one column per policy, in order", lines[1])
+	}
+	for i, want := range []string{
+		"ferret rs                             0.75/ 0.40  0.90/ 0.80",
+		"bodytrack pca                         0.60/ 0.25  1.00/ 1.50",
+	} {
+		if lines[2+i] != want {
+			t.Errorf("policy sweep row %d = %q, want %q", i, lines[2+i], want)
+		}
+	}
 }
 
 func TestPDFCurves(t *testing.T) {
@@ -321,9 +345,6 @@ func TestFreqDistribution(t *testing.T) {
 }
 
 func TestTradeoffSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy figure")
-	}
 	r := smallRunner()
 	// The paper's Fig. 15 mix: raytrace + 5 bwaves.
 	mix := Mix{Name: "raytrace bwaves", FG: []string{"raytrace"}, BG: repeat("bwaves", 5)}

@@ -36,9 +36,6 @@ type traceDigest struct {
 // controllers, partitioning, the works — reproduces the recorded results
 // and the recorded full-volume event trace byte for byte.
 func TestSkipaheadEquivalentFullRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full mix run")
-	}
 	mix := Mix{Name: "skipahead", FG: []string{"ferret"}, BG: repeat("rs", 5)}
 	r := goldenRunner()
 	h := sha256.New()
@@ -61,9 +58,6 @@ func TestSkipaheadEquivalentFullRun(t *testing.T) {
 // results. Faults land mid-run at seeded times, so this exercises batches
 // cut short by ticks, postponed ticks, and re-profiles.
 func TestSkipaheadEquivalentResilience(t *testing.T) {
-	if testing.Short() {
-		t.Skip("resilience sweep")
-	}
 	mix := Mix{Name: "skipahead res", FG: []string{"ferret"}, BG: repeat("rs", 5)}
 	r := goldenRunner()
 	r.Executions = 12
@@ -77,9 +71,6 @@ func TestSkipaheadEquivalentResilience(t *testing.T) {
 // TestPredictionProbeGolden pins the predictor-accuracy probe, which steps
 // its collocation up to each sampler tick, on the paper's Fig. 6 mix.
 func TestPredictionProbeGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("prediction probe")
-	}
 	mix := Mix{Name: "raytrace rs", FG: []string{"raytrace"}, BG: repeat("rs", 5)}
 	res, err := NewRunner().PredictionProbe(mix, 16, 3)
 	if err != nil {

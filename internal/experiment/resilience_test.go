@@ -36,9 +36,6 @@ func TestMinSuccessAtUnknownIntensity(t *testing.T) {
 }
 
 func TestResilienceSweepSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep")
-	}
 	r := NewRunner()
 	r.Executions = 16
 	r.ConvergenceWarmup = 6

@@ -41,9 +41,6 @@ func TestRunnerProfileCache(t *testing.T) {
 }
 
 func TestRunMixAllConfigs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full mix run")
-	}
 	r := smallRunner()
 	mix := Mix{Name: "bodytrack pca", FG: []string{"bodytrack"}, BG: repeat("pca", 5)}
 	res, err := r.RunMix(mix)
@@ -141,9 +138,6 @@ func TestRunMixAllConfigs(t *testing.T) {
 }
 
 func TestRunMixesParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("parallel mix run")
-	}
 	r := smallRunner()
 	mixes := []Mix{
 		{Name: "fluidanimate namd x", FG: []string{"fluidanimate"}, BG: repeat("lbm+namd", 5)},
@@ -250,16 +244,14 @@ func TestRunConfigsSubset(t *testing.T) {
 
 	// The subset's results must be identical to the same configs from a full
 	// RunMix: each configuration is an independently seeded run.
-	if !testing.Short() {
-		full, err := r.RunMix(mix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, _ := json.Marshal(res.ByConfig[config.DirigentFreq])
-		b, _ := json.Marshal(full.ByConfig[config.DirigentFreq])
-		if string(a) != string(b) {
-			t.Error("subset run differs from the same config inside a full RunMix")
-		}
+	full, err := r.RunMix(mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(res.ByConfig[config.DirigentFreq])
+	b, _ := json.Marshal(full.ByConfig[config.DirigentFreq])
+	if string(a) != string(b) {
+		t.Error("subset run differs from the same config inside a full RunMix")
 	}
 
 	if _, err := r.RunConfigs(mix, config.Name("nonsense")); err == nil {
@@ -272,9 +264,6 @@ func TestRunConfigsSubset(t *testing.T) {
 // requested subset it must fall back to the default 10 ways rather than
 // running Dirigent implicitly.
 func TestRunConfigsStaticBothFallback(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration sweep")
-	}
 	r := smallRunner()
 	r.Executions = 8
 	r.Warmup = 2

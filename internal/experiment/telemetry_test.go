@@ -128,9 +128,6 @@ func TestAggregatorMatchesGroundTruth(t *testing.T) {
 // seed yields byte-identical results across runs, and attaching a trace
 // recorder must not perturb the simulation at all.
 func TestRunMixDeterministicWithRecorder(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full mix runs")
-	}
 	newRunner := func() *Runner {
 		r := NewRunner()
 		r.Executions = 12
@@ -196,9 +193,6 @@ func TestProfileSingleFlight(t *testing.T) {
 // TestRunnerRecorderLabelsRuns checks the harness stamps mix/config labels
 // and emits a parseable stream through the user-provided sink.
 func TestRunnerRecorderLabelsRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full mix run")
-	}
 	r := smallRunner()
 	r.Executions = 10
 	r.CalibExecutions = 5

@@ -38,6 +38,15 @@ type Options struct {
 
 const defaultLateBudget = 2 * time.Second
 
+// LateBudget converts a CLI milliseconds value to the Options.LateBudget
+// convention: 0 keeps the default, negative disables dropping.
+func LateBudget(ms float64) time.Duration {
+	if ms < 0 {
+		return -1
+	}
+	return time.Duration(ms * float64(time.Millisecond))
+}
+
 func (o Options) withDefaults() Options {
 	if o.Client == nil {
 		o.Client = &http.Client{Timeout: 30 * time.Second}

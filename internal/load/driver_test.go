@@ -13,10 +13,7 @@ import (
 // invariants — zero leaked tenants after drain, zero drops at a sane pace,
 // and QoS samples collected at eviction time.
 func TestReplayChurn(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives a full in-process server")
-	}
-	spec := selfTestSpec()
+	spec := tinySpec()
 	tr, err := Synthesize(spec, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -61,10 +58,7 @@ func TestReplayChurn(t *testing.T) {
 // A strangled replay (one op in flight, zero late budget) must shed load as
 // drops — never block — and the drain must still leave the server empty.
 func TestReplayStrangledStillDrains(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives a full in-process server")
-	}
-	spec := selfTestSpec()
+	spec := tinySpec()
 	tr, err := Synthesize(spec, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +87,7 @@ func TestReplayStrangledStillDrains(t *testing.T) {
 }
 
 func TestReplayValidation(t *testing.T) {
-	spec := selfTestSpec()
+	spec := tinySpec()
 	tr, err := Synthesize(spec, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -108,15 +102,5 @@ func TestReplayValidation(t *testing.T) {
 	if _, err := Replay(tr, bad, Options{BaseURL: "http://127.0.0.1:1"}); err == nil ||
 		!strings.Contains(err.Error(), "unknown template") {
 		t.Errorf("foreign template not rejected: %v", err)
-	}
-}
-
-// SelfTest is what dirigent-ci -selftest runs; it must pass here too.
-func TestSelfTest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs three replays")
-	}
-	if err := SelfTest(t.Logf); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -2,39 +2,89 @@ package load
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 )
 
+// tinySpec is a small but fully featured spec: bursty arrivals, two
+// weighted templates across configurations, retargets, and a max_live cap
+// tight enough to exercise suppression.
+func tinySpec() Spec {
+	return Spec{
+		Name:             "load-tiny",
+		Seed:             1905,
+		DurationS:        3,
+		Arrival:          ArrivalSpec{Model: ModelBursty, RatePerS: 4, BurstFactor: 2, OnS: 0.5, OffS: 0.5},
+		Lifetime:         LifetimeSpec{MeanS: 1, MinS: 0.1},
+		RetargetRatePerS: 1,
+		MaxLive:          6,
+		Tenants: []TenantTemplate{
+			{
+				Name: "rt", Weight: 3,
+				Mix:        MixSpec{FG: []string{"ferret"}, BG: []string{"pca"}},
+				TargetMS:   []float64{1500},
+				Executions: 6,
+			},
+			{
+				Name: "base", Weight: 1, Config: "Baseline",
+				Mix:        MixSpec{FG: []string{"ferret"}, BG: []string{"pca"}},
+				TargetMS:   []float64{1500},
+				Executions: 6,
+			},
+		},
+	}
+}
+
 // Determinism is the gated property: the same spec and seed must serialize
-// to byte-identical JSONL every time, on every platform.
+// to byte-identical JSONL every time, on every platform, and Seed+1 must
+// give a different trace so the comparison is never vacuous. The inputs
+// are tinySpec and every shipped spec under loadspecs/.
 func TestSynthesizeDeterministic(t *testing.T) {
-	spec := selfTestSpec()
-	tr1, err := Synthesize(spec, 42)
+	specs := []Spec{tinySpec()}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "loadspecs", "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := Synthesize(spec, 42)
-	if err != nil {
-		t.Fatal(err)
+	if len(paths) == 0 {
+		t.Fatal("no shipped specs under loadspecs/")
 	}
-	if !bytes.Equal(tr1.Encode(), tr2.Encode()) {
-		t.Fatal("same seed produced different traces")
+	for _, path := range paths {
+		spec, err := LoadSpec(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
 	}
-	if len(tr1.Events) == 0 {
-		t.Fatal("trace is empty")
-	}
-	other, err := Synthesize(spec, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(tr1.Encode(), other.Encode()) {
-		t.Fatal("different seeds produced identical traces — the comparison is vacuous")
+	for _, spec := range specs {
+		t.Run(spec.Name, func(t *testing.T) {
+			tr1, err := Synthesize(spec, spec.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr2, err := Synthesize(spec, spec.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(tr1.Encode(), tr2.Encode()) {
+				t.Fatal("same seed produced different traces")
+			}
+			if len(tr1.Events) == 0 {
+				t.Fatal("trace is empty")
+			}
+			other, err := Synthesize(spec, spec.Seed+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(tr1.Encode(), other.Encode()) {
+				t.Fatal("different seeds produced identical traces — the comparison is vacuous")
+			}
+		})
 	}
 }
 
 // Seed 0 falls back to the spec's own seed.
 func TestSynthesizeDefaultSeed(t *testing.T) {
-	spec := selfTestSpec()
+	spec := tinySpec()
 	byZero, err := Synthesize(spec, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +100,7 @@ func TestSynthesizeDefaultSeed(t *testing.T) {
 
 // A written trace must read back equal, byte-for-byte after re-encoding.
 func TestTraceRoundTrip(t *testing.T) {
-	tr, err := Synthesize(selfTestSpec(), 0)
+	tr, err := Synthesize(tinySpec(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +122,7 @@ func TestTraceRoundTrip(t *testing.T) {
 
 // A truncated trace must be rejected (the header carries the event count).
 func TestReadTraceTruncated(t *testing.T) {
-	tr, err := Synthesize(selfTestSpec(), 0)
+	tr, err := Synthesize(tinySpec(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +135,7 @@ func TestReadTraceTruncated(t *testing.T) {
 }
 
 func TestSynthesizeStructure(t *testing.T) {
-	spec := selfTestSpec()
+	spec := tinySpec()
 	tr, err := Synthesize(spec, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -149,13 +199,13 @@ func TestSynthesizeStructure(t *testing.T) {
 // Tightening max_live must suppress arrivals (and count them) rather than
 // silently over-admitting.
 func TestSynthesizeMaxLive(t *testing.T) {
-	spec := selfTestSpec()
+	spec := tinySpec()
 	spec.MaxLive = 2
 	tr, err := Synthesize(spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncapped := selfTestSpec()
+	uncapped := tinySpec()
 	uncapped.MaxLive = 0
 	full, err := Synthesize(uncapped, 0)
 	if err != nil {
@@ -174,7 +224,7 @@ func TestSynthesizeMaxLive(t *testing.T) {
 // Retargets are only generated for runtime configurations; a spec with only
 // Baseline templates must synthesize none.
 func TestSynthesizeNoRetargetForBaseline(t *testing.T) {
-	spec := selfTestSpec()
+	spec := tinySpec()
 	for i := range spec.Tenants {
 		spec.Tenants[i].Config = "Baseline"
 	}
@@ -188,7 +238,7 @@ func TestSynthesizeNoRetargetForBaseline(t *testing.T) {
 }
 
 func TestSynthesizeRejectsInvalidSpec(t *testing.T) {
-	spec := selfTestSpec()
+	spec := tinySpec()
 	spec.DurationS = -1
 	if _, err := Synthesize(spec, 0); err == nil {
 		t.Fatal("invalid spec accepted")

@@ -20,9 +20,6 @@ func smallSpec() Spec {
 }
 
 func TestRunSpecSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scenario run in -short mode")
-	}
 	res, err := RunSpec(smallSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -51,9 +48,6 @@ func TestRunSpecSmoke(t *testing.T) {
 // demands bit-identical results — the property that makes the suite a
 // regression gate rather than a flaky benchmark.
 func TestRunSuiteDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scenario run in -short mode")
-	}
 	second := smallSpec()
 	second.Name = "run-test-bodytrack-pca"
 	second.Mix = MixSpec{FG: []string{"bodytrack"}, BG: []string{"pca"}}
@@ -135,11 +129,39 @@ func TestRenderers(t *testing.T) {
 	}
 }
 
-func TestSelfTest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scenario run in -short mode")
+// selfTestSpec is a deliberately small scenario used by TestSelfTest:
+// short runs on the default class under the dirigent policy.
+func selfTestSpec(goals GoalSpec) Spec {
+	return Spec{
+		Name:         "selftest-ferret-rs",
+		Description:  "injected-failure selftest scenario",
+		MachineClass: "xeon-e5",
+		Mix:          MixSpec{FG: []string{"ferret"}, BG: []string{"rs"}},
+		Policy:       "dirigent",
+		Executions:   10,
+		Warmup:       2,
+		Goals:        goals,
 	}
-	if err := SelfTest(); err != nil {
-		t.Fatal(err)
+}
+
+// TestSelfTest proves the scenario gate can fail: it runs a small scenario
+// twice — once with sane goals that must pass, once with an impossible
+// tail-latency goal (1 µs) that must be reported as a violation. A failure
+// means the gate is broken: either a healthy scenario fails or an injected
+// violation goes undetected.
+func TestSelfTest(t *testing.T) {
+	ok, err := RunSpec(selfTestSpec(GoalSpec{MinQoSSuccess: 0.5}))
+	if err != nil {
+		t.Fatalf("healthy run: %v", err)
+	}
+	if !ok.Pass {
+		t.Errorf("healthy scenario failed its goals: %+v", ok.Goals)
+	}
+	bad, err := RunSpec(selfTestSpec(GoalSpec{MaxTailLatencyS: 1e-6}))
+	if err != nil {
+		t.Fatalf("injected-failure run: %v", err)
+	}
+	if bad.Pass {
+		t.Errorf("impossible tail-latency goal (1e-6s) not detected (measured %gs)", bad.TailLatencyS)
 	}
 }

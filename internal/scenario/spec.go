@@ -4,8 +4,7 @@
 // DataDog-workload-checks shape applied to this reproduction: "on machine
 // class X, mix M under policy P must keep QoS success above A, background
 // throughput above B, and tail latency below C". The suite is a CI gate
-// (dirigent-ci -scenarios): adding a scenario file is adding a regression
-// check.
+// (dirigent-ci): adding a scenario file is adding a regression check.
 package scenario
 
 import (

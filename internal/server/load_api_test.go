@@ -16,9 +16,6 @@ import (
 // answer while the tenant is still running, and the plain result endpoint
 // must keep refusing.
 func TestPartialResult(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a tenant simulation")
-	}
 	r := experiment.NewRunner()
 	r.Executions = 6
 	r.Warmup = 1
@@ -74,9 +71,6 @@ func TestPartialResult(t *testing.T) {
 }
 
 func TestCreateMachineClass(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a tenant simulation")
-	}
 	srv := New(Config{})
 	ts, client := testClient(t, srv)
 

@@ -89,9 +89,6 @@ func waitDone(t *testing.T, client *http.Client, base, id string) TenantStats {
 // experiment.Runner. The server and the batch runner share one session
 // construction and stepping path, so any divergence is a regression.
 func TestServedDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full served run")
-	}
 	r := experiment.NewRunner()
 	r.Executions = 8
 	r.Warmup = 2
@@ -151,9 +148,6 @@ func TestServedDeterminism(t *testing.T) {
 // JSONL subscriber, and requires every run to finish with zero events
 // dropped to backpressure under the default subscriber buffer.
 func TestServeLoad64Tenants(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load test")
-	}
 	r := experiment.NewRunner()
 	r.Warmup = 1
 	srv := New(Config{Runner: r})
@@ -370,6 +364,15 @@ func TestCreateValidation(t *testing.T) {
 	if got := srv.Tenants(); got != 0 {
 		t.Fatalf("rejected creates leaked %d tenant slots", got)
 	}
+	// healthz reports liveness and the hosted tenant count.
+	health := func(tenants int) {
+		t.Helper()
+		want := fmt.Sprintf(`{"ok":true,"tenants":%d}`, tenants)
+		if code, raw := doJSON(t, client, "GET", ts.URL+"/v1/healthz", nil, nil); code != http.StatusOK || raw != want {
+			t.Errorf("healthz = %d %s, want 200 %s", code, raw, want)
+		}
+	}
+	health(0)
 
 	ok := CreateTenantRequest{
 		Mix:        MixSpec{Name: "v ferret pca", FG: []string{"ferret"}, BG: []string{"pca"}},
@@ -380,6 +383,7 @@ func TestCreateValidation(t *testing.T) {
 	if code, raw := doJSON(t, client, "POST", ts.URL+"/v1/tenants", ok, &created); code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, raw)
 	}
+	health(1)
 	// Tenant limit.
 	ok.Mix.Name = "v2 ferret pca"
 	if code, _ := doJSON(t, client, "POST", ts.URL+"/v1/tenants", ok, nil); code != http.StatusServiceUnavailable {

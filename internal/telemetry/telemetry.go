@@ -428,12 +428,11 @@ func (s *runScope) RecordQuantumSteps(evs []Event) {
 	}
 }
 
-// policyScope stamps a policy label onto every event.
+// policyScope stamps a policy label onto every event. It wraps only a
+// policy's Binding recorder, which never carries quantum-step batches.
 type policyScope struct {
 	r      Recorder
 	policy string
-
-	scratch []Event
 }
 
 // WithPolicy wraps r so every recorded event carries the given QoS-policy
@@ -452,20 +451,4 @@ func (s *policyScope) Enabled(k Kind) bool { return s.r.Enabled(k) }
 func (s *policyScope) Record(ev Event) {
 	ev.Policy = s.policy
 	s.r.Record(ev)
-}
-
-// RecordQuantumSteps stamps the policy label onto a private copy of the
-// batch and forwards it.
-func (s *policyScope) RecordQuantumSteps(evs []Event) {
-	s.scratch = append(s.scratch[:0], evs...)
-	for i := range s.scratch {
-		s.scratch[i].Policy = s.policy
-	}
-	if qb, ok := s.r.(QuantumBatcher); ok {
-		qb.RecordQuantumSteps(s.scratch)
-		return
-	}
-	for i := range s.scratch {
-		s.r.Record(s.scratch[i])
-	}
 }

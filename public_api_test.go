@@ -12,9 +12,6 @@ import (
 // advertises: catalog lookup, machine construction, partition classes,
 // collocation, offline profiling, runtime, and the evaluation runner types.
 func TestPublicAPIEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end public API test")
-	}
 	fg, err := dirigent.BenchmarkByName("fluidanimate")
 	if err != nil {
 		t.Fatal(err)

@@ -1,45 +1,40 @@
 #!/usr/bin/env sh
 # Tier-1 verification: everything a change must pass before merging.
 #
-#   scripts/ci.sh             # full: gofmt + vet + dirigent-lint + build + tests
-#                             #   (every golden, the QoS probe suite's included)
+#   scripts/ci.sh             # gofmt + vet + dirigent-lint + build + tests
+#                             #   (every test, the goldens, the QoS probe
+#                             #   suite and the analyzer, scenario-gate and
+#                             #   load-determinism tests included)
 #                             # + race detector
 #                             # + the goldens as a GOAMD64=v3 (FMA-capable) build
 #                             # + perfbench vet + tests (its own module, which
 #                             #   root go build ./... never compiles)
-#                             # + the shrunk fault-injection (resilience) smoke
-#                             # + the policy-sweep smoke (every QoS policy end to end)
-#                             # + the dirigent-serve API smoke (-selfcheck)
 #                             # + the load-generator smoke (seeded 5 s open-loop
-#                             #   churn: trace determinism, zero drops, zero leaks)
-#   scripts/ci.sh -short      # same legs, but skip the long end-to-end tests
+#                             #   churn: zero drops, zero leaks)
 #   scripts/ci.sh -bench      # additionally run perfbench's output checks on
 #                             # the sessions and serve-tenants workloads (short
 #                             # runs that must report "correct":true)
 #   scripts/ci.sh -scenarios  # additionally run the declarative scenario suite
-#                             # (dirigent-ci -scenarios against scenarios/*.json)
+#                             # (dirigent-ci against scenarios/*.json)
 #
-# -short, -bench and -scenarios combine. Each leg reports its elapsed
-# seconds so slow legs are visible in CI logs. The race leg covers internal
-# packages only: the root package and cmd/ are thin facades over them and
-# are already exercised race-free by the plain test leg. The lint leg
-# (cmd/dirigent-lint) subsumes the old package-comment grep and adds the
-# staticcheck-style checks the CI image cannot install; its -selftest leg
-# proves every analyzer still fires on the seeded fixture violations before
-# a clean repo run is trusted.
+# -bench and -scenarios combine. Each leg reports its elapsed seconds so
+# slow legs are visible in CI logs. Every Go check is a Go test, and the
+# test legs run the whole suite in one configuration. The race leg covers
+# internal packages only: the root package and cmd/ are thin facades over
+# them and are already exercised race-free by the plain test leg. The lint
+# leg (cmd/dirigent-lint) subsumes the old package-comment grep and adds
+# the staticcheck-style checks the CI image cannot install.
 set -eu
 cd "$(dirname "$0")/.."
 
-short=""
 bench=false
 scenarios=false
 for arg in "$@"; do
 	case "$arg" in
-	-short) short="-short" ;;
 	-bench) bench=true ;;
 	-scenarios) scenarios=true ;;
 	*)
-		echo "ci: unknown argument: $arg (want -short, -bench and/or -scenarios)" >&2
+		echo "ci: unknown argument: $arg (want -bench and/or -scenarios)" >&2
 		exit 2
 		;;
 	esac
@@ -64,25 +59,19 @@ gofmt_clean() {
 	fi
 }
 
-run_tests() { go test $short ./...; }
-run_race() { go test -race $short ./internal/...; }
 # The golden-pinned packages built for x86-64-v3, which has FMA: such a
-# build must fuse no floating-point expression, or every golden moves. No
-# -short, which would skip the experiment and benchreg goldens.
+# build must fuse no floating-point expression, or every golden moves.
 run_goamd64_v3() {
 	GOAMD64=v3 go test ./internal/sim ./internal/mem ./internal/cache ./internal/machine \
 		./internal/core ./internal/experiment ./internal/benchreg ./internal/load
 }
 run_perfbench() { (cd perfbench && go vet ./... && go test ./...); }
-run_resilience() { go run ./cmd/dirigent-bench -resilience -short >/dev/null; }
-run_policies() { go run ./cmd/dirigent-bench -policies -short >/dev/null; }
-run_serve() { go run ./cmd/dirigent-serve -selfcheck >/dev/null; }
-# Seeded 5 s churn replayed in-process at 4x: -check-determinism gates the
-# byte-identical synthesis, -fail-on-drops plus the built-in leak check gate
-# the structural replay invariants. Latencies are reported, never gated.
+# Seeded 5 s churn replayed in-process at 4x: -fail-on-drops plus the
+# built-in leak check gate the structural replay invariants. Latencies are
+# reported, never gated.
 run_load() {
 	go run ./cmd/dirigent-load -spec loadspecs/smoke.json -seed 42 \
-		-check-determinism -inproc -speed 4 -fail-on-drops -quiet >/dev/null
+		-inproc -speed 4 -fail-on-drops -quiet >/dev/null
 }
 
 # perfbench_correct <workload> <seconds>: a short perfbench run whose output
@@ -105,16 +94,12 @@ perfbench_correct() {
 
 leg "gofmt -l" gofmt_clean
 leg "go vet ./..." go vet ./...
-leg "dirigent-lint -selftest" go run ./cmd/dirigent-lint -selftest
 leg "dirigent-lint" go run ./cmd/dirigent-lint
 leg "go build ./..." go build ./...
-leg "go test ./... $short" run_tests
-leg "go test -race ./internal/... $short" run_race
+leg "go test ./..." go test ./...
+leg "go test -race ./internal/..." go test -race ./internal/...
 leg "GOAMD64=v3 go test (goldens)" run_goamd64_v3
 leg "perfbench: go vet ./... && go test ./..." run_perfbench
-leg "dirigent-bench -resilience -short (fault-injection smoke)" run_resilience
-leg "dirigent-bench -policies -short (policy-sweep smoke)" run_policies
-leg "dirigent-serve -selfcheck (server API smoke)" run_serve
 leg "dirigent-load (load-generator smoke)" run_load
 
 if $bench; then
@@ -123,7 +108,7 @@ if $bench; then
 fi
 
 if $scenarios; then
-	leg "dirigent-ci -scenarios" go run ./cmd/dirigent-ci -scenarios
+	leg "dirigent-ci (scenario suite)" go run ./cmd/dirigent-ci
 fi
 
 echo "ci: all checks passed"
