@@ -50,8 +50,11 @@ type LLC struct {
 	denseFill  []float64
 	denseWt    []float64
 	stamp      uint64
-	scratchSt  []*taskState
-	scratchMs  []float64
+	// lastDt is the quantum length of the last ApplyFast call; dtSec and
+	// drift (the base convergence rate) are derived from it.
+	lastDt time.Duration
+	dtSec  float64
+	drift  float64
 	// taskArr mirrors the tasks map as a slice so ApplyFast's inactive-decay
 	// pass iterates without map overhead. Order is immaterial: each entry
 	// only updates its own state.
@@ -342,53 +345,53 @@ func (l *LLC) ApplyFast(dt time.Duration, traffic []Traffic) {
 	l.stamp++
 	stamp := l.stamp
 
-	sts := l.scratchSt[:0]
-	miss := l.scratchMs[:0]
-
-	// Pass 1: per-task miss counts, per-class fill and weight totals. The
-	// hits term associates differently from pass 2's weight expression;
-	// both forms are pinned by the recorded occupancy goldens.
+	// Pass 1: per-class fill and weight totals. The hits term associates
+	// differently from pass 2's weight expression; both forms are pinned by
+	// the recorded occupancy goldens.
 	for i := range traffic {
 		tr := &traffic[i]
-		st := tr.Ref
+		st := l.stateOf(tr)
 		if st == nil {
-			st = l.tasks[tr.Task]
-		}
-		sts = append(sts, st)
-		if st == nil {
-			miss = append(miss, 0)
 			continue
 		}
 		m := tr.Accesses * clamp01(tr.MissRate)
-		miss = append(miss, m)
 		st.stamp = stamp
 		fill[st.class] += m * LineSize
 		hits := (tr.Accesses - m) * LineSize
 		weight[st.class] += m*LineSize + hitRecencyWeight*hits + weightFloor
 	}
-	l.scratchSt, l.scratchMs = sts, miss
 
-	dtSec := dt.Seconds()
+	if dt != l.lastDt {
+		l.lastDt = dt
+		l.dtSec = dt.Seconds()
+		l.drift = 0.02 * l.dtSec / 0.005
+	}
+	// Each class's fill rate: its fill bandwidth over its capacity.
+	for c, b := range l.denseBytes {
+		if b > 0 {
+			fill[c] /= b
+		}
+	}
 	// Pass 2: move each active task toward its equilibrium share.
 	for i := range traffic {
-		st := sts[i]
+		tr := &traffic[i]
+		st := l.stateOf(tr)
 		if st == nil {
 			continue
 		}
-		tr := &traffic[i]
 		capBytes := l.denseBytes[st.class]
 		if capBytes <= 0 {
 			// No ways: occupancy drains fast (fills bypass the class).
-			st.occupancy *= math.Max(0, 1-4*dtSec/0.001)
+			st.occupancy *= math.Max(0, 1-4*l.dtSec/0.001)
 			continue
 		}
-		// Convergence rate: class fill bandwidth over class capacity plus
-		// a slow base drift so caches settle even with no traffic at all.
-		rate := fill[st.class]/capBytes + 0.02*dtSec/0.005
+		// Convergence rate: the class fill rate plus a slow base drift so
+		// caches settle even with no traffic at all.
+		rate := fill[st.class] + l.drift
 		if rate > 1 {
 			rate = 1
 		}
-		m := miss[i]
+		m := tr.Accesses * clamp01(tr.MissRate)
 		w := m*LineSize + hitRecencyWeight*(tr.Accesses-m)*LineSize + weightFloor
 		eq := capBytes * w / weight[st.class]
 		if eq > tr.WSS && tr.WSS > 0 {
@@ -411,12 +414,21 @@ func (l *LLC) ApplyFast(dt time.Duration, traffic []Traffic) {
 			st.occupancy = 0
 			continue
 		}
-		rate := fill[st.class] / capBytes
+		rate := fill[st.class]
 		if rate > 1 {
 			rate = 1
 		}
 		st.occupancy *= 1 - rate
 	}
+}
+
+// stateOf returns the state of tr's task: its Ref, else a lookup (nil for
+// an unknown task).
+func (l *LLC) stateOf(tr *Traffic) *taskState {
+	if tr.Ref != nil {
+		return tr.Ref
+	}
+	return l.tasks[tr.Task]
 }
 
 func clamp01(x float64) float64 {

@@ -281,6 +281,23 @@ func TestCacheInertia(t *testing.T) {
 	}
 }
 
+// ApplyFast caches dt's seconds and the base drift rate for the last dt. A
+// task with no accesses and a working set smaller than its class converges
+// at exactly that drift, so a stale cache after a change of dt shows up.
+func TestApplyFastFollowsQuantumLength(t *testing.T) {
+	l := MustNew(DefaultConfig())
+	_ = l.Register(1, 0)
+	const wss = 1 << 20
+	want := 0.0
+	for _, dt := range []time.Duration{quantum, 4 * quantum, quantum} {
+		l.ApplyFast(dt, []Traffic{{Task: 1, WSS: wss}})
+		want += (wss - want) * (0.02 * dt.Seconds() / 0.005)
+		if got := l.Occupancy(1); got != want {
+			t.Fatalf("after a %v quantum: occupancy %v, want %v", dt, got, want)
+		}
+	}
+}
+
 func TestZeroWayClassDrains(t *testing.T) {
 	l := MustNew(DefaultConfig())
 	cl := l.DefineClass() // zero ways

@@ -272,12 +272,24 @@ func TestRenderComparisonAndStd(t *testing.T) {
 		t.Errorf("policy sweep header %q: want one column per policy, in order", lines[1])
 	}
 	for i, want := range []string{
-		"ferret rs                             0.75/ 0.40  0.90/ 0.80",
-		"bodytrack pca                         0.60/ 0.25  1.00/ 1.50",
+		"ferret rs                              0.75/ 0.40   0.90/ 0.80",
+		"bodytrack pca                          0.60/ 0.25   1.00/ 1.50",
 	} {
 		if lines[2+i] != want {
 			t.Errorf("policy sweep row %d = %q, want %q", i, lines[2+i], want)
 		}
+	}
+	// Each policy's name and each of its cells end at the same column.
+	from := 0
+	for _, p := range sweep.Policies {
+		end := from + strings.Index(lines[1][from:], p) + len(p)
+		for _, row := range lines[2:] {
+			if end > len(row) || row[end-1] == ' ' || (end < len(row) && row[end] != ' ') {
+				t.Errorf("policy sweep: the %s cell of %q does not end at column %d, where the header's %q ends:\n%s",
+					p, row, end, p, out)
+			}
+		}
+		from = end
 	}
 }
 

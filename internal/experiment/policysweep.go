@@ -106,15 +106,18 @@ func (r *Runner) policySweepMix(mix Mix, policies []string) (*PolicyMixResult, e
 func RenderPolicySweep(title string, res *PolicySweepResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
+	// Header and row cells share one width, so each cell ends under the
+	// end of its policy's name.
+	const cell = " %12s"
 	fmt.Fprintf(&b, "%-36s", "mix")
 	for _, p := range res.Policies {
-		fmt.Fprintf(&b, " %12s", p)
+		fmt.Fprintf(&b, cell, p)
 	}
 	fmt.Fprintf(&b, "   (each cell: FG success / rel BG throughput)\n")
 	for _, pmr := range res.Mixes {
 		fmt.Fprintf(&b, "%-36s", pmr.Mix.Name)
 		for _, p := range res.Policies {
-			fmt.Fprintf(&b, "  %4.2f/%5.2f", pmr.ByPolicy[p].MeanSuccessRate(), pmr.RelBGThroughput(p))
+			fmt.Fprintf(&b, cell, fmt.Sprintf("%4.2f/%5.2f", pmr.ByPolicy[p].MeanSuccessRate(), pmr.RelBGThroughput(p)))
 		}
 		fmt.Fprintf(&b, "\n")
 	}

@@ -163,6 +163,74 @@ func TestHeterogeneousFrequencyAndIPC(t *testing.T) {
 	}
 }
 
+// The step keeps each core's phase-only terms (APKI/1000, BaseCPI times the
+// core's cpiScale, MLP) in the core's record and recomputes them only when
+// the running phase pointer changes. Without jitter or LLC accesses a
+// quantum retires exactly f·1e9·Δt / (BaseCPI·cpiScale) instructions, so a
+// term that failed to follow the phase, the program or the core shows up
+// as a wrong count.
+func TestPhaseTermsFollowPhaseProgramAndCore(t *testing.T) {
+	cfg, err := ClassConfig("biglittle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SlowJitterSigma = 0
+	m := MustNew(cfg)
+	twoPhase := &workload.Benchmark{Name: "two-phase", Kind: workload.Foreground, Phases: []workload.Phase{
+		{Name: "a", Instructions: 2e6, BaseCPI: 1},
+		{Name: "b", Instructions: 1e9, BaseCPI: 2.5},
+	}}
+	third := &workload.Benchmark{Name: "third", Kind: workload.Foreground, Phases: []workload.Phase{
+		{Name: "c", Instructions: 1e9, BaseCPI: 1.75},
+	}}
+	// One copy on a big core and one on a little core (0.75x clock, 0.6x
+	// IPC): the two share phase pointers but not cpiScale.
+	type run struct {
+		id, core    int
+		prog        *workload.Program
+		phase       string // the phase the last quantum ran
+		scale, want float64
+	}
+	runs := []*run{{core: 0, scale: 1}, {core: 2, scale: 1 / cfg.CoreSets[1].IPCScale}}
+	for _, r := range runs {
+		r.prog = workload.MustProgram(twoPhase)
+		if r.id, err = m.Launch("fg", r.prog, r.core, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dtSec := cfg.Quantum.Seconds()
+	seen := map[string]int{}
+	step := func(quanta int) {
+		for q := 0; q < quanta; q++ {
+			for _, r := range runs {
+				f, _ := m.FreqGHz(r.core)
+				ph := r.prog.Phase()
+				r.phase = ph.Name
+				seen[ph.Name]++
+				r.want += f * 1e9 * dtSec / (ph.BaseCPI * r.scale)
+			}
+			m.Step()
+			for _, r := range runs {
+				if got := m.Counters().Task(r.id).Instructions; got != r.want {
+					t.Fatalf("core %d, after a quantum of phase %q: %v instructions retired in all, want %v",
+						r.core, r.phase, got, r.want)
+				}
+			}
+		}
+	}
+	step(20) // both cores cross from phase a to phase b
+	for _, r := range runs {
+		r.prog = workload.MustProgram(third)
+		if err := m.SetProgram(r.id, r.prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step(5)
+	if seen["a"] == 0 || seen["b"] == 0 || seen["c"] == 0 {
+		t.Fatalf("quanta per phase %v: want every phase run", seen)
+	}
+}
+
 func TestMultiSocketIsolation(t *testing.T) {
 	cfg, err := ClassConfig("dual-socket")
 	if err != nil {

@@ -171,8 +171,8 @@ type Machine struct {
 	memory   *mem.Memory
 	counters *perf.Counters
 
-	coreFreq []int   // frequency level index per core
-	coreTask []*task // nil when idle
+	coreFreq []int       // frequency level index per core
+	cores    []coreState // per-core record: pinned task, clock, solver terms
 	tasks    map[int]*task
 	nextID   int
 
@@ -216,35 +216,40 @@ type Machine struct {
 	// default). Hot-path emissions gate on rec.Enabled.
 	rec telemetry.Recorder
 
-	// scratch buffers reused across Step calls to avoid per-quantum
-	// allocation.
+	// Per-quantum solver state (step/StepN). active lists, ascending, the
+	// cores whose task runs (is not paused) this quantum; scratchTraffic is
+	// the commit's ApplyFast input. batchQ accumulates quantum-step events
+	// across a StepN batch; flushQuanta hands them to recBatch (the
+	// recorder's batch interface, when it has one) in a single call.
+	active         []int
 	scratchTraffic []cache.Traffic
-	scratchInstr   []float64
-	scratchJitter  []float64
+	batchQ         []telemetry.Event
+	recBatch       telemetry.QuantumBatcher
 
-	// Per-quantum solver state (step/StepN). The scratch arrays hold the
-	// per-core terms that are invariant within one quantum — phase pointer
-	// (nil for idle or paused cores), effective compute seconds, clock,
-	// hit rate, misses per instruction, jittered base CPI, and MLP — hoisted
-	// once instead of recomputed on every solver iteration. batchQ
-	// accumulates quantum-step events across a StepN batch; flushQuanta
-	// hands them to recBatch (the recorder's batch interface, when it has
-	// one) in a single call.
-	scratchEff   []float64
-	scratchPhase []*workload.Phase
-	scratchF     []float64
-	scratchHit   []float64
-	scratchMPI   []float64
-	scratchBJ    []float64
-	scratchMLP   []float64
-	batchQ       []telemetry.Event
-	recBatch     telemetry.QuantumBatcher
-
-	// quantumSec caches cfg.Quantum.Seconds() and coreGHz caches
-	// ladder[c][coreFreq[c]] (maintained by commitFreq), so the step reads
-	// them instead of re-deriving both every quantum.
+	// quantumSec caches cfg.Quantum.Seconds(), so the step reads it instead
+	// of re-deriving it every quantum.
 	quantumSec float64
-	coreGHz    []float64
+}
+
+// coreState is one core's record. ghz and cycles change only at a DVFS
+// commit (setClock). The phase terms depend on nothing but the phase and
+// the core's cpiScale, so step recomputes them only when the phase pointer
+// changes; it writes the per-quantum terms for the active cores only.
+type coreState struct {
+	task   *task   // nil when idle
+	ghz    float64 // clock: ladder[c][coreFreq[c]]
+	cycles float64 // counter cycles per quantum: ghz·1e9·quantumSec
+
+	ph   *workload.Phase // phase the terms below were computed for
+	apk  float64         // LLC accesses per instruction: APKI/1000
+	base float64         // BaseCPI times the core's cpiScale (when ≠ 1)
+	mlp  float64         // EffectiveMLP
+
+	work  float64 // ghz·1e9·(compute seconds left after overhead)
+	hit   float64 // LLC hit rate at the quantum's start
+	mpi   float64 // misses per instruction
+	bj    float64 // jittered base CPI
+	instr float64 // instructions retired, from the last solver pass
 }
 
 // maxBatchQuanta bounds how many quanta one StepN call may advance, capping
@@ -313,7 +318,7 @@ func New(cfg Config) (*Machine, error) {
 		memory:         memory,
 		counters:       counters,
 		coreFreq:       make([]int, cfg.Cores),
-		coreTask:       make([]*task, cfg.Cores),
+		cores:          make([]coreState, cfg.Cores),
 		tasks:          map[int]*task{},
 		nextID:         1,
 		overheadOwed:   make([]time.Duration, cfg.Cores),
@@ -325,16 +330,8 @@ func New(cfg Config) (*Machine, error) {
 		multiSocket:    sockets > 1,
 		rng:            sim.NewRand(cfg.Seed),
 		rec:            telemetry.Nop(),
+		active:         make([]int, 0, cfg.Cores),
 		scratchTraffic: make([]cache.Traffic, 0, cfg.Cores),
-		scratchInstr:   make([]float64, cfg.Cores),
-		scratchJitter:  make([]float64, cfg.Cores),
-		scratchEff:     make([]float64, cfg.Cores),
-		scratchPhase:   make([]*workload.Phase, cfg.Cores),
-		scratchF:       make([]float64, cfg.Cores),
-		scratchHit:     make([]float64, cfg.Cores),
-		scratchMPI:     make([]float64, cfg.Cores),
-		scratchBJ:      make([]float64, cfg.Cores),
-		scratchMLP:     make([]float64, cfg.Cores),
 	}
 	// Expand core sets into per-core ladders, CPI scaling, and socket
 	// placement. The homogeneous default aliases the shared level grid so
@@ -369,11 +366,10 @@ func New(cfg Config) (*Machine, error) {
 	// Cores start at maximum frequency.
 	top := len(cfg.FreqLevelsGHz) - 1
 	m.quantumSec = cfg.Quantum.Seconds()
-	m.coreGHz = make([]float64, cfg.Cores)
 	for c := range m.coreFreq {
 		m.coreFreq[c] = top
 		m.freqResidency[c] = make([]time.Duration, len(cfg.FreqLevelsGHz))
-		m.coreGHz[c] = m.ladder[c][top]
+		m.setClock(c)
 	}
 	if cfg.Faults != nil {
 		m.pendingFreq = make([]pendingTransition, cfg.Cores)
@@ -441,8 +437,8 @@ func (m *Machine) Launch(name string, prog *workload.Program, core int, class ca
 	if err := m.checkCore(core); err != nil {
 		return 0, err
 	}
-	if m.coreTask[core] != nil {
-		return 0, fmt.Errorf("machine: core %d already runs task %d", core, m.coreTask[core].id)
+	if t := m.cores[core].task; t != nil {
+		return 0, fmt.Errorf("machine: core %d already runs task %d", core, t.id)
 	}
 	if prog == nil {
 		return 0, errors.New("machine: nil program")
@@ -455,7 +451,7 @@ func (m *Machine) Launch(name string, prog *workload.Program, core int, class ca
 	t := &task{id: id, name: name, program: prog, core: core, jitter: sim.NewLogNormals(m.rng.Split()), slowJitter: 1,
 		cref: m.llc.Ref(id), sample: m.counters.Handle(id)}
 	m.tasks[id] = t
-	m.coreTask[core] = t
+	m.cores[core].task = t
 	if m.rec.Enabled(telemetry.KindTaskLaunch) {
 		m.rec.Record(telemetry.Event{
 			Kind: telemetry.KindTaskLaunch, At: m.clock.Now(),
@@ -471,7 +467,7 @@ func (m *Machine) Kill(taskID int) error {
 	if !ok {
 		return fmt.Errorf("machine: unknown task %d", taskID)
 	}
-	m.coreTask[t.core] = nil
+	m.cores[t.core].task = nil
 	delete(m.tasks, taskID)
 	m.llc.Unregister(taskID)
 	if m.rec.Enabled(telemetry.KindTaskKill) {
@@ -656,13 +652,21 @@ func (m *Machine) commitFreq(core, level int) {
 	m.flushQuanta()
 	m.foldResidency(core)
 	m.coreFreq[core] = level
-	m.coreGHz[core] = m.ladder[core][level]
+	m.setClock(core)
 	if m.rec.Enabled(telemetry.KindDVFSTransition) {
 		m.rec.Record(telemetry.Event{
 			Kind: telemetry.KindDVFSTransition, At: m.clock.Now(),
 			Core: core, FromLevel: prev, ToLevel: level,
 		})
 	}
+}
+
+// setClock refreshes core's clock and per-quantum cycle charge from its
+// current level.
+func (m *Machine) setClock(core int) {
+	cs := &m.cores[core]
+	cs.ghz = m.ladder[core][m.coreFreq[core]]
+	cs.cycles = cs.ghz * 1e9 * m.quantumSec
 }
 
 // FreqLevel returns a core's current DVFS level index.
@@ -808,11 +812,12 @@ func (m *Machine) flushQuanta() {
 
 // step advances one quantum. Every quantum-invariant per-core term (phase,
 // frequency, hit rate, miss rate, jittered base CPI, MLP) is hoisted out of
-// the solver loop, and the quantum-step event is buffered for flushQuanta
-// instead of emitted inline. The floating-point expression forms and their
-// evaluation order are pinned bit for bit by the recorded goldens
-// (TestStepEnginesEquivalent and the experiment and benchreg goldens), so
-// reassociating any of them is a deliberate re-baseline.
+// the solver loop into the core's record, the solver passes and the commit
+// walk only the running cores, and the quantum-step event is buffered for
+// flushQuanta instead of emitted inline. The floating-point expression
+// forms and their evaluation order are pinned bit for bit by the recorded
+// goldens (TestStepEnginesEquivalent and the experiment and benchreg
+// goldens), so reassociating any of them is a deliberate re-baseline.
 func (m *Machine) step() []Completion {
 	dt := m.cfg.Quantum
 	dtSec := m.quantumSec
@@ -832,48 +837,53 @@ func (m *Machine) step() []Completion {
 	m.quanta++
 
 	// Hoist pass: one traversal computes every per-core term the solver
-	// iterations and the commit read. Within a quantum these cannot change —
+	// iterations and the commit read, and lists the running cores in
+	// ascending order. Within a quantum these terms cannot change —
 	// occupancy only moves in llc.ApplyFast below, programs only advance at
-	// commit. The jitter draws happen here in ascending-core order, one
-	// stream per task.
-	for c := 0; c < m.cfg.Cores; c++ {
-		m.scratchEff[c] = dtSec
+	// commit. It visits every core because overhead drains on idle cores
+	// too. The jitter draws happen here in ascending-core order, one stream
+	// per task.
+	m.active = m.active[:0]
+	for c := range m.cores {
+		eff := dtSec
 		if owed := m.overheadOwed[c]; owed > 0 {
 			steal := owed
 			if steal > dt {
 				steal = dt
 			}
 			m.overheadOwed[c] -= steal
-			m.scratchEff[c] = (dt - steal).Seconds()
+			eff = (dt - steal).Seconds()
 		}
-		m.scratchJitter[c] = 1
-		m.scratchPhase[c] = nil
-		t := m.coreTask[c]
+		cs := &m.cores[c]
+		t := cs.task
 		if t == nil || t.paused {
 			continue
 		}
+		jitter := 1.0
 		if sigma := t.program.Benchmark().CPIJitter; sigma > 0 {
-			m.scratchJitter[c] = t.jitter.Draw(sigma)
+			jitter = t.jitter.Draw(sigma)
 		}
 		if m.cfg.SlowJitterSigma > 0 {
 			if now >= t.slowUntil {
 				t.slowJitter = t.jitter.Draw(m.cfg.SlowJitterSigma)
 				t.slowUntil = now + sim.Time(m.cfg.SlowJitterPeriod)
 			}
-			m.scratchJitter[c] *= t.slowJitter
+			jitter *= t.slowJitter
 		}
-		ph := t.program.Phase()
-		m.scratchPhase[c] = ph
-		m.scratchF[c] = m.coreGHz[c]
-		hit := m.llc.HitRateRef(t.cref, ph.WSSBytes, ph.Locality)
-		m.scratchHit[c] = hit
-		m.scratchMPI[c] = ph.APKI / 1000 * (1 - hit)
-		base := ph.BaseCPI
-		if s := m.cpiScale[c]; s != 1 {
-			base *= s
+		if ph := t.program.Phase(); ph != cs.ph {
+			cs.ph = ph
+			cs.apk = ph.APKI / 1000
+			cs.base = ph.BaseCPI
+			if s := m.cpiScale[c]; s != 1 {
+				cs.base *= s
+			}
+			cs.mlp = ph.EffectiveMLP()
 		}
-		m.scratchBJ[c] = base * m.scratchJitter[c]
-		m.scratchMLP[c] = ph.EffectiveMLP()
+		cs.work = cs.ghz * 1e9 * eff
+		cs.hit = m.llc.HitRateRef(t.cref, cs.ph.WSSBytes, cs.ph.Locality)
+		cs.mpi = cs.apk * (1 - cs.hit)
+		cs.bj = cs.base * jitter
+		m.active = append(m.active, c)
 	}
 
 	// Damped fixed point over memory utilization, reading the hoisted terms:
@@ -918,16 +928,11 @@ func (m *Machine) step() []Completion {
 	demand := 0.0
 	totInstr, totMisses := 0.0, 0.0
 	var completions []Completion
-	for c := 0; c < m.cfg.Cores; c++ {
-		ph := m.scratchPhase[c]
-		if ph == nil {
-			continue
-		}
-		t := m.coreTask[c]
-		instr := m.scratchInstr[c]
-		f := m.scratchF[c]
+	for _, c := range m.active {
+		cs := &m.cores[c]
+		t, ph, instr := cs.task, cs.ph, cs.instr
 		accesses := instr * ph.APKI / 1000
-		missRate := 1 - m.scratchHit[c]
+		missRate := 1 - cs.hit
 		misses := accesses * missRate
 		demand += misses * BytesPerMiss
 		if m.multiSocket {
@@ -940,7 +945,7 @@ func (m *Machine) step() []Completion {
 		// (free-running cycle counter), instructions reflect work done.
 		m.counters.ChargeRef(t.sample, c, perf.Sample{
 			Instructions: instr,
-			Cycles:       f * 1e9 * dtSec,
+			Cycles:       cs.cycles,
 			LLCAccesses:  accesses,
 			LLCMisses:    misses,
 		})
@@ -984,26 +989,25 @@ func (m *Machine) step() []Completion {
 	return completions
 }
 
-// corePass is one solver pass over socket's cores at memory latency lat:
-// it stores each core's instructions for the quantum in scratchInstr and
-// returns the socket's miss traffic in bytes.
+// corePass is one solver pass over socket's running cores at memory
+// latency lat: it stores each core's instructions for the quantum in its
+// record and returns the socket's miss traffic in bytes. work ≤ 0 (clocks
+// are positive) means overhead took the whole quantum.
 func (m *Machine) corePass(socket int, lat time.Duration) float64 {
 	latNs := float64(lat.Nanoseconds())
 	demand := 0.0
-	for c := 0; c < m.cfg.Cores; c++ {
+	for _, c := range m.active {
 		if m.coreSocket[c] != socket {
 			continue
 		}
-		m.scratchInstr[c] = 0
-		if m.scratchPhase[c] == nil || m.scratchEff[c] <= 0 {
+		cs := &m.cores[c]
+		if cs.work <= 0 {
+			cs.instr = 0
 			continue
 		}
-		f := m.scratchF[c]
-		missPerInstr := m.scratchMPI[c]
-		cpi := m.scratchBJ[c] + missPerInstr*latNs*f/m.scratchMLP[c]
-		instr := f * 1e9 * m.scratchEff[c] / cpi
-		m.scratchInstr[c] = instr
-		demand += instr * missPerInstr * BytesPerMiss
+		cpi := cs.bj + cs.mpi*latNs*cs.ghz/cs.mlp
+		cs.instr = cs.work / cpi
+		demand += cs.instr * cs.mpi * BytesPerMiss
 	}
 	return demand
 }

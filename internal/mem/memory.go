@@ -66,6 +66,11 @@ type Memory struct {
 	lastUtilization float64
 	lastSocketUtil  []float64
 	totalBytes      float64 // lifetime traffic, for counters
+	// Bytes the shared pool and each socket move at peak bandwidth in one
+	// quantum of length lastDt.
+	lastDt   time.Duration
+	peakDt   float64
+	socketDt []float64
 }
 
 // New validates cfg and returns a Memory.
@@ -90,6 +95,7 @@ func New(cfg Config) (*Memory, error) {
 	m := &Memory{cfg: cfg}
 	if len(cfg.Sockets) > 0 {
 		m.lastSocketUtil = make([]float64, len(cfg.Sockets))
+		m.socketDt = make([]float64, len(cfg.Sockets))
 	}
 	return m, nil
 }
@@ -113,7 +119,20 @@ func (m *Memory) Utilization(demandBytes float64, dt time.Duration) float64 {
 	if dt <= 0 {
 		return 0
 	}
-	return demandBytes / (m.cfg.PeakBandwidth * dt.Seconds())
+	if dt != m.lastDt {
+		m.setDt(dt)
+	}
+	return demandBytes / m.peakDt
+}
+
+// setDt recomputes peakDt and socketDt for quantum length dt.
+func (m *Memory) setDt(dt time.Duration) {
+	m.lastDt = dt
+	sec := dt.Seconds()
+	m.peakDt = m.cfg.PeakBandwidth * sec
+	for i, s := range m.cfg.Sockets {
+		m.socketDt[i] = s.PeakBandwidth * sec
+	}
 }
 
 // LatencyStretch returns the queueing multiplier for a given utilization:
@@ -159,23 +178,17 @@ func (m *Memory) NumSockets() int {
 	return len(m.cfg.Sockets)
 }
 
-// SocketPeakBandwidth returns socket i's bandwidth pool in bytes/second.
-// For the shared-pool configuration socket 0 is the shared pool.
-func (m *Memory) SocketPeakBandwidth(i int) float64 {
-	if len(m.cfg.Sockets) == 0 {
-		return m.cfg.PeakBandwidth
-	}
-	return m.cfg.Sockets[i].PeakBandwidth
-}
-
 // UtilizationOn converts a demand in bytes over a quantum dt on socket i
 // into a utilization fraction of that socket's bandwidth. Like Utilization,
 // values above 1 are meaningful to the solver and not clamped.
 func (m *Memory) UtilizationOn(socket int, demandBytes float64, dt time.Duration) float64 {
-	if dt <= 0 {
-		return 0
+	if dt <= 0 || len(m.cfg.Sockets) == 0 {
+		return m.Utilization(demandBytes, dt)
 	}
-	return demandBytes / (m.SocketPeakBandwidth(socket) * dt.Seconds())
+	if dt != m.lastDt {
+		m.setDt(dt)
+	}
+	return demandBytes / m.socketDt[socket]
 }
 
 // ApplySockets records the final per-socket traffic of a quantum (after the

@@ -48,6 +48,27 @@ func TestUtilization(t *testing.T) {
 	if got := m.Utilization(100, 0); got != 0 {
 		t.Errorf("zero-dt Utilization = %g, want 0", got)
 	}
+	// Each pool's bytes per quantum are cached for the last dt; a call
+	// with another dt, or on another socket, must not read a stale one.
+	two := MustNew(Config{PeakBandwidth: 1e9, IdleLatency: 100 * time.Nanosecond, MaxStretch: 10,
+		Sockets: []Socket{{PeakBandwidth: 1e9}, {PeakBandwidth: 2e9}}})
+	for _, c := range []struct {
+		socket int // -1: the top-level pool, through Utilization
+		dt     time.Duration
+		want   float64
+	}{
+		{-1, 2 * dt, 0.25}, {0, dt, 0.5}, {1, dt, 0.25}, {1, 2 * dt, 0.125}, {-1, dt, 0.5}, {0, 2 * dt, 0.25},
+	} {
+		got := 0.0
+		if c.socket < 0 {
+			got = two.Utilization(5e5, c.dt)
+		} else {
+			got = two.UtilizationOn(c.socket, 5e5, c.dt)
+		}
+		if got != c.want {
+			t.Errorf("socket %d, dt %v: Utilization = %g, want %g", c.socket, c.dt, got, c.want)
+		}
+	}
 }
 
 func TestLatencyStretchCurve(t *testing.T) {

@@ -73,29 +73,63 @@ func (r *Rand) Norm() float64 {
 		u1 = 1e-300
 	}
 	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * cosTurn(u2)
+	return math.Sqrt(-2*logUnit(u1)) * cosTurn(u2)
 }
 
-// Cephes polynomial coefficients for sine and cosine on [-π/4, π/4], as in
-// Go's math/sin.go.
-var (
-	sinCoef = [...]float64{
-		1.58962301576546568060e-10, // 0x3de5d8fd1fd19ccd
-		-2.50507477628578072866e-8, // 0xbe5ae5e5a9291f5d
-		2.75573136213857245213e-6,  // 0x3ec71de3567d48a1
-		-1.98412698295895385996e-4, // 0xbf2a01a019bfdf03
-		8.33333333332211858878e-3,  // 0x3f8111111110f7d0
-		-1.66666666666666307295e-1, // 0xbfc5555555555548
-	}
-	cosCoef = [...]float64{
-		-1.13585365213876817300e-11, // 0xbda8fa49a0861a9b
-		2.08757008419747316778e-9,   // 0x3e21ee9d7b4e3f05
-		-2.75573141792967388112e-7,  // 0xbe927e4f7eac4bc6
-		2.48015872888517045348e-5,   // 0x3efa01a019c844f5
-		-1.38888888888730564116e-3,  // 0xbf56c16c16c14f91
-		4.16666666666665929218e-2,   // 0x3fa555555555554b
-	}
-)
+// logUnit returns math.Log(x) for a normal x in (0, 1) bit for bit on
+// amd64: it is log_amd64.s step for step, less the special cases Norm's u1
+// never hits. Every product is an explicit float64 conversion, so it gives
+// the same bits on every architecture (math.Log does not: arm64 runs
+// log.go with fused multiply-adds, s390x its own assembly).
+func logUnit(x float64) float64 {
+	const (
+		ln2Hi = 6.93147180369123816490e-01 // 0x3fe62e42fee00000
+		ln2Lo = 1.90821492927058770002e-10 // 0x3dea39ef35793c76
+		l1    = 6.666666666666735130e-01   // 0x3FE5555555555593
+		l2    = 3.999999999940941908e-01   // 0x3FD999999997FA04
+		l3    = 2.857142874366239149e-01   // 0x3FD2492494229359
+		l4    = 2.222219843214978396e-01   // 0x3FCC71C51D8E78AF
+		l5    = 1.818357216161805012e-01   // 0x3FC7466496CB03DE
+		l6    = 1.531383769920937332e-01   // 0x3FC39A09D078C69F
+		l7    = 1.479819860511658591e-01   // 0x3FC2F112DF3E5244
+	)
+	// Frexp by bit masks: x = f1·2^k with f1 in [0.5, 1).
+	b := math.Float64bits(x)
+	f1b := b&(1<<52-1) | math.Float64bits(0.5)
+	k := float64(int64(b>>52&0x7ff) - 0x3fe)
+	// Where !(√2/2 < f1) (the assembly's test; log.go's f1 < √2/2 differs at
+	// √2/2), take k−1 and 2·f1. Positive floats order as their bits, so the
+	// test is a sign bit and the select masks the bits of 1.
+	notGt := (math.Float64bits(math.Sqrt2/2)-f1b)>>63 - 1
+	t := math.Float64frombits(notGt & math.Float64bits(1))
+	k -= t
+	f := float64(math.Float64frombits(f1b)*(t+1)) - 1
+	s := f / (2 + f)
+	s2 := float64(s * s)
+	s4 := float64(s2 * s2)
+	t1 := float64(s2 * (l1 + float64(s4*(l3+float64(s4*(l5+float64(s4*l7)))))))
+	t2 := float64(s4 * (l2 + float64(s4*(l4+float64(s4*l6)))))
+	hfsq := float64(float64(0.5*f) * f)
+	return float64(k*ln2Hi) - ((hfsq - (float64(s*(hfsq+(t1+t2))) + float64(k*ln2Lo))) - f)
+}
+
+// Cephes polynomial coefficients on [-π/4, π/4], as in Go's math/sin.go:
+// row 0 for cosine, row 1 for sine.
+var turnCoef = [2][6]float64{{
+	-1.13585365213876817300e-11, // 0xbda8fa49a0861a9b
+	2.08757008419747316778e-9,   // 0x3e21ee9d7b4e3f05
+	-2.75573141792967388112e-7,  // 0xbe927e4f7eac4bc6
+	2.48015872888517045348e-5,   // 0x3efa01a019c844f5
+	-1.38888888888730564116e-3,  // 0xbf56c16c16c14f91
+	4.16666666666665929218e-2,   // 0x3fa555555555554b
+}, {
+	1.58962301576546568060e-10, // 0x3de5d8fd1fd19ccd
+	-2.50507477628578072866e-8, // 0xbe5ae5e5a9291f5d
+	2.75573136213857245213e-6,  // 0x3ec71de3567d48a1
+	-1.98412698295895385996e-4, // 0xbf2a01a019bfdf03
+	8.33333333332211858878e-3,  // 0x3f8111111110f7d0
+	-1.66666666666666307295e-1, // 0xbfc5555555555548
+}}
 
 // cosTurn returns math.Cos(2*math.Pi*u) for u in [0, 1), bit for bit on
 // amd64, where math.Cos is Go's portable cos and nothing is fused. It is
@@ -119,16 +153,20 @@ func cosTurn(u float64) float64 {
 	y := float64(j)
 	z := ((x - float64(y*pi4A)) - float64(y*pi4B)) - float64(y*pi4C)
 	zz := float64(z * z)
-	ps, pc := sinCoef[0], cosCoef[0]
-	for i := 1; i < len(sinCoef); i++ {
-		ps = float64(ps*zz) + sinCoef[i]
-		pc = float64(pc*zz) + cosCoef[i]
+	// Octants 2 and 6 take sin = z + (z·zz)·P, the others cos = (1 − zz/2) +
+	// (zz·zz)·P: the octant selects P's row and, by bit mask, a + (b·zz)·P's
+	// a and b. Octants 2 and 4 negate.
+	odd := (j >> 1) & 1
+	c := &turnCoef[odd]
+	p := c[0]
+	for i := 1; i < len(c); i++ {
+		p = float64(p*zz) + c[i]
 	}
-	sin := z + float64(float64(z*zz)*ps)
-	cos := 1.0 - float64(0.5*zz) + float64(float64(zz*zz)*pc)
-	// Octants 2 and 6 take the sine polynomial; 2 and 4 negate.
-	useSin := -((j >> 1) & 1)
-	bits := math.Float64bits(cos)&^useSin | math.Float64bits(sin)&useSin
+	useSin := -odd
+	zb := math.Float64bits(z) & useSin
+	a := math.Float64frombits(math.Float64bits(1.0-float64(0.5*zz))&^useSin | zb)
+	bz := math.Float64frombits(math.Float64bits(zz)&^useSin | zb)
+	bits := math.Float64bits(a + float64(float64(bz*zz)*p))
 	bits ^= ((j>>1 ^ j>>2) & 1) << 63
 	return math.Float64frombits(bits)
 }
@@ -136,9 +174,9 @@ func cosTurn(u float64) float64 {
 // LogNormal returns a sample of exp(N(mu, sigma)). The simulator's OS-noise
 // model uses small lognormal CPI multipliers: noise is always positive and
 // right-skewed, matching interference spikes (context switches, interrupts)
-// better than symmetric noise.
+// better than symmetric noise. float64 keeps the product unfused.
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Norm())
+	return math.Exp(mu + float64(sigma*r.Norm()))
 }
 
 // logNormalBlock is how many normals LogNormals draws ahead. 16 and 128

@@ -35,6 +35,31 @@ func TestCosTurnMatchesMathCos(t *testing.T) {
 	}
 }
 
+// On amd64, math.Log is log_amd64.s, which logUnit must reproduce bit for
+// bit: every Box–Muller draw, and so every golden, goes through it.
+func TestLogUnitMatchesMathLog(t *testing.T) {
+	check := func(x float64) {
+		if got, want := logUnit(x), math.Log(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("logUnit(%v) = %v (%#x), math.Log = %v (%#x): logUnit no longer "+
+				"transcribes log_amd64.s, so every normal draw, and with it every golden, moves",
+				x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	// Norm's clamp, the smallest nonzero and the largest Float64 draw, the
+	// binade edge 0.5, and √2/2 (where the assembly's reduction test differs
+	// from log.go's) with both neighbours.
+	h := math.Sqrt2 / 2
+	for _, x := range []float64{1e-300, 0x1p-53, 0.5, h, math.Nextafter(h, 0), math.Nextafter(h, 1), 1 - 0x1p-53} {
+		check(x)
+	}
+	r := NewRand(23)
+	for i := 0; i < 10_000_000; i++ {
+		if u := r.Float64(); u > 0 {
+			check(u)
+		}
+	}
+}
+
 // math.Exp on amd64 (exp_amd64.s) chooses at run time between an FMA path,
 // taken when the CPU has AVX and FMA, and an SSE path, whose results differ
 // in the last bit on about 1% of jitter-sized inputs. Every golden was
