@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dirigent/internal/config"
+	"dirigent/internal/golden"
 	"dirigent/internal/stats"
 )
 
@@ -43,6 +44,7 @@ func TestFGOverview(t *testing.T) {
 	if out := RenderFGOverview(rows); !strings.Contains(out, "Fig. 4") {
 		t.Error("render missing title")
 	}
+	golden.Check(t, "testdata/fg_overview.json", rows)
 }
 
 func TestBGOverview(t *testing.T) {
@@ -72,6 +74,7 @@ func TestBGOverview(t *testing.T) {
 	if out := RenderBGOverview(rows); !strings.Contains(out, "Fig. 5") {
 		t.Error("render missing title")
 	}
+	golden.Check(t, "testdata/bg_overview.json", rows)
 }
 
 func TestPredictionProbe(t *testing.T) {
@@ -143,6 +146,7 @@ func TestPartitionSweep(t *testing.T) {
 	if !strings.Contains(out, "Fig. 8") || !strings.Contains(out, "knee") {
 		t.Error("render incomplete")
 	}
+	golden.Check(t, "testdata/partition_sweep.json", res)
 }
 
 // fabricatedResults builds two MixResults with known numbers to test the
@@ -384,6 +388,10 @@ func TestTradeoffSweep(t *testing.T) {
 	if !strings.Contains(out, "Fig. 15") {
 		t.Error("tradeoff render incomplete")
 	}
+	golden.Check(t, "testdata/tradeoff_sweep.json", struct {
+		Standalone float64
+		Points     []TradeoffPoint
+	}{standalone, pts})
 	if _, _, err := r.TradeoffSweep(Mix{Name: "bad"}, nil); err == nil {
 		t.Error("invalid mix should error")
 	}
