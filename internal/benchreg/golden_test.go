@@ -12,7 +12,6 @@ import (
 	"dirigent/internal/experiment"
 	"dirigent/internal/golden"
 	"dirigent/internal/scenario"
-	"dirigent/internal/sim"
 	"dirigent/internal/telemetry"
 )
 
@@ -65,37 +64,26 @@ func TestScenarioProbeGoldens(t *testing.T) {
 		jsonl := telemetry.NewJSONL(h).Include(telemetry.KindQuantumStep)
 		r.Recorder = jsonl
 		mix := experiment.Mix{Name: spec.Name, FG: spec.Mix.FG, BG: spec.Mix.BG}
-		run := func(p experiment.RunParams) *experiment.RunResult {
-			s, err := r.StartSession(mix, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.RunExecutions(s.Goal(), sim.Time(r.TimeLimit)); err != nil {
-				t.Fatal(err)
-			}
-			rr, err := s.Collect()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rr
+		base, deadlines, targets, err := r.Baseline(mix)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var g struct {
+		managed, err := r.Run(mix, experiment.RunParams{
+			Config: config.Dirigent, Policy: spec.Policy, Targets: targets, Deadlines: deadlines,
+			BGLevel: -1, ExtraWarmup: r.ConvergenceWarmup,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jsonl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		g := struct {
 			Baseline    *experiment.RunResult `json:"baseline"`
 			Managed     *experiment.RunResult `json:"managed"`
 			TraceEvents int64                 `json:"trace_events"`
 			TraceSHA256 string                `json:"trace_sha256"`
-		}
-		g.Baseline = run(experiment.RunParams{Config: config.Baseline, BGLevel: -1, Executions: r.Executions})
-		deadlines, targets := experiment.Deadlines(g.Baseline)
-		g.Managed = run(experiment.RunParams{
-			Config: config.Dirigent, Policy: spec.Policy, Targets: targets, Deadlines: deadlines,
-			BGLevel: -1, Executions: r.Executions, ExtraWarmup: r.ConvergenceWarmup,
-		})
-		if err := jsonl.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		g.TraceEvents = jsonl.Events()
-		g.TraceSHA256 = hex.EncodeToString(h.Sum(nil))
+		}{base, managed, jsonl.Events(), hex.EncodeToString(h.Sum(nil))}
 		golden.Check(t, "testdata/golden/scenario_"+strings.ReplaceAll(spec.MachineClass, "-", "_")+".json", g)
 	}
 }

@@ -67,15 +67,6 @@ func ByName(n Name) (Config, error) {
 	return Config{}, fmt.Errorf("config: unknown configuration %q", n)
 }
 
-// MustByName is ByName that panics on an unknown name.
-func MustByName(n Name) Config {
-	c, err := ByName(n)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // All returns the five configurations in the paper's presentation order.
 func All() []Config {
 	return []Config{

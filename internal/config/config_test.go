@@ -22,23 +22,31 @@ func TestAllFiveConfigs(t *testing.T) {
 }
 
 func TestConfigSemantics(t *testing.T) {
-	base := MustByName(Baseline)
+	byName := func(n Name) Config {
+		t.Helper()
+		c, err := ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	base := byName(Baseline)
 	if base.UseRuntime || base.StaticBGMinFreq || base.CalibratedStatic {
 		t.Errorf("Baseline should be unmanaged: %+v", base)
 	}
-	sf := MustByName(StaticFreq)
+	sf := byName(StaticFreq)
 	if !sf.StaticBGMinFreq || sf.UseRuntime {
 		t.Errorf("StaticFreq wrong: %+v", sf)
 	}
-	sb := MustByName(StaticBoth)
+	sb := byName(StaticBoth)
 	if !sb.CalibratedStatic || sb.UseRuntime {
 		t.Errorf("StaticBoth wrong: %+v", sb)
 	}
-	df := MustByName(DirigentFreq)
+	df := byName(DirigentFreq)
 	if !df.UseRuntime || df.RuntimePartitioning {
 		t.Errorf("DirigentFreq wrong: %+v", df)
 	}
-	d := MustByName(Dirigent)
+	d := byName(Dirigent)
 	if !d.UseRuntime || !d.RuntimePartitioning {
 		t.Errorf("Dirigent wrong: %+v", d)
 	}
@@ -48,10 +56,4 @@ func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Error("unknown name should error")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustByName should panic")
-		}
-	}()
-	MustByName("nope")
 }

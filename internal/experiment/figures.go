@@ -63,13 +63,12 @@ type FGOverviewRow struct {
 func (r *Runner) FGOverview() ([]FGOverviewRow, error) {
 	var rows []FGOverviewRow
 	for _, fg := range fgNames() {
-		alone, err := r.runOne(Mix{Name: fg + " alone", FG: []string{fg}},
-			runSpec{cfg: config.MustByName(config.Baseline), bgLevel: -1, execs: r.Executions / 2})
+		alone, err := r.standalone(fg)
 		if err != nil {
 			return nil, err
 		}
-		cont, err := r.runOne(Mix{Name: fg + " bwaves", FG: []string{fg}, BG: repeat("bwaves", 5)},
-			runSpec{cfg: config.MustByName(config.Baseline), bgLevel: -1, execs: r.Executions / 2})
+		cont, err := r.Run(Mix{Name: fg + " bwaves", FG: []string{fg}, BG: repeat("bwaves", 5)},
+			RunParams{Config: config.Baseline, BGLevel: -1, Executions: r.Executions / 2})
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +115,7 @@ func (r *Runner) BGOverview() ([]BGOverviewRow, error) {
 	var rows []BGOverviewRow
 	for _, w := range workloads {
 		mix := Mix{Name: "ferret " + w, FG: []string{"ferret"}, BG: repeat(w, 5)}
-		run, err := r.runOne(mix, runSpec{cfg: config.MustByName(config.Baseline), bgLevel: -1, execs: r.Executions / 2})
+		run, err := r.Run(mix, RunParams{Config: config.Baseline, BGLevel: -1, Executions: r.Executions / 2})
 		if err != nil {
 			return nil, err
 		}
@@ -178,10 +177,7 @@ type PredictionProbeResult struct {
 // executions are treated as training (the penalty EMAs need at least one
 // pass) and excluded.
 func (r *Runner) PredictionProbe(mix Mix, executions, skip int) (*PredictionProbeResult, error) {
-	if err := mix.Validate(); err != nil {
-		return nil, err
-	}
-	sess, err := r.startSession(mix, runSpec{cfg: config.MustByName(config.Baseline), bgLevel: -1, execs: executions})
+	sess, err := r.StartSession(mix, RunParams{Config: config.Baseline, BGLevel: -1, Executions: executions})
 	if err != nil {
 		return nil, err
 	}
@@ -287,17 +283,13 @@ func RenderPredictionTrace(res *PredictionProbeResult) string {
 // (Fig. 7) concurrently.
 func (r *Runner) PredictionAccuracy(executions, skip int) ([]*PredictionProbeResult, error) {
 	mixes := AllSingleFGMixes()
-	out := make([]*PredictionProbeResult, len(mixes))
-	errs := make([]error, len(mixes))
-	FanOut(len(mixes), func(i int) {
-		out[i], errs[i] = r.PredictionProbe(mixes[i], executions, skip)
-	})
-	for i, err := range errs {
+	return FanOut(len(mixes), func(i int) (*PredictionProbeResult, error) {
+		res, err := r.PredictionProbe(mixes[i], executions, skip)
 		if err != nil {
 			return nil, fmt.Errorf("mix %s: %w", mixes[i].Name, err)
 		}
-	}
-	return out, nil
+		return res, nil
+	})
 }
 
 // RenderPredictionAccuracy formats Fig. 7.
@@ -349,12 +341,7 @@ func (r *Runner) PartitionSweep(mix Mix, minWays, maxWays int) (*PartitionSweepR
 	res := &PartitionSweepResult{Mix: mix}
 	best := math.Inf(1)
 	for w := minWays; w <= maxWays; w++ {
-		run, err := r.runOne(mix, runSpec{
-			cfg:     config.MustByName(config.StaticBoth),
-			fgWays:  w,
-			bgLevel: -1,
-			execs:   r.Executions / 2,
-		})
+		run, err := r.Run(mix, RunParams{Config: config.StaticBoth, FGWays: w, BGLevel: -1, Executions: r.Executions / 2})
 		if err != nil {
 			return nil, err
 		}
@@ -375,15 +362,11 @@ func (r *Runner) PartitionSweep(mix Mix, minWays, maxWays int) (*PartitionSweepR
 	}
 
 	// Dirigent run: baseline first for the deadline, then full Dirigent.
-	base, err := r.runOne(mix, runSpec{cfg: config.MustByName(config.Baseline), bgLevel: -1, execs: r.Executions})
+	_, deadlines, targets, err := r.Baseline(mix)
 	if err != nil {
 		return nil, err
 	}
-	deadlines, targets := Deadlines(base)
-	dir, err := r.runOne(mix, runSpec{
-		cfg: config.MustByName(config.Dirigent), targets: targets, deadlines: deadlines,
-		bgLevel: -1, execs: r.Executions,
-	})
+	dir, err := r.Run(mix, RunParams{Config: config.Dirigent, Targets: targets, Deadlines: deadlines, BGLevel: -1})
 	if err != nil {
 		return nil, err
 	}
@@ -649,15 +632,14 @@ func (r *Runner) TradeoffSweep(mix Mix, factors []float64) ([]TradeoffPoint, flo
 		return nil, 0, err
 	}
 	// Standalone mean.
-	alone, err := r.runOne(Mix{Name: mix.FG[0] + " alone", FG: mix.FG[:1]},
-		runSpec{cfg: config.MustByName(config.Baseline), bgLevel: -1, execs: r.Executions / 2})
+	alone, err := r.standalone(mix.FG[0])
 	if err != nil {
 		return nil, 0, err
 	}
 	standalone := alone.Streams[0].Summary.Mean
 
 	// Baseline for normalization.
-	base, err := r.runOne(mix, runSpec{cfg: config.MustByName(config.Baseline), bgLevel: -1, execs: r.Executions})
+	base, _, _, err := r.Baseline(mix)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -667,11 +649,11 @@ func (r *Runner) TradeoffSweep(mix Mix, factors []float64) ([]TradeoffPoint, flo
 	var out []TradeoffPoint
 	for _, f := range factors {
 		target := standalone * f
-		deadlines := []float64{target}
-		targets := []time.Duration{time.Duration(target * float64(time.Second))}
-		run, err := r.runOne(mix, runSpec{
-			cfg: config.MustByName(config.Dirigent), targets: targets, deadlines: deadlines,
-			bgLevel: -1, execs: r.Executions,
+		run, err := r.Run(mix, RunParams{
+			Config:    config.Dirigent,
+			Targets:   []time.Duration{time.Duration(target * float64(time.Second))},
+			Deadlines: []float64{target},
+			BGLevel:   -1,
 		})
 		if err != nil {
 			return nil, 0, err

@@ -56,41 +56,35 @@ func (r *Runner) PolicySweep(mixes []Mix, policies []string) (*PolicySweepResult
 				p, strings.Join(policy.Names(), ", "))
 		}
 	}
-	res := &PolicySweepResult{Policies: policies, Mixes: make([]*PolicyMixResult, len(mixes))}
-	errs := make([]error, len(mixes))
-	FanOut(len(mixes), func(i int) {
-		res.Mixes[i], errs[i] = r.policySweepMix(mixes[i], policies)
-	})
-	for i, err := range errs {
+	pmrs, err := FanOut(len(mixes), func(i int) (*PolicyMixResult, error) {
+		pmr, err := r.policySweepMix(mixes[i], policies)
 		if err != nil {
 			return nil, fmt.Errorf("mix %s: %w", mixes[i].Name, err)
 		}
+		return pmr, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &PolicySweepResult{Policies: policies, Mixes: pmrs}, nil
 }
 
 // policySweepMix runs one mix's Baseline pass and per-policy runs.
 func (r *Runner) policySweepMix(mix Mix, policies []string) (*PolicyMixResult, error) {
-	if err := mix.Validate(); err != nil {
-		return nil, err
-	}
-	base, err := r.runOne(mix, runSpec{cfg: config.MustByName(config.Baseline), bgLevel: -1, execs: r.Executions})
+	base, deadlines, targets, err := r.Baseline(mix)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	deadlines, targets := Deadlines(base)
 	applyDeadlines(base, deadlines)
 	pmr := &PolicyMixResult{Mix: mix, Deadlines: deadlines, Baseline: base, ByPolicy: map[string]*RunResult{}}
 	for _, p := range policies {
-		cfg := config.MustByName(config.Dirigent)
-		cfg.Policy = p
-		run, err := r.runOne(mix, runSpec{
-			cfg:         cfg,
-			targets:     targets,
-			deadlines:   deadlines,
-			bgLevel:     -1,
-			execs:       r.Executions,
-			extraWarmup: r.ConvergenceWarmup,
+		run, err := r.Run(mix, RunParams{
+			Config:      config.Dirigent,
+			Policy:      p,
+			Targets:     targets,
+			Deadlines:   deadlines,
+			BGLevel:     -1,
+			ExtraWarmup: r.ConvergenceWarmup,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("policy %s: %w", p, err)

@@ -177,8 +177,7 @@ func (r *Runner) ResilienceSweep(mix Mix, opts ResilienceOptions) (*ResilienceRe
 	// The QoS point: a tight target derived from standalone time (Fig. 15's
 	// axis), not the loose baseline-derived deadline — see
 	// DefaultResilienceTargetFactor.
-	alone, err := r.runOne(Mix{Name: mix.FG[0] + " alone", FG: mix.FG[:1]},
-		runSpec{cfg: config.MustByName(config.Baseline), bgLevel: -1, execs: r.Executions / 2})
+	alone, err := r.standalone(mix.FG[0])
 	if err != nil {
 		return nil, fmt.Errorf("resilience standalone %s: %w", mix.Name, err)
 	}
@@ -187,107 +186,81 @@ func (r *Runner) ResilienceSweep(mix Mix, opts ResilienceOptions) (*ResilienceRe
 	targets := []time.Duration{time.Duration(deadlines[0] * float64(time.Second))}
 
 	// Baseline under contention: the BG throughput reference.
-	base, err := r.runOne(mix, runSpec{cfg: config.MustByName(config.Baseline), deadlines: deadlines, bgLevel: -1, execs: r.Executions})
+	base, err := r.Run(mix, RunParams{Config: config.Baseline, Deadlines: deadlines, BGLevel: -1})
 	if err != nil {
 		return nil, fmt.Errorf("resilience baseline %s: %w", mix.Name, err)
 	}
 
-	dirigentSpec := func(plan fault.Plan, reprofileDrift float64) runSpec {
-		spec := runSpec{
-			cfg:            config.MustByName(config.Dirigent),
-			targets:        targets,
-			deadlines:      deadlines,
-			bgLevel:        -1,
-			execs:          r.Executions,
-			extraWarmup:    r.ConvergenceWarmup,
-			faults:         plan,
-			reprofileDrift: reprofileDrift,
+	// dirigent is a full-Dirigent run at the tight target under plan.
+	dirigent := func(plan fault.Plan, extraWarmup int) RunParams {
+		return RunParams{
+			Config: config.Dirigent, Targets: targets, Deadlines: deadlines,
+			BGLevel: -1, ExtraWarmup: extraWarmup, Faults: plan,
 		}
-		if plan.ProfileScale != 0 || plan.ProfileRephase != 0 {
-			// The staleness scenario is about the adaptation transient: how
-			// long the runtime mispredicts before its EMAs (or a re-profile)
-			// absorb the distortion. The convergence warmup would discard
-			// exactly that window, so the stale runs measure from the start.
-			spec.extraWarmup = 0
-		}
-		return spec
 	}
 
+	// Every remaining run is independent; fan out like RunMixes. The list is
+	// positional: the clean Dirigent reference, one run per (class,
+	// intensity) in grid order, then the staleness scenario. That scenario
+	// is about the adaptation transient: how long the runtime mispredicts
+	// before its EMAs (or a re-profile) absorb the distortion. The
+	// convergence warmup would discard exactly that window, so its three
+	// runs (a clean transient reference, the stale profile, and the stale
+	// profile with re-profiling) measure from the start.
 	classes := resilienceClasses()
+	jobs := []RunParams{dirigent(fault.Plan{}, r.ConvergenceWarmup)}
+	for _, c := range classes {
+		for _, x := range opts.Intensities {
+			jobs = append(jobs, dirigent(c.plan(x), r.ConvergenceWarmup))
+		}
+	}
+	if !opts.SkipStaleness {
+		stale := fault.Plan{ProfileScale: DefaultStaleScale, ProfileRephase: DefaultStaleRephase}
+		recover := dirigent(stale, 0)
+		recover.reprofileDrift, recover.reprofileAfter = DefaultReprofileDrift, DefaultReprofileAfter
+		jobs = append(jobs, dirigent(fault.Plan{}, 0), dirigent(stale, 0), recover)
+	}
+	runs, err := FanOut(len(jobs), func(i int) (*RunResult, error) {
+		run, err := r.Run(mix, jobs[i])
+		if err != nil {
+			return nil, fmt.Errorf("resilience %s (run %d): %w", mix.Name, i, err)
+		}
+		return run, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	res := &ResilienceResult{
 		Mix:           mix,
 		StandaloneSec: standalone,
 		TargetFactor:  opts.TargetFactor,
 		Deadlines:     deadlines,
+		CleanSuccess:  runs[0].MinSuccessRate(),
 		StaleScale:    DefaultStaleScale,
 		StaleRephase:  DefaultStaleRephase,
-		Classes:       make([]ResilienceClassResult, len(classes)),
 	}
-
-	// Every remaining run is independent; fan out like RunMixes. Slot 0 is
-	// the clean Dirigent reference, then one slot per (class, intensity),
-	// then the two staleness runs.
-	type job struct {
-		spec  runSpec
-		class int // -1: clean reference; -2: stale; -3: stale+reprofile; -4: clean transient reference
-		point int
-	}
-	jobs := []job{{spec: dirigentSpec(fault.Plan{}, 0), class: -1}}
-	for ci, c := range classes {
-		res.Classes[ci].Class = c.name
-		res.Classes[ci].Points = make([]ResiliencePoint, len(opts.Intensities))
-		for pi, x := range opts.Intensities {
-			jobs = append(jobs, job{spec: dirigentSpec(c.plan(x), 0), class: ci, point: pi})
+	runs = runs[1:]
+	for _, c := range classes {
+		cr := ResilienceClassResult{Class: c.name}
+		for _, x := range opts.Intensities {
+			run := runs[0]
+			runs = runs[1:]
+			bgRel := 0.0
+			if base.BGInstrRate > 0 {
+				bgRel = run.BGInstrRate / base.BGInstrRate
+			}
+			cr.Points = append(cr.Points, ResiliencePoint{
+				Intensity: x, Success: run.MinSuccessRate(), BGRel: bgRel, Faults: run.Faults,
+			})
 		}
+		res.Classes = append(res.Classes, cr)
 	}
 	if !opts.SkipStaleness {
-		stale := fault.Plan{ProfileScale: DefaultStaleScale, ProfileRephase: DefaultStaleRephase}
-		cleanTransient := dirigentSpec(fault.Plan{}, 0)
-		cleanTransient.extraWarmup = 0
-		recover := dirigentSpec(stale, DefaultReprofileDrift)
-		recover.reprofileAfter = DefaultReprofileAfter
-		jobs = append(jobs,
-			job{spec: cleanTransient, class: -4},
-			job{spec: dirigentSpec(stale, 0), class: -2},
-			job{spec: recover, class: -3},
-		)
-	}
-
-	runs := make([]*RunResult, len(jobs))
-	errs := make([]error, len(jobs))
-	FanOut(len(jobs), func(i int) {
-		runs[i], errs[i] = r.runOne(mix, jobs[i].spec)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("resilience %s (class %d): %w", mix.Name, jobs[i].class, err)
-		}
-	}
-
-	for i, jb := range jobs {
-		run := runs[i]
-		bgRel := 0.0
-		if base.BGInstrRate > 0 {
-			bgRel = run.BGInstrRate / base.BGInstrRate
-		}
-		switch jb.class {
-		case -1:
-			res.CleanSuccess = run.MinSuccessRate()
-		case -2:
-			res.StaleSuccess = run.MinSuccessRate()
-		case -3:
-			res.RecoveredSuccess = run.MinSuccessRate()
-			res.Reprofiles = run.Reprofiles
-		case -4:
-			res.StaleCleanSuccess = run.MinSuccessRate()
-		default:
-			res.Classes[jb.class].Points[jb.point] = ResiliencePoint{
-				Intensity: opts.Intensities[jb.point],
-				Success:   run.MinSuccessRate(),
-				BGRel:     bgRel,
-				Faults:    run.Faults,
-			}
-		}
+		res.StaleCleanSuccess = runs[0].MinSuccessRate()
+		res.StaleSuccess = runs[1].MinSuccessRate()
+		res.RecoveredSuccess = runs[2].MinSuccessRate()
+		res.Reprofiles = runs[2].Reprofiles
 	}
 	return res, nil
 }

@@ -6,14 +6,13 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dirigent/internal/config"
 	"dirigent/internal/core"
-	"dirigent/internal/fault"
 	"dirigent/internal/machine"
 	"dirigent/internal/policy"
-	"dirigent/internal/sched"
 	"dirigent/internal/sim"
 	"dirigent/internal/stats"
 	"dirigent/internal/telemetry"
@@ -23,10 +22,6 @@ import (
 // DeadlineSigma is the paper's deadline rule: µ_Baseline + 0.3·σ_Baseline
 // (§5.4).
 const DeadlineSigma = 0.3
-
-// SuccessTarget is the completion-rate goal the paper evaluates against
-// (95-percentile latency constraint, §2.1/§5.4).
-const SuccessTarget = 0.95
 
 // Runner executes workload mixes under the five configurations.
 type Runner struct {
@@ -268,39 +263,6 @@ func (mr *MixResult) RelStd(cfg config.Name) float64 {
 	return run.MeanStd() / base.MeanStd()
 }
 
-// runSpec carries the resolved per-run parameters.
-type runSpec struct {
-	cfg       config.Config
-	targets   []time.Duration // per stream; required when cfg.UseRuntime
-	deadlines []float64       // per stream, seconds; for success accounting
-	fgWays    int             // static partition (0 = none)
-	bgLevel   int             // static BG frequency level (-1 = max)
-	execs     int
-	// seed overrides the mix-derived machine/scheduler seed (0 keeps
-	// Mix.Seed(), which is what every batch entry point uses).
-	seed uint64
-	// extra is an additional per-run telemetry sink teed into the run's bus
-	// (the server uses it for live subscriber streaming). Recording is
-	// strictly observational, so results are identical with or without it.
-	extra telemetry.Recorder
-	// extraWarmup extends the discarded prefix: Dirigent's coarse
-	// controller needs ~30 executions to converge its partition (§5.3);
-	// results reflect converged behaviour, so those executions are run in
-	// addition to `execs` and excluded from statistics.
-	extraWarmup int
-	// faults is the injected fault plan (zero = clean run). Runtime classes
-	// flow through a seeded injector shared by the machine and the Dirigent
-	// runtime; the ProfileScale/ProfileRephase fields degrade the offline
-	// profiles before the runtime sees them.
-	faults fault.Plan
-	// reprofileDrift enables the runtime's chronic-mismatch detection
-	// (core.RuntimeConfig.ReprofileAlphaDrift) when positive;
-	// reprofileAfter overrides the drifting-execution streak length
-	// (0 keeps the runtime default).
-	reprofileDrift float64
-	reprofileAfter int
-}
-
 // RunMix executes a mix under all five configurations, deriving deadlines
 // from the Baseline pass and calibrating StaticBoth per the paper's
 // methodology.
@@ -331,18 +293,17 @@ func (r *Runner) RunConfigs(mix Mix, names ...config.Name) (*MixResult, error) {
 	res := &MixResult{Mix: mix, ByConfig: map[config.Name]*RunResult{}}
 
 	// 1. Baseline: free contention; defines the deadlines.
-	base, err := r.runOne(mix, runSpec{cfg: config.MustByName(config.Baseline), bgLevel: -1, execs: r.Executions})
+	base, deadlines, targets, err := r.Baseline(mix)
 	if err != nil {
 		return nil, fmt.Errorf("baseline %s: %w", mix.Name, err)
 	}
-	deadlines, targets := Deadlines(base)
 	applyDeadlines(base, deadlines)
 	res.Deadlines = deadlines
 	res.ByConfig[config.Baseline] = base
 
 	// 2. StaticFreq: BG pinned to the slowest level.
 	if want[config.StaticFreq] {
-		sf, err := r.runOne(mix, runSpec{cfg: config.MustByName(config.StaticFreq), deadlines: deadlines, bgLevel: 0, execs: r.Executions})
+		sf, err := r.Run(mix, RunParams{Config: config.StaticFreq, Deadlines: deadlines})
 		if err != nil {
 			return nil, fmt.Errorf("staticfreq %s: %w", mix.Name, err)
 		}
@@ -351,7 +312,7 @@ func (r *Runner) RunConfigs(mix Mix, names ...config.Name) (*MixResult, error) {
 
 	// 3. DirigentFreq: fine control only.
 	if want[config.DirigentFreq] {
-		df, err := r.runOne(mix, runSpec{cfg: config.MustByName(config.DirigentFreq), targets: targets, deadlines: deadlines, bgLevel: -1, execs: r.Executions})
+		df, err := r.Run(mix, RunParams{Config: config.DirigentFreq, Targets: targets, Deadlines: deadlines, BGLevel: -1})
 		if err != nil {
 			return nil, fmt.Errorf("dirigentfreq %s: %w", mix.Name, err)
 		}
@@ -361,7 +322,7 @@ func (r *Runner) RunConfigs(mix Mix, names ...config.Name) (*MixResult, error) {
 	// 4. Dirigent: fine + coarse.
 	ways := 0
 	if want[config.Dirigent] {
-		dir, err := r.runOne(mix, runSpec{cfg: config.MustByName(config.Dirigent), targets: targets, deadlines: deadlines, bgLevel: -1, execs: r.Executions, extraWarmup: r.ConvergenceWarmup})
+		dir, err := r.Run(mix, RunParams{Config: config.Dirigent, Targets: targets, Deadlines: deadlines, BGLevel: -1, ExtraWarmup: r.ConvergenceWarmup})
 		if err != nil {
 			return nil, fmt.Errorf("dirigent %s: %w", mix.Name, err)
 		}
@@ -380,7 +341,7 @@ func (r *Runner) RunConfigs(mix Mix, names ...config.Name) (*MixResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("staticboth calibration %s: %w", mix.Name, err)
 		}
-		sb, err := r.runOne(mix, runSpec{cfg: config.MustByName(config.StaticBoth), deadlines: deadlines, fgWays: ways, bgLevel: level, execs: r.Executions})
+		sb, err := r.Run(mix, RunParams{Config: config.StaticBoth, Deadlines: deadlines, FGWays: ways, BGLevel: level})
 		if err != nil {
 			return nil, fmt.Errorf("staticboth %s: %w", mix.Name, err)
 		}
@@ -399,12 +360,12 @@ func (r *Runner) RunConfigs(mix Mix, names ...config.Name) (*MixResult, error) {
 func (r *Runner) calibrateStaticBGLevel(mix Mix, fgWays int, deadlines []float64) (int, error) {
 	grades := policy.DefaultGrades()
 	for gi := len(grades) - 1; gi >= 1; gi-- {
-		run, err := r.runOne(mix, runSpec{
-			cfg:       config.MustByName(config.StaticBoth),
-			deadlines: deadlines,
-			fgWays:    fgWays,
-			bgLevel:   grades[gi],
-			execs:     r.CalibExecutions,
+		run, err := r.Run(mix, RunParams{
+			Config:     config.StaticBoth,
+			Deadlines:  deadlines,
+			FGWays:     fgWays,
+			BGLevel:    grades[gi],
+			Executions: r.CalibExecutions,
 		})
 		if err != nil {
 			return 0, err
@@ -446,100 +407,38 @@ func applyDeadlines(rr *RunResult, deadlines []float64) {
 	}
 }
 
-// runOne executes a mix once under a resolved spec: assemble a session,
-// drive it to completion, and fold the event stream into a RunResult.
-func (r *Runner) runOne(mix Mix, spec runSpec) (*RunResult, error) {
-	s, err := r.startSession(mix, spec)
+// Run takes one run to its goal: StartSession, RunExecutions up to the
+// session's goal within the runner's time limit, then Collect. Every batch
+// sweep and the scenario suite run through it.
+func (r *Runner) Run(mix Mix, p RunParams) (*RunResult, error) {
+	s, err := r.StartSession(mix, p)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.RunExecutions(spec.execs+spec.extraWarmup, sim.Time(r.TimeLimit)); err != nil {
+	if err := s.RunExecutions(s.Goal(), sim.Time(r.TimeLimit)); err != nil {
 		return nil, err
 	}
 	return s.Collect()
 }
 
-// collect folds a session's event stream into a RunResult. partial marks a
-// mid-run snapshot (completed < goal): a live stream may not have finished
-// an execution past warmup yet, so only a finished run must summarise every
-// live stream.
-func (r *Runner) collect(mix Mix, spec runSpec, colo *sched.Colocation, rt *core.Runtime, agg *telemetry.Aggregator, partial bool) (*RunResult, error) {
-	m := colo.Machine()
-	rr := &RunResult{
-		Mix:           mix,
-		Config:        spec.cfg.Name,
-		Elapsed:       time.Duration(m.Now()),
-		StaticBGLevel: spec.bgLevel,
-		FGWays:        spec.fgWays,
+// Baseline runs the §5.4 Baseline pass (free contention, the runner's
+// executions) and derives its per-stream deadlines and runtime targets
+// with Deadlines. The run's own Deadline and SuccessRate stay unset.
+func (r *Runner) Baseline(mix Mix) (*RunResult, []float64, []time.Duration, error) {
+	base, err := r.Run(mix, RunParams{Config: config.Baseline, BGLevel: -1})
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	if rt != nil {
-		rr.Policy = rt.PolicyName()
-		rr.Fine = agg.Fine()
-		// Partition reporting keys off the policy's declared capability, not
-		// the Dirigent-specific coarse controller: any LLC-way policy (e.g.
-		// cordlike's static split) reports its partition the same way.
-		if rt.Capabilities().LLCWays {
-			rr.FGWays = agg.FGWays()
-			rr.ConvergedAtExecution = agg.ConvergedAtExecution()
-		}
-	}
-	rr.Faults = agg.Faults()
-	rr.FaultsByClass = agg.FaultsByClass()
-	rr.Reprofiles = agg.Reprofiles()
-	warm := r.Warmup + spec.extraWarmup
-	for i, f := range colo.FG() {
-		// Durations come from the run's KindExecutionComplete events, not
-		// the scheduler's private bookkeeping: the QoS statistics below are
-		// derived from the same stream a JSONL trace (or the regression
-		// gate) sees.
-		durs := durationsSeconds(agg.StreamDurations(i))
-		if len(durs) > warm {
-			durs = durs[warm:]
-		}
-		// A stream removed mid-run (served tenants admit and evict streams
-		// live), or any stream in a mid-run snapshot, may have nothing
-		// after warmup; report an empty summary instead of failing the
-		// whole collection.
-		sum := stats.Summary{}
-		if len(durs) > 0 || (!f.Removed() && !partial) {
-			var err error
-			sum, err = stats.Summarize(durs)
-			if err != nil {
-				return nil, err
-			}
-		}
-		fgSample := m.Counters().Task(f.Task)
-		rr.Streams = append(rr.Streams, StreamResult{
-			Bench:     f.Bench.Name,
-			Durations: durs,
-			Summary:   sum,
-			MPKI:      fgSample.MPKI(),
-		})
-		rr.FGLLCMisses += fgSample.LLCMisses
-		rr.FGInstructions += fgSample.Instructions
-	}
-	rr.TotalLLCMisses = m.Counters().Total().LLCMisses
-	if spec.deadlines != nil {
-		applyDeadlines(rr, spec.deadlines)
-	}
-	if sec := time.Duration(m.Now()).Seconds(); sec > 0 {
-		rr.BGInstrRate = colo.BGInstructions() / sec
-	}
-	// BG core frequency residency (Fig. 12), reconstructed from the event
-	// stream: the aggregator replays quantum steps against DVFS transitions
-	// and lands on exactly the machine's own accounting.
-	levels := len(m.Config().FreqLevelsGHz)
-	rr.BGFreqResidency = make([]time.Duration, levels)
-	for _, w := range colo.BG() {
-		res := agg.FreqResidency(w.Core)
-		if res == nil {
-			return nil, fmt.Errorf("experiment: no residency telemetry for core %d", w.Core)
-		}
-		for l, d := range res {
-			rr.BGFreqResidency[l] += d
-		}
-	}
-	return rr, nil
+	deadlines, targets := Deadlines(base)
+	return base, deadlines, targets, nil
+}
+
+// standalone runs FG benchmark fg alone on the machine (mix "<fg> alone",
+// Baseline, half the runner's executions): the reference Fig. 4, Fig. 15
+// and the resilience sweep measure against.
+func (r *Runner) standalone(fg string) (*RunResult, error) {
+	return r.Run(Mix{Name: fg + " alone", FG: []string{fg}},
+		RunParams{Config: config.Baseline, BGLevel: -1, Executions: r.Executions / 2})
 }
 
 // durationsSeconds converts telemetry durations to the seconds the
@@ -556,38 +455,42 @@ func durationsSeconds(durs []time.Duration) []float64 {
 // simulated machine; results are deterministic regardless of parallelism)
 // and returns results in input order.
 func (r *Runner) RunMixes(mixes []Mix) ([]*MixResult, error) {
-	out := make([]*MixResult, len(mixes))
-	errs := make([]error, len(mixes))
-	FanOut(len(mixes), func(i int) {
-		out[i], errs[i] = r.RunMix(mixes[i])
-	})
-	for i, err := range errs {
+	return FanOut(len(mixes), func(i int) (*MixResult, error) {
+		res, err := r.RunMix(mixes[i])
 		if err != nil {
 			return nil, fmt.Errorf("mix %s: %w", mixes[i].Name, err)
 		}
-	}
-	return out, nil
+		return res, nil
+	})
 }
 
-// FanOut runs fn(0), …, fn(n-1) on goroutines, at most MaxParallel at a
-// time, and waits for all of them. It is the one bounded fan-out every
-// concurrent sweep (mixes, policy sweeps, resilience jobs, prediction
-// probes, the scenario suite) goes through: each fn owns slot i of its
-// caller's result/error slices, so no synchronization beyond the barrier
-// is needed.
-func FanOut(n int, fn func(i int)) {
-	sem := make(chan struct{}, MaxParallel())
+// FanOut runs fn(0), …, fn(n-1) on min(n, MaxParallel) goroutines, each
+// taking the next index in ascending order, and returns the results in
+// index order, or the error of the lowest failing index. It is the one
+// bounded fan-out every concurrent sweep (mixes, policy sweeps, resilience
+// jobs, prediction probes, the scenario suite) goes through; at width 1 it
+// runs the indices in order.
+func FanOut[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for range min(n, MaxParallel()) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fn(i)
-		}(i)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				out[i], errs[i] = fn(i)
+			}
+		}()
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // warnMaxParallel limits the bad-DIRIGENT_MAX_PARALLEL warning to one line

@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"encoding/json"
+	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -316,13 +318,42 @@ func TestMaxParallelEnv(t *testing.T) {
 		}
 	}
 	// The clamp must make the fan-out safe end-to-end: under the previously
-	// deadlocking value, a bounded fan-out still completes.
+	// deadlocking value, a bounded fan-out still completes, runs the indices
+	// in ascending order, and returns each result in its own slot.
 	t.Setenv("DIRIGENT_MAX_PARALLEL", "0")
-	ran := make([]bool, 4)
-	FanOut(len(ran), func(i int) { ran[i] = true })
-	for i, ok := range ran {
-		if !ok {
-			t.Errorf("FanOut skipped slot %d", i)
+	var order []int
+	got, err := FanOut(6, func(i int) (int, error) {
+		order = append(order, i)
+		return i * i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(order, want) {
+		t.Errorf("FanOut at width 1 ran %v, want %v", order, want)
+	}
+	if want := []int{0, 1, 4, 9, 16, 25}; !slices.Equal(got, want) {
+		t.Errorf("FanOut results = %v, want %v", got, want)
+	}
+	// Indices 1 and 3 fail, 3 first in time: the error is index 1's.
+	t.Setenv("DIRIGENT_MAX_PARALLEL", "2")
+	failed3 := make(chan struct{})
+	_, err = FanOut(6, func(i int) (int, error) {
+		switch i {
+		case 1:
+			select {
+			case <-failed3:
+			case <-time.After(time.Minute):
+				t.Error("slot 3 never ran while slot 1 waited: FanOut ran narrower than 2")
+			}
+			return 0, errors.New("slot 1")
+		case 3:
+			close(failed3)
+			return 0, errors.New("slot 3")
 		}
+		return i, nil
+	})
+	if err == nil || err.Error() != "slot 1" {
+		t.Errorf("FanOut with slots 1 and 3 failing returned %v, want slot 1's error", err)
 	}
 }

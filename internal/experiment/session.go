@@ -13,15 +13,14 @@ import (
 	"dirigent/internal/policy"
 	"dirigent/internal/sched"
 	"dirigent/internal/sim"
+	"dirigent/internal/stats"
 	"dirigent/internal/telemetry"
 )
 
-// RunParams specifies one directly-parameterized run for StartSession: the
-// caller supplies the configuration and (for runtime configurations) the
-// per-stream latency targets instead of deriving them from a Baseline pass.
-// This is the entry point long-running hosts (internal/server) use; the
-// batch entry points (RunMix/RunConfigs) resolve the same parameters from
-// the paper's methodology.
+// RunParams describes one run: the configuration, and for runtime
+// configurations the per-stream latency targets. It is the only run
+// description; StartSession resolves it, and every batch sweep, the
+// scenario suite and the served tenants build one.
 type RunParams struct {
 	// Config names the system configuration to run under.
 	Config config.Name
@@ -40,9 +39,11 @@ type RunParams struct {
 	// Executions is the FG execution count driven per stream (0 uses the
 	// runner's default).
 	Executions int
-	// ExtraWarmup extends the discarded prefix (coarse-controller
-	// convergence; the batch harness uses Runner.ConvergenceWarmup for the
-	// full Dirigent configuration).
+	// ExtraWarmup extends the discarded prefix: Dirigent's coarse
+	// controller needs ~30 executions to converge its partition (§5.3), so
+	// those executions run in addition to Executions and are excluded from
+	// statistics (the batch harness uses Runner.ConvergenceWarmup for the
+	// runtime configurations). Must not be negative.
 	ExtraWarmup int
 	// FGWays statically partitions the LLC (0 = none/runtime-managed).
 	FGWays int
@@ -51,17 +52,27 @@ type RunParams struct {
 	// Seed overrides the mix-derived deterministic seed (0 keeps
 	// Mix.Seed(), making a session byte-identical to the batch runner).
 	Seed uint64
-	// Faults is an optional deterministic fault-injection plan.
+	// Faults is an optional deterministic fault-injection plan. Runtime
+	// classes flow through a seeded injector shared by the machine and the
+	// runtime; ProfileScale/ProfileRephase degrade the offline profiles
+	// before the runtime sees them.
 	Faults fault.Plan
 	// Extra is an additional telemetry sink teed into the run's bus (live
 	// subscribers); strictly observational.
 	Extra telemetry.Recorder
+
+	// reprofileDrift enables the runtime's chronic-mismatch detection
+	// (core.RuntimeConfig.ReprofileAlphaDrift) when positive;
+	// reprofileAfter overrides the drifting-execution streak length (0
+	// keeps the runtime default). Only the resilience sweep sets them.
+	reprofileDrift float64
+	reprofileAfter int
 }
 
 // Session is one in-flight run that the caller steps explicitly instead of
 // running to completion in one call. It is exactly the run the batch
-// harness performs — RunMix/RunConfigs assemble the same session and drive
-// it with RunExecutions — so a session stepped by an external worker (the
+// harness performs — Runner.Run assembles the same session and drives it
+// with RunExecutions — so a session stepped by an external worker (the
 // dirigent-serve tenant loop) produces a byte-identical RunResult for the
 // same seed and parameters.
 //
@@ -70,15 +81,22 @@ type RunParams struct {
 type Session struct {
 	runner *Runner
 	mix    Mix
-	spec   runSpec
+	p      RunParams // resolved by StartSession
+	cfg    config.Config
 	colo   *sched.Colocation
 	rt     *core.Runtime
 	agg    *telemetry.Aggregator
 }
 
-// StartSession validates params, assembles the machine/colocation/runtime
-// stack for the mix, and returns the stepping handle. Nothing has executed
-// yet.
+// StartSession validates and resolves p, assembles the
+// machine/colocation/runtime stack for the mix, and returns the stepping
+// handle. Nothing has executed yet.
+//
+// Resolution: Executions ≤ 0 takes the runner's executions; a runtime
+// configuration without deadlines takes them from its targets; StaticFreq
+// pins BG to level 0. Construction order is stable — seeded RNG draws
+// happen during construction, so reordering would silently change every
+// deterministic baseline.
 func (r *Runner) StartSession(mix Mix, p RunParams) (*Session, error) {
 	if err := mix.Validate(); err != nil {
 		return nil, err
@@ -94,62 +112,46 @@ func (r *Runner) StartSession(mix Mix, p RunParams) (*Session, error) {
 		}
 		cfg.Policy = p.Policy
 	}
-	execs := p.Executions
-	if execs <= 0 {
-		execs = r.Executions
+	if p.ExtraWarmup < 0 {
+		return nil, fmt.Errorf("experiment: negative extra warmup %d", p.ExtraWarmup)
 	}
-	deadlines := p.Deadlines
-	if len(deadlines) == 0 && cfg.UseRuntime {
-		deadlines = make([]float64, len(p.Targets))
+	if p.Executions <= 0 {
+		p.Executions = r.Executions
+	}
+	if len(p.Deadlines) == 0 && cfg.UseRuntime {
+		p.Deadlines = make([]float64, len(p.Targets))
 		for i, t := range p.Targets {
-			deadlines[i] = t.Seconds()
+			p.Deadlines[i] = t.Seconds()
 		}
 	}
-	if len(deadlines) != 0 && len(deadlines) != len(mix.FG) {
-		return nil, fmt.Errorf("experiment: %d deadlines for %d FG streams", len(deadlines), len(mix.FG))
+	if len(p.Deadlines) != 0 && len(p.Deadlines) != len(mix.FG) {
+		return nil, fmt.Errorf("experiment: %d deadlines for %d FG streams", len(p.Deadlines), len(mix.FG))
 	}
-	bgLevel := p.BGLevel
+	if cfg.UseRuntime && len(p.Targets) != len(mix.FG) {
+		return nil, fmt.Errorf("experiment: %d targets for %d FG streams", len(p.Targets), len(mix.FG))
+	}
 	if cfg.StaticBGMinFreq {
-		bgLevel = 0
+		p.BGLevel = 0
 	}
-	spec := runSpec{
-		cfg:         cfg,
-		targets:     append([]time.Duration(nil), p.Targets...),
-		deadlines:   deadlines,
-		fgWays:      p.FGWays,
-		bgLevel:     bgLevel,
-		execs:       execs,
-		extraWarmup: p.ExtraWarmup,
-		seed:        p.Seed,
-		faults:      p.Faults,
-		extra:       p.Extra,
-	}
-	return r.startSession(mix, spec)
-}
+	p.Targets = append([]time.Duration(nil), p.Targets...)
 
-// startSession builds the full per-run stack for a resolved spec. This is
-// the single construction path shared by the batch runner and served
-// tenants; keep its operation order stable — seeded RNG draws happen during
-// construction, so reordering would silently change every deterministic
-// baseline.
-func (r *Runner) startSession(mix Mix, spec runSpec) (*Session, error) {
 	// Every run gets its own aggregator — RunResult is populated from the
 	// same event stream an external sink would see. The user's sink (if
 	// any) is teed in, labelled mix/config so parallel runs stay
 	// attributable. Built before the machine because the fault injector
 	// (wired into the machine config) emits through the same bus.
-	seed := spec.seed
+	seed := p.Seed
 	if seed == 0 {
 		seed = mix.Seed()
 	}
 	agg := telemetry.NewAggregator()
 	rec := telemetry.Recorder(agg)
-	if r.Recorder != nil || spec.extra != nil {
+	if r.Recorder != nil || p.Extra != nil {
 		var user telemetry.Recorder
 		if r.Recorder != nil {
-			user = telemetry.WithRun(r.Recorder, mix.Name+"/"+string(spec.cfg.Name))
+			user = telemetry.WithRun(r.Recorder, mix.Name+"/"+string(cfg.Name))
 		}
-		rec = telemetry.Tee(agg, user, spec.extra)
+		rec = telemetry.Tee(agg, user, p.Extra)
 	}
 
 	// Resolve the runner's machine class ("" is the default xeon-e5, whose
@@ -161,10 +163,10 @@ func (r *Runner) startSession(mix Mix, spec runSpec) (*Session, error) {
 	}
 	mcfg.Seed = seed
 	var inj *fault.Injector
-	if !spec.faults.IsZero() {
+	if !p.Faults.IsZero() {
 		// One injector per run, seeded from the mix so fault schedules
 		// reproduce bit-for-bit; the machine and the runtime share it.
-		inj = fault.NewInjector(spec.faults, seed, rec)
+		inj = fault.NewInjector(p.Faults, seed, rec)
 		mcfg.Faults = inj
 	}
 	m, err := machine.New(mcfg)
@@ -180,18 +182,18 @@ func (r *Runner) startSession(mix Mix, spec runSpec) (*Session, error) {
 	// exactly the old RuntimePartitioning check, preserving seed-for-seed
 	// machine construction order.
 	var pol policy.Policy
-	if spec.cfg.UseRuntime {
-		pol, err = policy.New(spec.cfg.Policy, policy.Options{Partitioning: spec.cfg.RuntimePartitioning})
+	if cfg.UseRuntime {
+		pol, err = policy.New(cfg.Policy, policy.Options{Partitioning: cfg.RuntimePartitioning})
 		if err != nil {
 			return nil, err
 		}
 	}
-	partitioned := spec.fgWays > 0 || (pol != nil && pol.Capabilities().LLCWays)
+	partitioned := p.FGWays > 0 || (pol != nil && pol.Capabilities().LLCWays)
 	var fgClass, bgClass cache.ClassID
 	if partitioned {
 		fgClass = m.LLC().DefineClass()
 		bgClass = m.LLC().DefineClass()
-		initial := spec.fgWays
+		initial := p.FGWays
 		if initial == 0 {
 			initial = m.LLC().Ways() / 2
 		}
@@ -217,51 +219,48 @@ func (r *Runner) startSession(mix Mix, spec runSpec) (*Session, error) {
 	}
 
 	// Static BG frequency pinning.
-	if spec.bgLevel >= 0 {
+	if p.BGLevel >= 0 {
 		for _, w := range colo.BG() {
-			if err := m.SetFreqLevel(w.Core, spec.bgLevel); err != nil {
+			if err := m.SetFreqLevel(w.Core, p.BGLevel); err != nil {
 				return nil, err
 			}
 		}
 	}
 
 	var rt *core.Runtime
-	if spec.cfg.UseRuntime {
-		if len(spec.targets) != len(fgb) {
-			return nil, fmt.Errorf("experiment: %d targets for %d FG streams", len(spec.targets), len(fgb))
-		}
+	if cfg.UseRuntime {
 		profiles := make([]*core.Profile, len(fgb))
 		for i, b := range fgb {
-			p, err := r.Profile(b.Name)
+			prof, err := r.Profile(b.Name)
 			if err != nil {
 				return nil, err
 			}
-			if s := spec.faults; (s.ProfileScale > 0 && s.ProfileScale != 1) || s.ProfileRephase > 0 {
-				p = core.StaleProfile(p, s.ProfileScale, s.ProfileRephase)
+			if f := p.Faults; (f.ProfileScale > 0 && f.ProfileScale != 1) || f.ProfileRephase > 0 {
+				prof = core.StaleProfile(prof, f.ProfileScale, f.ProfileRephase)
 			}
-			profiles[i] = p
+			profiles[i] = prof
 		}
 		rt, err = core.NewRuntime(colo, profiles, core.RuntimeConfig{
-			Targets:             spec.targets,
+			Targets:             p.Targets,
 			Policy:              pol,
-			EnablePartitioning:  spec.cfg.RuntimePartitioning,
+			EnablePartitioning:  cfg.RuntimePartitioning,
 			Recorder:            rec,
 			Faults:              inj,
-			ReprofileAlphaDrift: spec.reprofileDrift,
-			ReprofileAfter:      spec.reprofileAfter,
+			ReprofileAlphaDrift: p.reprofileDrift,
+			ReprofileAfter:      p.reprofileAfter,
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-	return &Session{runner: r, mix: mix, spec: spec, colo: colo, rt: rt, agg: agg}, nil
+	return &Session{runner: r, mix: mix, p: p, cfg: cfg, colo: colo, rt: rt, agg: agg}, nil
 }
 
 // Mix returns the session's workload mix.
 func (s *Session) Mix() Mix { return s.mix }
 
 // Config returns the configuration name the session runs under.
-func (s *Session) Config() config.Name { return s.spec.cfg.Name }
+func (s *Session) Config() config.Name { return s.cfg.Name }
 
 // Colocation returns the session's task placement (admission hooks live
 // there for non-runtime configurations).
@@ -287,7 +286,7 @@ func (s *Session) Aggregator() *telemetry.Aggregator { return s.agg }
 
 // Goal returns the per-stream execution count the session was provisioned
 // for, including the extra convergence warmup.
-func (s *Session) Goal() int { return s.spec.execs + s.spec.extraWarmup }
+func (s *Session) Goal() int { return s.p.Executions + s.p.ExtraWarmup }
 
 // Now returns the current simulated time.
 func (s *Session) Now() sim.Time { return s.colo.Machine().Now() }
@@ -322,5 +321,84 @@ func (s *Session) RunExecutions(n int, limit sim.Time) error {
 // batch runner does at the end of a run. It may be called mid-run for a
 // snapshot; per-stream statistics then cover completed executions only.
 func (s *Session) Collect() (*RunResult, error) {
-	return s.runner.collect(s.mix, s.spec, s.colo, s.rt, s.agg, s.Completed() < s.Goal())
+	// A mid-run snapshot (completed < goal) may have a live stream that has
+	// not finished an execution past warmup yet, so only a finished run
+	// must summarise every live stream.
+	partial := s.Completed() < s.Goal()
+	m := s.colo.Machine()
+	rr := &RunResult{
+		Mix:           s.mix,
+		Config:        s.cfg.Name,
+		Elapsed:       time.Duration(m.Now()),
+		StaticBGLevel: s.p.BGLevel,
+		FGWays:        s.p.FGWays,
+	}
+	if s.rt != nil {
+		rr.Policy = s.rt.PolicyName()
+		rr.Fine = s.agg.Fine()
+		// Partition reporting keys off the policy's declared capability, not
+		// the Dirigent-specific coarse controller: any LLC-way policy (e.g.
+		// cordlike's static split) reports its partition the same way.
+		if s.rt.Capabilities().LLCWays {
+			rr.FGWays = s.agg.FGWays()
+			rr.ConvergedAtExecution = s.agg.ConvergedAtExecution()
+		}
+	}
+	rr.Faults = s.agg.Faults()
+	rr.FaultsByClass = s.agg.FaultsByClass()
+	rr.Reprofiles = s.agg.Reprofiles()
+	warm := s.runner.Warmup + s.p.ExtraWarmup
+	for i, f := range s.colo.FG() {
+		// Durations come from the run's KindExecutionComplete events, not
+		// the scheduler's private bookkeeping: the QoS statistics below are
+		// derived from the same stream a JSONL trace (or the regression
+		// gate) sees.
+		durs := durationsSeconds(s.agg.StreamDurations(i))
+		if len(durs) > warm {
+			durs = durs[warm:]
+		}
+		// A stream removed mid-run (served tenants admit and evict streams
+		// live), or any stream in a mid-run snapshot, may have nothing
+		// after warmup; report an empty summary instead of failing the
+		// whole collection.
+		sum := stats.Summary{}
+		if len(durs) > 0 || (!f.Removed() && !partial) {
+			var err error
+			sum, err = stats.Summarize(durs)
+			if err != nil {
+				return nil, err
+			}
+		}
+		fgSample := m.Counters().Task(f.Task)
+		rr.Streams = append(rr.Streams, StreamResult{
+			Bench:     f.Bench.Name,
+			Durations: durs,
+			Summary:   sum,
+			MPKI:      fgSample.MPKI(),
+		})
+		rr.FGLLCMisses += fgSample.LLCMisses
+		rr.FGInstructions += fgSample.Instructions
+	}
+	rr.TotalLLCMisses = m.Counters().Total().LLCMisses
+	if len(s.p.Deadlines) != 0 {
+		applyDeadlines(rr, s.p.Deadlines)
+	}
+	if sec := time.Duration(m.Now()).Seconds(); sec > 0 {
+		rr.BGInstrRate = s.colo.BGInstructions() / sec
+	}
+	// BG core frequency residency (Fig. 12), reconstructed from the event
+	// stream: the aggregator replays quantum steps against DVFS transitions
+	// and lands on exactly the machine's own accounting.
+	levels := len(m.Config().FreqLevelsGHz)
+	rr.BGFreqResidency = make([]time.Duration, levels)
+	for _, w := range s.colo.BG() {
+		res := s.agg.FreqResidency(w.Core)
+		if res == nil {
+			return nil, fmt.Errorf("experiment: no residency telemetry for core %d", w.Core)
+		}
+		for l, d := range res {
+			rr.BGFreqResidency[l] += d
+		}
+	}
+	return rr, nil
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,6 +111,83 @@ func TestSessionAdvanceStopsAtCompletions(t *testing.T) {
 		wb, _ := json.Marshal(want)
 		if !bytes.Equal(gb, wb) {
 			t.Errorf("%s: sliced session differs from RunExecutions:\n%s\n%s", c, gb, wb)
+		}
+	}
+}
+
+// TestStartSessionResolves pins how StartSession, the one path every run
+// takes, resolves RunParams: the defaults it fills in, seen through the
+// session's goal and its collected result, and the parameters it rejects
+// before any machine is built (no event reaches the runner's recorder).
+func TestStartSessionResolves(t *testing.T) {
+	mix := Mix{Name: "resolve", FG: []string{"ferret"}, BG: []string{"rs", "lbm"}}
+	target := []time.Duration{1500 * time.Millisecond}
+	cases := []struct {
+		name     string
+		p        RunParams
+		wantErr  string // a substring of the error; "" for a session
+		goal     int
+		deadline float64
+		bgLevel  int
+	}{
+		{name: "executions default to the runner's",
+			p: RunParams{Config: config.Baseline, BGLevel: -1}, goal: 4, bgLevel: -1},
+		{name: "extra warmup adds to the goal",
+			p: RunParams{Config: config.Baseline, BGLevel: -1, Executions: 6, ExtraWarmup: 2}, goal: 8, bgLevel: -1},
+		{name: "deadlines default to the targets",
+			p: RunParams{Config: config.Dirigent, BGLevel: -1, Targets: target}, goal: 4, deadline: 1.5, bgLevel: -1},
+		{name: "explicit deadlines are kept",
+			p: RunParams{Config: config.Dirigent, BGLevel: -1, Targets: target, Deadlines: []float64{1.7}}, goal: 4, deadline: 1.7, bgLevel: -1},
+		{name: "StaticFreq pins BG to level 0",
+			p: RunParams{Config: config.StaticFreq, BGLevel: -1}, goal: 4, bgLevel: 0},
+		{name: "an empty deadline list sets no deadline",
+			p: RunParams{Config: config.Baseline, BGLevel: -1, Deadlines: []float64{}}, goal: 4, bgLevel: -1},
+		{name: "deadline count",
+			p: RunParams{Config: config.Baseline, BGLevel: -1, Deadlines: []float64{1, 2}}, wantErr: "2 deadlines for 1 FG streams"},
+		{name: "target count",
+			p: RunParams{Config: config.Dirigent, BGLevel: -1, Targets: append(target, target...), Deadlines: []float64{1.5}}, wantErr: "2 targets for 1 FG streams"},
+		{name: "missing targets",
+			p: RunParams{Config: config.DirigentFreq, BGLevel: -1}, wantErr: "0 targets for 1 FG streams"},
+		{name: "unknown policy",
+			p: RunParams{Config: config.Dirigent, Policy: "nope", BGLevel: -1, Targets: target}, wantErr: `unknown policy "nope"`},
+		{name: "negative extra warmup",
+			p: RunParams{Config: config.Baseline, BGLevel: -1, ExtraWarmup: -100}, wantErr: "negative extra warmup -100"},
+	}
+	q := sim.Time(machine.DefaultConfig().Quantum)
+	for _, c := range cases {
+		r := sessionRunner()
+		sink := &labelSink{runs: map[string]int{}}
+		r.Recorder = sink
+		s, err := r.StartSession(mix, c.p)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s: error %v, want one containing %q", c.name, err, c.wantErr)
+			}
+			if len(sink.runs) != 0 {
+				t.Errorf("%s: rejected after building a machine (events %v)", c.name, sink.runs)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if s.Goal() != c.goal {
+			t.Errorf("%s: goal %d, want %d", c.name, s.Goal(), c.goal)
+		}
+		if err := s.Advance(10 * q); err != nil {
+			t.Fatal(err)
+		}
+		rr, err := s.Collect()
+		if err != nil {
+			t.Errorf("%s: collect: %v", c.name, err)
+			continue
+		}
+		if d := rr.Streams[0].Deadline; d != c.deadline {
+			t.Errorf("%s: deadline %g, want %g", c.name, d, c.deadline)
+		}
+		if rr.StaticBGLevel != c.bgLevel {
+			t.Errorf("%s: static BG level %d, want %d", c.name, rr.StaticBGLevel, c.bgLevel)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"dirigent/internal/config"
 	"dirigent/internal/experiment"
-	"dirigent/internal/sim"
 )
 
 // GoalResult is one evaluated goal: the measured value against its
@@ -82,32 +81,16 @@ func RunSpec(spec Spec) (Result, error) {
 	}
 	mix := spec.mix()
 
-	run := func(p experiment.RunParams) (*experiment.RunResult, error) {
-		s, err := r.StartSession(mix, p)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.RunExecutions(s.Goal(), sim.Time(r.TimeLimit)); err != nil {
-			return nil, err
-		}
-		return s.Collect()
-	}
-
-	base, err := run(experiment.RunParams{
-		Config: config.Baseline, BGLevel: -1, Executions: r.Executions,
-	})
+	base, deadlines, targets, err := r.Baseline(mix)
 	if err != nil {
 		return Result{}, fmt.Errorf("scenario %q: baseline: %w", spec.Name, err)
 	}
-
-	deadlines, targets := experiment.Deadlines(base)
-	managed, err := run(experiment.RunParams{
+	managed, err := r.Run(mix, experiment.RunParams{
 		Config:      config.Dirigent,
 		Policy:      spec.Policy,
 		Targets:     targets,
 		Deadlines:   deadlines,
 		BGLevel:     -1,
-		Executions:  r.Executions,
 		ExtraWarmup: r.ConvergenceWarmup,
 		Faults:      spec.Faults.Plan(),
 	})
@@ -187,15 +170,15 @@ func mixLabel(m MixSpec) string {
 // The first run error aborts the suite — an unrunnable scenario is a
 // broken gate, not a failed goal.
 func RunSuite(specs []Spec) (*SuiteResult, error) {
-	results := make([]Result, len(specs))
-	errs := make([]error, len(specs))
-	experiment.FanOut(len(specs), func(i int) {
-		results[i], errs[i] = RunSpec(specs[i])
-	})
-	for i, err := range errs {
+	results, err := experiment.FanOut(len(specs), func(i int) (Result, error) {
+		res, err := RunSpec(specs[i])
 		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", specs[i].Name, err)
+			return Result{}, fmt.Errorf("scenario %q: %w", specs[i].Name, err)
 		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sr := &SuiteResult{Results: results, Pass: true}
 	for _, r := range results {

@@ -394,6 +394,43 @@ func TestCreateValidation(t *testing.T) {
 	}
 }
 
+// TestCreateOutOfRangeRun: a negative extra_warmup is refused with 400
+// before a tenant exists (accepted, it crashed the tenant worker, and with
+// it the process, at the first collect), and an empty deadlines_s on a
+// configuration without the runtime runs to its result. The server keeps
+// serving: a following create runs to completion and the list shows it.
+func TestCreateOutOfRangeRun(t *testing.T) {
+	r := experiment.NewRunner()
+	r.Executions = 4
+	r.Warmup = 1
+	srv := New(Config{Runner: r})
+	ts, client := testClient(t, srv)
+
+	bad := json.RawMessage(`{"mix":{"name":"neg","fg":["ferret"],"bg":["rs"]},"config":"Baseline","extra_warmup":-100}`)
+	if code, raw := doJSON(t, client, "POST", ts.URL+"/v1/tenants", bad, nil); code != http.StatusBadRequest || !strings.Contains(raw, "negative extra warmup") {
+		t.Fatalf("negative extra_warmup: %d %s, want 400", code, raw)
+	}
+	if got := srv.Tenants(); got != 0 {
+		t.Fatalf("the rejected create leaked %d tenant slots", got)
+	}
+
+	ok := json.RawMessage(`{"mix":{"name":"empty","fg":["ferret"],"bg":["rs"]},"config":"Baseline","deadlines_s":[]}`)
+	var created createTenantResponse
+	if code, raw := doJSON(t, client, "POST", ts.URL+"/v1/tenants", ok, &created); code != http.StatusCreated {
+		t.Fatalf("create after the rejected one: %d %s", code, raw)
+	}
+	if st := waitDone(t, client, ts.URL, created.ID); st.State != StateDone {
+		t.Fatalf("tenant %s ended %s (%s)", created.ID, st.State, st.Error)
+	}
+	if code, raw := doJSON(t, client, "GET", ts.URL+"/v1/tenants/"+created.ID+"/result", nil, nil); code != http.StatusOK {
+		t.Fatalf("result: %d %s", code, raw)
+	}
+	var list []TenantStats
+	if code, raw := doJSON(t, client, "GET", ts.URL+"/v1/tenants", nil, &list); code != http.StatusOK || len(list) != 1 || list[0].ID != created.ID {
+		t.Fatalf("list: %d %s, want the one created tenant", code, raw)
+	}
+}
+
 // TestShutdownDrains verifies graceful shutdown: running workers stop,
 // subscriber streams end, and new tenants are refused.
 func TestShutdownDrains(t *testing.T) {

@@ -4,6 +4,7 @@
 #   scripts/ci.sh             # gofmt + vet + dirigent-lint
 #                             # + no fused multiply-add in internal/sim when
 #                             #   cross-built for arm64, ppc64le, s390x, riscv64
+#                             #   (scripts/unfused-sim.sh)
 #                             # + build + tests
 #                             #   (every test, the goldens, the QoS probe
 #                             #   suite and the analyzer, scenario-gate and
@@ -62,28 +63,6 @@ gofmt_clean() {
 	fi
 }
 
-# unfused_sim: build internal/sim for the four architectures whose compilers
-# fuse x*y+z, and fail on any fused multiply-add in its code (s390x's
-# disassembler names them MADBR/MSDBR/MAEBR/MSEBR), naming the function. An
-# explicit float64(x*y) keeps a product unfused.
-unfused_sim() {
-	_d=$(mktemp -d)
-	for _arch in arm64 ppc64le s390x riscv64; do
-		GOARCH=$_arch go build -o "$_d/sim.a" ./internal/sim
-		go tool objdump -s 'sim\.' "$_d/sim.a" >"$_d/sim.s"
-		awk -v arch="$_arch" '
-			/^TEXT / { fn = $2 }
-			/[ \t](FN?M(ADD|SUB)[A-Z]*|M[AS][DE]BR)[ \t]/ { print arch ": " fn ":" $0 }' "$_d/sim.s" >>"$_d/fused"
-	done
-	_found=$(cat "$_d/fused")
-	rm -rf "$_d"
-	if [ -n "$_found" ]; then
-		echo "ci: fused multiply-adds in internal/sim; write the product as float64(x*y):" >&2
-		echo "$_found" >&2
-		exit 1
-	fi
-}
-
 # The golden-pinned packages built for x86-64-v3, which has FMA: such a
 # build must fuse no floating-point expression, or every golden moves.
 run_goamd64_v3() {
@@ -120,7 +99,7 @@ perfbench_correct() {
 leg "gofmt -l" gofmt_clean
 leg "go vet ./..." go vet ./...
 leg "dirigent-lint" go run ./cmd/dirigent-lint
-leg "unfused internal/sim (arm64, ppc64le, s390x, riscv64)" unfused_sim
+leg "unfused internal/sim (arm64, ppc64le, s390x, riscv64)" scripts/unfused-sim.sh
 leg "go build ./..." go build ./...
 leg "go test ./..." go test ./...
 leg "go test -race ./internal/..." go test -race ./internal/...
