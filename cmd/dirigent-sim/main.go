@@ -18,7 +18,7 @@
 package main
 
 import (
-	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -30,6 +30,13 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "dirigent-sim:", err)
+		os.Exit(1)
+	}
+}
+
+func run() (err error) {
 	fg := flag.String("fg", "ferret", "comma-separated FG benchmarks")
 	bg := flag.String("bg", "rs,rs,rs,rs,rs", "comma-separated BG specs (a single name or a+b rotate pair)")
 	cfgName := flag.String("config", "Dirigent", "configuration: Baseline, StaticFreq, StaticBoth, DirigentFreq, Dirigent")
@@ -46,23 +53,33 @@ func main() {
 		BG:   splitList(*bg),
 	}
 	if err := mix.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 	want, err := config.ByName(config.Name(*cfgName))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	r := experiment.NewRunner()
 	r.Executions = *executions
-	var closeTrace func()
 	if *trace != "" {
-		sink, done, err := openTrace(*trace, *traceQuanta)
-		if err != nil {
-			fatal(err)
+		sink, closeTrace, openErr := telemetry.CreateJSONL(*trace)
+		if openErr != nil {
+			return openErr
+		}
+		if *traceQuanta {
+			sink.Include(telemetry.KindQuantumStep)
 		}
 		r.Recorder = sink
-		closeTrace = done
+		// A silently truncated trace is worse than none: a write error
+		// fails the run.
+		defer func() {
+			if cerr := closeTrace(); cerr != nil {
+				err = errors.Join(err, cerr)
+				return
+			}
+			fmt.Fprintf(os.Stderr, "dirigent-sim: wrote %d events to %s\n", sink.Events(), *trace)
+		}()
 	}
 	if *pols != "" {
 		names := splitList(*pols)
@@ -71,10 +88,7 @@ func main() {
 		}
 		res, err := r.PolicySweep([]experiment.Mix{mix}, names)
 		if err != nil {
-			fatal(err)
-		}
-		if closeTrace != nil {
-			closeTrace()
+			return err
 		}
 		pmr := res.Mixes[0]
 		fmt.Printf("mix %s, deadline(s): %v\n\n", mix.Name, pmr.Deadlines)
@@ -90,15 +104,12 @@ func main() {
 				fmt.Printf("    %-14s %s  success %.3f\n", s.Bench, s.Summary, s.SuccessRate)
 			}
 		}
-		return
+		return nil
 	}
 
 	res, err := r.RunMix(mix)
 	if err != nil {
-		fatal(err)
-	}
-	if closeTrace != nil {
-		closeTrace()
+		return err
 	}
 
 	fmt.Printf("mix %s, deadline(s): %v\n\n", mix.Name, res.Deadlines)
@@ -133,34 +144,7 @@ func main() {
 			fmt.Println()
 		}
 	}
-}
-
-// openTrace opens path for JSONL telemetry and returns the sink plus a
-// closer that flushes, reports the event count, and fails hard on write
-// errors (a silently truncated trace is worse than none).
-func openTrace(path string, quanta bool) (*telemetry.JSONL, func(), error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	sink := telemetry.NewJSONL(bw)
-	if quanta {
-		sink.Include(telemetry.KindQuantumStep)
-	}
-	done := func() {
-		if err := bw.Flush(); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		if err := sink.Err(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "dirigent-sim: wrote %d events to %s\n", sink.Events(), path)
-	}
-	return sink, done, nil
+	return nil
 }
 
 func splitList(s string) []string {
@@ -171,9 +155,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dirigent-sim:", err)
-	os.Exit(1)
 }

@@ -177,18 +177,26 @@ type PredictionProbeResult struct {
 // executions are treated as training (the penalty EMAs need at least one
 // pass) and excluded.
 func (r *Runner) PredictionProbe(mix Mix, executions, skip int) (*PredictionProbeResult, error) {
+	if err := mix.Validate(); err != nil {
+		return nil, err
+	}
+	profile, err := r.Profile(mix.FG[0])
+	if err != nil {
+		return nil, err
+	}
+	return r.predictionProbe(mix, profile, core.DefaultEMAWeight, executions, skip)
+}
+
+// predictionProbe is PredictionProbe with a given profile and EMA weight.
+func (r *Runner) predictionProbe(mix Mix, profile *core.Profile, weight float64, executions, skip int) (*PredictionProbeResult, error) {
 	sess, err := r.StartSession(mix, RunParams{Config: config.Baseline, BGLevel: -1, Executions: executions})
 	if err != nil {
 		return nil, err
 	}
 	colo := sess.Colocation()
 	m := colo.Machine()
-	profile, err := r.Profile(mix.FG[0])
-	if err != nil {
-		return nil, err
-	}
 
-	pred, err := core.NewPredictor(profile, core.DefaultEMAWeight)
+	pred, err := core.NewPredictor(profile, weight)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +226,7 @@ func (r *Runner) PredictionProbe(mix Mix, executions, skip int) (*PredictionProb
 		instrAtStart = m.Counters().Task(fgTask).Instructions
 	})
 
-	tick := sim.MustTicker(core.DefaultSamplePeriod)
+	tick := sim.MustTicker(profile.SamplePeriod)
 	limit := sim.Time(r.TimeLimit)
 	for len(all) < executions && m.Now() < limit && probeErr == nil {
 		// Batch up to the next sampler tick; Advance also stops at each
@@ -307,6 +315,48 @@ func RenderPredictionAccuracy(results []*PredictionProbeResult) string {
 		errSum += res.MeanError
 	}
 	fmt.Fprintf(&b, "overall average error %.2f%%\n", errSum/float64(len(results))*100)
+	return b.String()
+}
+
+// AblationRow is one predictor setting of the predictor ablation: the EMA
+// weight, ΔT and the profile's segment count at it, and Eq. 3's error.
+type AblationRow struct {
+	EMAWeight    float64
+	SamplePeriod time.Duration
+	Segments     int
+	MeanError    float64
+}
+
+// PredictorAblation reruns the Fig. 7 probe on ferret against five bwaves
+// at other predictor settings, for §4.2's robustness claims: EMA weights
+// 0.1, 0.2 and 0.3 at ΔT = 5 ms, then ΔT = 10 and 20 ms at weight 0.2.
+func (r *Runner) PredictorAblation(executions, skip int) ([]AblationRow, error) {
+	mix := Mix{Name: "ferret bwaves", FG: []string{"ferret"}, BG: repeat("bwaves", 5)}
+	ms := time.Millisecond
+	rows := []AblationRow{{0.1, 5 * ms, 0, 0}, {0.2, 5 * ms, 0, 0}, {0.3, 5 * ms, 0, 0}, {0.2, 10 * ms, 0, 0}, {0.2, 20 * ms, 0, 0}}
+	return FanOut(len(rows), func(i int) (AblationRow, error) {
+		row := rows[i]
+		profile, err := r.profile(mix.FG[0], row.SamplePeriod)
+		if err != nil {
+			return row, err
+		}
+		res, err := r.predictionProbe(mix, profile, row.EMAWeight, executions, skip)
+		if err != nil {
+			return row, err
+		}
+		row.Segments, row.MeanError = len(profile.Segments), res.MeanError
+		return row, nil
+	})
+}
+
+// RenderPredictorAblation formats the predictor ablation.
+func RenderPredictorAblation(rows []AblationRow) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Predictor ablation: midpoint error vs EMA weight and sampling period (ferret bwaves)\n")
+	fmt.Fprintf(&b, "%10s %8s %9s %10s\n", "EMA weight", "period", "segments", "avg error")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%10.1f %8v %9d %9.2f%%\n", r.EMAWeight, r.SamplePeriod, r.Segments, r.MeanError*100)
+	}
 	return b.String()
 }
 

@@ -119,6 +119,33 @@ func TestPredictionProbeInvalid(t *testing.T) {
 	}
 }
 
+// TestPredictorAblation checks the ablation's settings, and that its
+// default setting is the plain PredictionProbe on the same mix.
+func TestPredictorAblation(t *testing.T) {
+	r := smallRunner()
+	rows, err := r.PredictorAblation(8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := r.PredictionProbe(Mix{Name: "ferret bwaves", FG: []string{"ferret"}, BG: repeat("bwaves", 5)}, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := time.Millisecond
+	want := []AblationRow{{0.1, 5 * ms, 238, 0}, {0.2, 5 * ms, 238, 0}, {0.3, 5 * ms, 238, 0}, {0.2, 10 * ms, 119, 0}, {0.2, 20 * ms, 60, 0}}
+	if len(rows) != len(want) || rows[1].MeanError != plain.MeanError {
+		t.Fatalf("rows %+v; default-setting error want %g", rows, plain.MeanError)
+	}
+	for i, row := range rows {
+		if row.MeanError <= 0 || row.MeanError > 0.05 {
+			t.Errorf("row %d: mean error %g", i, row.MeanError)
+		}
+		if row.MeanError = 0; row != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, row, want[i])
+		}
+	}
+}
+
 func TestPartitionSweep(t *testing.T) {
 	r := smallRunner()
 	// The paper's Fig. 8 mix: streamcluster FG, PCA BG.

@@ -82,9 +82,14 @@ func NewRunner() *Runner {
 // single-flight: exactly one profiling run happens, the rest wait for its
 // result.
 func (r *Runner) Profile(name string) (*core.Profile, error) {
+	return r.profile(name, core.DefaultSamplePeriod)
+}
+
+// profile is Profile sampled every period, cached per period.
+func (r *Runner) profile(name string, period time.Duration) (*core.Profile, error) {
 	// Profiles are machine-dependent (a little core's standalone time is
 	// not a Xeon's), so the cache key carries the class. The default class
-	// keeps the bare benchmark name and the zero profiler options the
+	// keeps the bare benchmark name and the default profiler options the
 	// pre-class code used.
 	class := r.MachineClass
 	if class == machine.DefaultClass {
@@ -93,6 +98,9 @@ func (r *Runner) Profile(name string) (*core.Profile, error) {
 	key := name
 	if class != "" {
 		key = class + "/" + name
+	}
+	if period != core.DefaultSamplePeriod {
+		key += "@" + period.String()
 	}
 	r.mu.Lock()
 	e, ok := r.profiles[key]
@@ -107,7 +115,7 @@ func (r *Runner) Profile(name string) (*core.Profile, error) {
 			e.err = err
 			return
 		}
-		opts := core.ProfilerOptions{}
+		opts := core.ProfilerOptions{SamplePeriod: period}
 		if class != "" {
 			mcfg, err := machine.ClassConfig(class)
 			if err != nil {
@@ -409,11 +417,15 @@ func applyDeadlines(rr *RunResult, deadlines []float64) {
 
 // Run takes one run to its goal: StartSession, RunExecutions up to the
 // session's goal within the runner's time limit, then Collect. Every batch
-// sweep and the scenario suite run through it.
+// sweep and the scenario suite run through it. It refuses a run whose
+// executions would all be warmup.
 func (r *Runner) Run(mix Mix, p RunParams) (*RunResult, error) {
 	s, err := r.StartSession(mix, p)
 	if err != nil {
 		return nil, err
+	}
+	if s.p.Executions <= r.Warmup {
+		return nil, fmt.Errorf("experiment: %d executions leave none after the %d warmup executions", s.p.Executions, r.Warmup)
 	}
 	if err := s.RunExecutions(s.Goal(), sim.Time(r.TimeLimit)); err != nil {
 		return nil, err

@@ -180,6 +180,22 @@ func TestRunMixInvalid(t *testing.T) {
 	}
 }
 
+// TestRunRefusesWarmupOnly: a run whose executions do not outnumber the
+// warmup would report warmup executions as its results.
+func TestRunRefusesWarmupOnly(t *testing.T) {
+	r := smallRunner()
+	mix := Mix{Name: "ferret alone", FG: []string{"ferret"}}
+	p := RunParams{Config: config.Baseline, BGLevel: -1, Executions: r.Warmup}
+	want := "experiment: 4 executions leave none after the 4 warmup executions"
+	if _, err := r.Run(mix, p); err == nil || err.Error() != want {
+		t.Errorf("Run at Executions == Warmup: %v, want %q", err, want)
+	}
+	p.Executions++
+	if res, err := r.Run(mix, p); err != nil || len(res.Streams[0].Durations) != 1 {
+		t.Errorf("Run at Warmup+1: %v", err)
+	}
+}
+
 func TestRunResultHelpers(t *testing.T) {
 	rr := &RunResult{Streams: []StreamResult{{SuccessRate: 0.8}, {SuccessRate: 1.0}}}
 	if got := rr.MinSuccessRate(); got != 0.8 {

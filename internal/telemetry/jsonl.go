@@ -1,8 +1,11 @@
 package telemetry
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"sync"
 )
@@ -174,6 +177,19 @@ func (j *JSONL) Close() error {
 		}
 	}
 	return err
+}
+
+// CreateJSONL creates the file at path and returns a JSONL sink writing to
+// it through a 1 MiB buffer, with a closer that flushes, closes the file
+// and returns their errors. Call it on failure too: the events recorded
+// before a failure are the trace that explains it.
+func CreateJSONL(path string) (*JSONL, func() error, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	j := NewJSONL(bufio.NewWriterSize(f, 1<<20))
+	return j, func() error { return errors.Join(j.Flush(), f.Close()) }, nil
 }
 
 // AppendJSON appends ev encoded exactly as one JSONL trace line (including

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -259,6 +261,28 @@ func TestJSONLWriteError(t *testing.T) {
 	}
 	if j.Events() != 1 {
 		t.Errorf("Events() = %d, want 1 (writes after error dropped)", j.Events())
+	}
+}
+
+// TestCreateJSONLReadsBack records through the file sink and reads every
+// event back, line for line, once the closer has run.
+func TestCreateJSONLReadsBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	j, closeTrace, err := CreateJSONL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i := range 3 {
+		ev := Event{Kind: KindTaskLaunch, Task: i, Core: i, Name: "ferret"}
+		j.Record(ev)
+		want = AppendJSON(want, ev)
+	}
+	if err := closeTrace(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("trace file reads %q (%v), want %q", got, err, want)
 	}
 }
 

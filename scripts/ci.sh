@@ -7,7 +7,10 @@
 #                             #   (scripts/unfused-sim.sh)
 #                             # + build + tests
 #                             #   (every test, the goldens, the QoS probe
-#                             #   suite and the analyzer, scenario-gate and
+#                             #   suite, the dirigent-bench -all report
+#                             #   golden, the check of EXPERIMENTS.md's and
+#                             #   README's quotes against it, and the
+#                             #   analyzer, scenario-gate and
 #                             #   load-determinism tests included)
 #                             # + race detector
 #                             # + the goldens as a GOAMD64=v3 (FMA-capable) build
@@ -25,7 +28,10 @@
 # slow legs are visible in CI logs. Every Go check is a Go test, and the
 # test legs run the whole suite in one configuration. The race leg covers
 # internal packages only: the root package and cmd/ are thin facades over
-# them and are already exercised race-free by the plain test leg. The lint
+# them and are already exercised race-free by the plain test leg. That
+# keeps out cmd/dirigent-bench's report golden, which runs every figure
+# (about 35 s plain); the generators it drives run under -race in
+# internal/experiment's own tests. The lint
 # leg (cmd/dirigent-lint) subsumes the old package-comment grep and adds
 # the staticcheck-style checks the CI image cannot install.
 set -eu
