@@ -354,11 +354,11 @@ func (l *LLC) ApplyFast(dt time.Duration, traffic []Traffic) {
 		if st == nil {
 			continue
 		}
-		m := tr.Accesses * clamp01(tr.MissRate)
+		m := float64(tr.Accesses * clamp01(tr.MissRate))
 		st.stamp = stamp
-		fill[st.class] += m * LineSize
+		fill[st.class] += float64(m * LineSize)
 		hits := (tr.Accesses - m) * LineSize
-		weight[st.class] += m*LineSize + hitRecencyWeight*hits + weightFloor
+		weight[st.class] += float64(m*LineSize) + float64(hitRecencyWeight*hits) + weightFloor
 	}
 
 	if dt != l.lastDt {
@@ -391,13 +391,13 @@ func (l *LLC) ApplyFast(dt time.Duration, traffic []Traffic) {
 		if rate > 1 {
 			rate = 1
 		}
-		m := tr.Accesses * clamp01(tr.MissRate)
-		w := m*LineSize + hitRecencyWeight*(tr.Accesses-m)*LineSize + weightFloor
+		m := float64(tr.Accesses * clamp01(tr.MissRate))
+		w := float64(m*LineSize) + float64(hitRecencyWeight*(tr.Accesses-m)*LineSize) + weightFloor
 		eq := capBytes * w / weight[st.class]
 		if eq > tr.WSS && tr.WSS > 0 {
 			eq = tr.WSS
 		}
-		st.occupancy += (eq - st.occupancy) * rate
+		st.occupancy += float64((eq - st.occupancy) * rate)
 		if st.occupancy < 0 {
 			st.occupancy = 0
 		}

@@ -125,7 +125,15 @@ func (r *Runner) BGOverview() ([]BGOverviewRow, error) {
 			FGShare:     run.FGMissShare(),
 		})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].TotalMPKFGI < rows[j].TotalMPKFGI })
+	// Stable, with the name as tiebreak, so a tie's order does not depend on
+	// the Go release's sort algorithm.
+	sort.SliceStable(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		if a.TotalMPKFGI < b.TotalMPKFGI || b.TotalMPKFGI < a.TotalMPKFGI {
+			return a.TotalMPKFGI < b.TotalMPKFGI
+		}
+		return a.Workload < b.Workload
+	})
 	return rows, nil
 }
 
@@ -405,7 +413,7 @@ func (r *Runner) PartitionSweep(mix Mix, minWays, maxWays int) (*PartitionSweepR
 	worst := stats.Max(res.MeanSec)
 	span := worst - best
 	for i, m := range res.MeanSec {
-		if span <= 0 || m <= best+0.05*span {
+		if span <= 0 || m <= best+float64(0.05*span) {
 			res.Knee = res.Ways[i]
 			break
 		}

@@ -393,7 +393,7 @@ func Deadlines(base *RunResult) ([]float64, []time.Duration) {
 	deadlines := make([]float64, len(base.Streams))
 	targets := make([]time.Duration, len(base.Streams))
 	for i, s := range base.Streams {
-		deadlines[i] = s.Summary.Mean + DeadlineSigma*s.Summary.Std
+		deadlines[i] = s.Summary.Mean + float64(DeadlineSigma*s.Summary.Std)
 		targets[i] = time.Duration(deadlines[i] * float64(time.Second))
 	}
 	return deadlines, targets

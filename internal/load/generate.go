@@ -78,7 +78,7 @@ func Synthesize(s Spec, seed uint64) (*Trace, error) {
 					break
 				}
 				stream := retargetRng.Intn(len(tmpl.Mix.FG))
-				factor := 0.8 + 0.4*retargetRng.Float64()
+				factor := 0.8 + float64(0.4*retargetRng.Float64())
 				p.events = append(p.events, Event{
 					AtUS: rtUS, Op: OpRetarget, Tenant: name,
 					Stream:   stream,

@@ -75,7 +75,7 @@ func (a ArrivalSpec) rateAt(t float64) float64 {
 		}
 		return a.RatePerS / a.BurstFactor
 	case ModelDiurnal:
-		depth := a.Trough + (1-a.Trough)*0.5*(1-math.Cos(2*math.Pi*t/a.PeriodS))
+		depth := a.Trough + float64((1-a.Trough)*0.5*(1-math.Cos(2*math.Pi*t/a.PeriodS)))
 		return a.RatePerS * depth
 	default: // poisson
 		return a.RatePerS

@@ -913,7 +913,7 @@ func (m *Machine) step() []Completion {
 					uNew = m.memory.Utilization(demand, dt)
 				}
 			}
-			u = 0.5*u + 0.5*uNew
+			u = float64(0.5*u) + float64(0.5*uNew)
 		}
 	}
 
@@ -933,10 +933,10 @@ func (m *Machine) step() []Completion {
 		t, ph, instr := cs.task, cs.ph, cs.instr
 		accesses := instr * ph.APKI / 1000
 		missRate := 1 - cs.hit
-		misses := accesses * missRate
-		demand += misses * BytesPerMiss
+		misses := float64(accesses * missRate)
+		demand += float64(misses * BytesPerMiss)
 		if m.multiSocket {
-			m.scratchSockDemand[m.coreSocket[c]] += misses * BytesPerMiss
+			m.scratchSockDemand[m.coreSocket[c]] += float64(misses * BytesPerMiss)
 		}
 		totInstr += instr
 		totMisses += misses
@@ -1007,7 +1007,7 @@ func (m *Machine) corePass(socket int, lat time.Duration) float64 {
 		}
 		cpi := cs.bj + cs.mpi*latNs*cs.ghz/cs.mlp
 		cs.instr = cs.work / cpi
-		demand += cs.instr * cs.mpi * BytesPerMiss
+		demand += float64(cs.instr * cs.mpi * BytesPerMiss)
 	}
 	return demand
 }

@@ -13,6 +13,11 @@
 // LogNormals goes further: it owns its Rand outright and draws a block of
 // normals ahead, which is exact only because nothing else reads that
 // stream. A Rand handed to NewLogNormals must not be drawn from again.
+// The refill draws its uniforms in Norm's order, u1 then u2 for each
+// normal, so a block holds the normals Norm would have returned. On amd64
+// CPUs with AVX2 and FMA an assembly kernel turns them into normals and
+// lognormals four lanes at a time, with the Go code's bits
+// (rand_amd64.s); every other CPU runs the Go code.
 package sim
 
 import (

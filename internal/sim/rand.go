@@ -67,14 +67,38 @@ func (r *Rand) Intn(n int) int {
 
 // Norm returns a standard normal sample via the Box–Muller transform.
 func (r *Rand) Norm() float64 {
-	// Guard u1 away from 0 so Log is finite.
+	return boxMuller(r.guardedUnit(), r.Float64())
+}
+
+// guardedUnit returns Box–Muller's u1: a uniform draw guarded away from 0
+// so its logarithm is finite.
+func (r *Rand) guardedUnit() float64 {
 	u1 := r.Float64()
 	if u1 < 1e-300 {
 		u1 = 1e-300
 	}
-	u2 := r.Float64()
+	return u1
+}
+
+// boxMuller returns the cosine half of the Box–Muller transform of u1 in
+// [1e-300, 1) and u2 in [0, 1).
+func boxMuller(u1, u2 float64) float64 {
 	return math.Sqrt(-2*logUnit(u1)) * cosTurn(u2)
 }
+
+// logUnit's constants, log_amd64.s's: ln 2 split in two, and the
+// coefficients of its polynomial in s = f/(2+f).
+const (
+	ln2Hi = 6.93147180369123816490e-01 // 0x3fe62e42fee00000
+	ln2Lo = 1.90821492927058770002e-10 // 0x3dea39ef35793c76
+	l1    = 6.666666666666735130e-01   // 0x3FE5555555555593
+	l2    = 3.999999999940941908e-01   // 0x3FD999999997FA04
+	l3    = 2.857142874366239149e-01   // 0x3FD2492494229359
+	l4    = 2.222219843214978396e-01   // 0x3FCC71C51D8E78AF
+	l5    = 1.818357216161805012e-01   // 0x3FC7466496CB03DE
+	l6    = 1.531383769920937332e-01   // 0x3FC39A09D078C69F
+	l7    = 1.479819860511658591e-01   // 0x3FC2F112DF3E5244
+)
 
 // logUnit returns math.Log(x) for a normal x in (0, 1) bit for bit on
 // amd64: it is log_amd64.s step for step, less the special cases Norm's u1
@@ -82,17 +106,6 @@ func (r *Rand) Norm() float64 {
 // the same bits on every architecture (math.Log does not: arm64 runs
 // log.go with fused multiply-adds, s390x its own assembly).
 func logUnit(x float64) float64 {
-	const (
-		ln2Hi = 6.93147180369123816490e-01 // 0x3fe62e42fee00000
-		ln2Lo = 1.90821492927058770002e-10 // 0x3dea39ef35793c76
-		l1    = 6.666666666666735130e-01   // 0x3FE5555555555593
-		l2    = 3.999999999940941908e-01   // 0x3FD999999997FA04
-		l3    = 2.857142874366239149e-01   // 0x3FD2492494229359
-		l4    = 2.222219843214978396e-01   // 0x3FCC71C51D8E78AF
-		l5    = 1.818357216161805012e-01   // 0x3FC7466496CB03DE
-		l6    = 1.531383769920937332e-01   // 0x3FC39A09D078C69F
-		l7    = 1.479819860511658591e-01   // 0x3FC2F112DF3E5244
-	)
 	// Frexp by bit masks: x = f1·2^k with f1 in [0.5, 1).
 	b := math.Float64bits(x)
 	f1b := b&(1<<52-1) | math.Float64bits(0.5)
@@ -131,6 +144,13 @@ var turnCoef = [2][6]float64{{
 	-1.66666666666666307295e-1, // 0xbfc5555555555548
 }}
 
+// π/4 split into three parts, for cosTurn's reduction.
+const (
+	pi4A = 7.85398125648498535156e-1
+	pi4B = 3.77489470793079817668e-8
+	pi4C = 2.69515142907905952645e-15
+)
+
 // cosTurn returns math.Cos(2*math.Pi*u) for u in [0, 1), bit for bit on
 // amd64, where math.Cos is Go's portable cos and nothing is fused. It is
 // that function's reduction and polynomials with the octant branches
@@ -140,11 +160,6 @@ var turnCoef = [2][6]float64{{
 // a multiply-add, so cosTurn returns the same bits on every architecture
 // (math.Cos does not: it fuses on arm64, ppc64le, s390x and riscv64).
 func cosTurn(u float64) float64 {
-	const (
-		pi4A = 7.85398125648498535156e-1 // π/4 split into three parts
-		pi4B = 3.77489470793079817668e-8
-		pi4C = 2.69515142907905952645e-15
-	)
 	x := float64(2 * math.Pi * u)
 	// Octant of x, rounded up to even so z is centred on zero:
 	// j ∈ {0, 2, 4, 6, 8}, where 8 is the full turn (cos's j&7 == 0).
@@ -189,9 +204,9 @@ const logNormalBlock = 64
 // return at the same point of r's stream: every draw takes two uniforms
 // whatever σ is, so drawing normals ahead changes no value, and the values
 // of a block are computed with the σ of the draw that filled it, recomputed
-// from the stored normal for any draw whose σ differs. Filling a block in
-// two independent loops lets the CPU overlap the Log and Exp chains that a
-// single draw would wait on.
+// from the stored normal for any draw whose σ differs. Filling a whole
+// block lets the CPU overlap the Log and Exp chains that a single draw
+// would wait on, and lets normalsExp work four lanes at a time.
 type LogNormals struct {
 	r     *Rand
 	left  int     // unread values in the block; 0 means refill
@@ -217,13 +232,26 @@ func (l *LogNormals) Draw(sigma float64) float64 {
 	return l.v[i]
 }
 
+// refill draws the block's uniforms in Norm's order, u1 into z and u2 into
+// v, then turns them into normals and their lognormals in place.
 func (l *LogNormals) refill(sigma float64) {
 	for i := range l.z {
-		l.z[i] = l.r.Norm()
+		l.z[i] = l.r.guardedUnit()
+		l.v[i] = l.r.Float64()
 	}
-	for i, z := range l.z {
-		l.v[i] = math.Exp(sigma * z)
-	}
+	normalsExp(&l.z, &l.v, sigma)
 	l.sigma = sigma
 	l.left = logNormalBlock
+}
+
+// normalsExpGo is normalsExp in Go: z holds u1 and v holds u2 on entry,
+// and the normals and exp(sigma·z) on return. It is the path on every CPU
+// without the amd64 kernel, and the kernel's reference.
+func normalsExpGo(z, v *[logNormalBlock]float64, sigma float64) {
+	for i := range z {
+		z[i] = boxMuller(z[i], v[i])
+	}
+	for i := range v {
+		v[i] = math.Exp(sigma * z[i])
+	}
 }

@@ -2,6 +2,10 @@ package sim
 
 import (
 	"math"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -75,6 +79,110 @@ func TestMathExpTakesFMAPath(t *testing.T) {
 			t.Errorf("math.Exp(%#x) = %#x, want %#x: this CPU runs exp_amd64.s's "+
 				"SSE path (no AVX+FMA), so the goldens, which hold only on "+
 				"x86-64 CPUs with FMA, will not match either", c.in, got, c.want)
+		}
+	}
+}
+
+// The kernel runs wherever the CPU has AVX2 and FMA. A wrong CPUID bit would
+// quietly run the Go path instead: every golden would still pass, and only
+// the speed would be gone.
+func TestAVX2KernelSelected(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skipf("the CPU's features are read from /proc/cpuinfo, which %s does not have", runtime.GOOS)
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("cannot read the CPU's features: %v", err)
+	}
+	var flags []string
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			flags = strings.Fields(list)
+			break
+		}
+	}
+	if flags == nil {
+		t.Skip("/proc/cpuinfo lists no flags")
+	}
+	want := slices.Contains(flags, "avx2") && slices.Contains(flags, "fma")
+	if haveAVX2FMA != want {
+		t.Fatalf("haveAVX2FMA = %v, but /proc/cpuinfo lists avx2 and fma: %v (math.Exp takes its FMA path: %v)",
+			haveAVX2FMA, want, expTakesFMAPath())
+	}
+}
+
+// The kernel must give normalsExpGo's bits, in both z and v: every jitter
+// draw, and so every golden, goes through it. It is checked at every
+// catalog CPIJitter σ, the machines' slow σ (0.03), a fault-sized σ, the
+// largest σ it accepts (negated too) and 0, over edge inputs and 10 M
+// random draws.
+func TestNormalsExpAVX2MatchesGo(t *testing.T) {
+	if !haveAVX2FMA {
+		t.Skip("the kernel is not selected here (haveAVX2FMA), so normalsExp runs normalsExpGo")
+	}
+	top := math.Nextafter(kernelSigmaMax, 0)
+	sigmas := []float64{0.011, 0.012, 0.013, 0.015, 0.018, 0.02, 0.022, 0.028, 0.03, 0.3, top, -top, 0}
+	check := func(z, v *[logNormalBlock]float64, sigma float64) {
+		gz, gv := *z, *v
+		u1, u2 := *z, *v
+		normalsExpGo(&gz, &gv, sigma)
+		normalsExpAVX2(z, v, sigma)
+		for i := range z {
+			if math.Float64bits(z[i]) != math.Float64bits(gz[i]) || math.Float64bits(v[i]) != math.Float64bits(gv[i]) {
+				t.Fatalf("σ=%v, u1=%v (%#x), u2=%v (%#x): kernel z=%#x v=%#x, Go z=%#x v=%#x",
+					sigma, u1[i], math.Float64bits(u1[i]), u2[i], math.Float64bits(u2[i]),
+					math.Float64bits(z[i]), math.Float64bits(v[i]), math.Float64bits(gz[i]), math.Float64bits(gv[i]))
+			}
+		}
+	}
+
+	// Each edge u1 with both neighbours: the guard's floor (the largest
+	// |z|, so at the top σ the largest exp argument the kernel can get),
+	// the smallest nonzero draw, binade edges, logUnit's √2/2 test, the
+	// largest draw.
+	var u1s, u2s []float64
+	for _, x := range []float64{1e-300, 0x1p-53, 1e-10, 0.25, 0.5, math.Sqrt2 / 2, 0.75, 1 - 0x1p-53} {
+		for _, u := range []float64{math.Nextafter(x, 0), x, math.Nextafter(x, 1)} {
+			if u >= 1e-300 && u < 1 {
+				u1s = append(u1s, u)
+			}
+		}
+	}
+	// cosTurn's octant edges k/8 with 2 ulp either side, and its ends.
+	u2s = append(u2s, 0, 1-0x1p-53)
+	for k := 1; k < 8; k++ {
+		e := float64(k) / 8
+		lo, hi := math.Nextafter(e, 0), math.Nextafter(e, 1)
+		u2s = append(u2s, math.Nextafter(lo, 0), lo, e, hi, math.Nextafter(hi, 1))
+	}
+	var pairs [][2]float64
+	for _, a := range u1s {
+		for _, b := range u2s {
+			pairs = append(pairs, [2]float64{a, b})
+		}
+	}
+	for _, sigma := range sigmas {
+		for start := 0; start < len(pairs); start += logNormalBlock {
+			var z, v [logNormalBlock]float64
+			for i := range z {
+				p := pairs[min(start+i, len(pairs)-1)]
+				z[i], v[i] = p[0], p[1]
+			}
+			check(&z, &v, sigma)
+		}
+	}
+
+	// Random blocks, filled as refill fills them.
+	r := NewRand(31)
+	perSigma := 10_000_000/len(sigmas)/logNormalBlock + 1
+	for _, sigma := range sigmas {
+		for b := 0; b < perSigma; b++ {
+			var z, v [logNormalBlock]float64
+			for i := range z {
+				z[i] = r.guardedUnit()
+				v[i] = r.Float64()
+			}
+			check(&z, &v, sigma)
 		}
 	}
 }

@@ -232,3 +232,16 @@ func TestLogNormalsMatchLogNormal(t *testing.T) {
 		}
 	}
 }
+
+var drawSink float64
+
+// BenchmarkLogNormalsDraw times the jitter draw the machine makes every
+// quantum: one stream of Draw at a catalog σ, across many blocks.
+func BenchmarkLogNormalsDraw(b *testing.B) {
+	l := NewLogNormals(NewRand(1))
+	s := 0.0
+	for i := 0; i < b.N; i++ {
+		s += l.Draw(0.02)
+	}
+	drawSink = s
+}

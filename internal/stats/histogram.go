@@ -39,7 +39,7 @@ func HistogramOf(xs []float64, bins int) (*Histogram, error) {
 		lo -= 0.5
 		hi += 0.5
 	}
-	pad := (hi - lo) / float64(bins) / 2
+	pad := float64((hi - lo) / float64(bins) / 2)
 	h, err := NewHistogram(lo-pad, hi+pad, bins)
 	if err != nil {
 		return nil, err
@@ -77,7 +77,7 @@ func (h *Histogram) BinWidth() float64 { return (h.Hi - h.Lo) / float64(len(h.Co
 
 // BinCenter returns the center of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.BinWidth()
+	return h.Lo + float64((float64(i)+0.5)*h.BinWidth())
 }
 
 // PDF returns the empirical probability density per bin: fraction of samples
@@ -129,8 +129,8 @@ func (h *Histogram) FractionBelow(x float64) float64 {
 	for j := 0; j < i; j++ {
 		below += h.Counts[j]
 	}
-	frac := (x - (h.Lo + float64(i)*w)) / w
-	return (float64(below) + frac*float64(h.Counts[i])) / float64(h.total)
+	frac := (x - (h.Lo + float64(float64(i)*w))) / w
+	return (float64(below) + float64(frac*float64(h.Counts[i]))) / float64(h.total)
 }
 
 // Render draws a simple ASCII bar chart of the histogram, one row per bin.

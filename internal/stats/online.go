@@ -19,7 +19,7 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.m2 += float64(d * (x - w.mean))
 }
 
 // N returns the number of samples seen.
@@ -79,7 +79,7 @@ func (e *EMA) Add(x float64) float64 {
 		e.seeded = true
 		return e.value
 	}
-	e.value = e.weight*x + (1-e.weight)*e.value
+	e.value = float64(e.weight*x) + float64((1-e.weight)*e.value)
 	return e.value
 }
 

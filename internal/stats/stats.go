@@ -43,7 +43,7 @@ func Variance(xs []float64) float64 {
 	ss := 0.0
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return ss / float64(n)
 }
@@ -146,14 +146,14 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if n == 1 {
 		return sorted[0]
 	}
-	rank := p / 100 * float64(n-1)
+	rank := float64(p / 100 * float64(n-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Correlation returns the Pearson correlation coefficient between xs and ys.
@@ -174,9 +174,9 @@ func Correlation(xs, ys []float64) (float64, error) {
 	for i := 0; i < n; i++ {
 		dx := xs[i] - mx
 		dy := ys[i] - my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0, nil

@@ -2,8 +2,9 @@
 # Tier-1 verification: everything a change must pass before merging.
 #
 #   scripts/ci.sh             # gofmt + vet + dirigent-lint
-#                             # + no fused multiply-add in internal/sim when
-#                             #   cross-built for arm64, ppc64le, s390x, riscv64
+#                             # + no fused multiply-add in the determinism-
+#                             #   critical packages when cross-built for
+#                             #   arm64, ppc64le, s390x, riscv64
 #                             #   (scripts/unfused-sim.sh)
 #                             # + build + tests
 #                             #   (every test, the goldens, the QoS probe
@@ -105,7 +106,7 @@ perfbench_correct() {
 leg "gofmt -l" gofmt_clean
 leg "go vet ./..." go vet ./...
 leg "dirigent-lint" go run ./cmd/dirigent-lint
-leg "unfused internal/sim (arm64, ppc64le, s390x, riscv64)" scripts/unfused-sim.sh
+leg "unfused (arm64, ppc64le, s390x, riscv64)" scripts/unfused-sim.sh
 leg "go build ./..." go build ./...
 leg "go test ./..." go test ./...
 leg "go test -race ./internal/..." go test -race ./internal/...
