@@ -14,7 +14,11 @@
 //   - The Dirigent system itself: the offline profiler (ProfileBenchmark),
 //     the Eq. 1/Eq. 2 execution-time predictor (NewPredictor), the fine
 //     time scale DVFS/pause controller and coarse time scale partition
-//     controller, and the runtime that assembles them (NewRuntime).
+//     controller, and the runtime that assembles them (NewRuntime). The
+//     controllers run at the paper's fixed parameters (§4.2–4.3): the
+//     runtime samples every ΔT of its profiles, and RuntimeConfig selects
+//     only the targets, the policy, partitioning, telemetry, fault
+//     injection and re-profiling.
 //   - The evaluation harness that regenerates every table and figure of
 //     the paper (NewRunner and the Fig* helpers in this package).
 //
@@ -37,7 +41,6 @@ import (
 	"dirigent/internal/experiment"
 	"dirigent/internal/machine"
 	"dirigent/internal/mem"
-	"dirigent/internal/policy"
 	"dirigent/internal/sched"
 	"dirigent/internal/sim"
 	"dirigent/internal/telemetry"
@@ -147,12 +150,6 @@ type Runtime = core.Runtime
 
 // RuntimeConfig configures a runtime.
 type RuntimeConfig = core.RuntimeConfig
-
-// FineConfig configures the fine time scale controller (§4.3).
-type FineConfig = policy.FineConfig
-
-// CoarseConfig configures the coarse time scale controller (§4.3).
-type CoarseConfig = policy.CoarseConfig
 
 // ProfileBenchmark runs the offline profiler for an FG benchmark.
 func ProfileBenchmark(b *Benchmark, opts ProfilerOptions) (*Profile, error) {

@@ -46,9 +46,6 @@ type Config struct {
 	RuntimePartitioning bool
 	// StaticBGMinFreq pins BG cores to the lowest frequency level.
 	StaticBGMinFreq bool
-	// CalibratedStatic requests offline calibration of a static partition
-	// and static BG frequency (StaticBoth).
-	CalibratedStatic bool
 	// Policy names the QoS policy driving the runtime (internal/policy
 	// registry name); empty means the default Dirigent policy. Only
 	// meaningful with UseRuntime.
@@ -80,9 +77,8 @@ func All() []Config {
 			Description:     "FG cores at max, BG cores statically at 1.2 GHz",
 		},
 		{
-			Name:             StaticBoth,
-			CalibratedStatic: true,
-			Description:      "best static partition + best static BG frequency",
+			Name:        StaticBoth,
+			Description: "best static partition + best static BG frequency",
 		},
 		{
 			Name:        DirigentFreq,

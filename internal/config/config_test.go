@@ -31,7 +31,7 @@ func TestConfigSemantics(t *testing.T) {
 		return c
 	}
 	base := byName(Baseline)
-	if base.UseRuntime || base.StaticBGMinFreq || base.CalibratedStatic {
+	if base.UseRuntime || base.StaticBGMinFreq {
 		t.Errorf("Baseline should be unmanaged: %+v", base)
 	}
 	sf := byName(StaticFreq)
@@ -39,7 +39,7 @@ func TestConfigSemantics(t *testing.T) {
 		t.Errorf("StaticFreq wrong: %+v", sf)
 	}
 	sb := byName(StaticBoth)
-	if !sb.CalibratedStatic || sb.UseRuntime {
+	if sb.StaticBGMinFreq || sb.UseRuntime {
 		t.Errorf("StaticBoth wrong: %+v", sb)
 	}
 	df := byName(DirigentFreq)

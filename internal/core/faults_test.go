@@ -58,7 +58,7 @@ func TestFineControllerSurfacesDVFSFaults(t *testing.T) {
 		c, _ := m.TaskCore(w.Task)
 		bgCores = append(bgCores, c)
 	}
-	fc, err := policy.NewFineController(m, []int{fgTask}, []int{0}, bgTasks, bgCores, policy.FineConfig{Recorder: agg})
+	fc, err := policy.NewFineController(m, []int{fgTask}, []int{0}, bgTasks, bgCores, agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFineControllerSurfacesPauseFaults(t *testing.T) {
 		c, _ := m.TaskCore(w.Task)
 		bgCores = append(bgCores, c)
 	}
-	fc, err := policy.NewFineController(m, []int{fgTask}, []int{0}, bgTasks, bgCores, policy.FineConfig{})
+	fc, err := policy.NewFineController(m, []int{fgTask}, []int{0}, bgTasks, bgCores, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

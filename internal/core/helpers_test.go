@@ -36,7 +36,7 @@ func probePredictionAccuracy(t *testing.T, fg, bg string, executions int) (accur
 	if err != nil {
 		return accuracyResult{}, err
 	}
-	pred := MustPredictor(profile, DefaultEMAWeight)
+	pred := mustPredictor(profile, DefaultEMAWeight)
 	pred.BeginExecution(0)
 	instrAtStart := 0.0
 	fgTask := colo.FG()[0].Task
@@ -97,4 +97,22 @@ func probePredictionAccuracy(t *testing.T, fg, bg string, executions int) (accur
 		t.Fatal("no predictions recorded")
 	}
 	return accuracyResult{meanErr: sum / float64(n), n: n}, nil
+}
+
+// mustPredictor is NewPredictor that panics on error.
+func mustPredictor(profile *Profile, weight float64) *Predictor {
+	p, err := NewPredictor(profile, weight)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// mustRuntime is NewRuntime that panics on error.
+func mustRuntime(colo *sched.Colocation, profiles []*Profile, cfg RuntimeConfig) *Runtime {
+	r, err := NewRuntime(colo, profiles, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }

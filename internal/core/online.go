@@ -17,10 +17,6 @@ var ErrProfileTimeout = errors.New("profiling time limit exceeded")
 type OnlineProfileOptions struct {
 	// SamplePeriod is ΔT (default 5 ms).
 	SamplePeriod time.Duration
-	// WarmupExecutions run (still with BG paused) before the recorded one,
-	// so the profile reflects the FG task's steady-state cache contents.
-	// Default 1.
-	WarmupExecutions int
 	// Limit bounds the profiling in simulated time (default 10 minutes).
 	Limit time.Duration
 }
@@ -46,9 +42,6 @@ func ProfileOnline(colo *sched.Colocation, stream int, opts OnlineProfileOptions
 	}
 	if opts.SamplePeriod == 0 {
 		opts.SamplePeriod = DefaultSamplePeriod
-	}
-	if opts.WarmupExecutions == 0 {
-		opts.WarmupExecutions = 1
 	}
 	if opts.Limit == 0 {
 		opts.Limit = 10 * time.Minute
@@ -89,7 +82,8 @@ func ProfileOnline(colo *sched.Colocation, stream int, opts OnlineProfileOptions
 		}
 	}()
 
-	// Let the in-flight execution and the warmup executions drain, then
-	// record the next one.
-	return recordProfile(colo, stream, opts.SamplePeriod, 1+opts.WarmupExecutions, opts.Limit)
+	// Let the in-flight execution and the warmup executions (still with BG
+	// paused, so the profile reflects the FG task's steady-state cache
+	// contents) drain, then record the next one.
+	return recordProfile(colo, stream, opts.SamplePeriod, 1+profileWarmup, opts.Limit)
 }

@@ -120,15 +120,6 @@ func NewPredictor(profile *Profile, weight float64) (*Predictor, error) {
 	return p, nil
 }
 
-// MustPredictor is NewPredictor that panics on error.
-func MustPredictor(profile *Profile, weight float64) *Predictor {
-	p, err := NewPredictor(profile, weight)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Profile returns the underlying profile.
 func (p *Predictor) Profile() *Profile { return p.profile }
 

@@ -41,16 +41,10 @@ func TestNewPredictorValidation(t *testing.T) {
 	if pred.Segments() != 10 {
 		t.Errorf("Segments = %d", pred.Segments())
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustPredictor should panic on bad input")
-		}
-	}()
-	MustPredictor(nil, 0.2)
 }
 
 func TestPredictorLifecycleErrors(t *testing.T) {
-	pred := MustPredictor(syntheticProfile(4, 100), 0.2)
+	pred := mustPredictor(syntheticProfile(4, 100), 0.2)
 	if err := pred.Observe(0, 0); err == nil {
 		t.Error("Observe before Begin should error")
 	}
@@ -83,7 +77,7 @@ func TestPredictorLifecycleErrors(t *testing.T) {
 func TestPredictorUncontendedMatchesProfile(t *testing.T) {
 	// Feeding the profiled trajectory exactly must predict the profiled
 	// completion time throughout.
-	pred := MustPredictor(syntheticProfile(10, 100), 0.2)
+	pred := mustPredictor(syntheticProfile(10, 100), 0.2)
 	pred.BeginExecution(0)
 	total := ms(50)
 	for i := 1; i <= 5; i++ {
@@ -104,7 +98,7 @@ func TestPredictorUniformSlowdown(t *testing.T) {
 	// Task runs at half speed: every segment takes 10 ms instead of 5 ms.
 	// After a few segments the α average approaches 2 and the prediction
 	// approaches the true 100 ms completion.
-	pred := MustPredictor(syntheticProfile(10, 100), 0.2)
+	pred := mustPredictor(syntheticProfile(10, 100), 0.2)
 	pred.BeginExecution(0)
 	for i := 1; i <= 5; i++ {
 		if err := pred.Observe(ms(float64(10*i)), float64(100*i)); err != nil {
@@ -132,7 +126,7 @@ func TestPredictorLearnsAcrossExecutions(t *testing.T) {
 	// After several executions the penalty EMAs encode the pattern and a
 	// midpoint prediction is accurate even before the slow segments run.
 	profile := syntheticProfile(10, 100)
-	pred := MustPredictor(profile, 0.2)
+	pred := mustPredictor(profile, 0.2)
 	trueDur := func() float64 {
 		d := 0.0
 		for i := 0; i < 10; i++ {
@@ -194,7 +188,7 @@ func TestPredictorLearnsAcrossExecutions(t *testing.T) {
 func TestPredictorMultipleMilestonesInOneSample(t *testing.T) {
 	// A sparse observer (20 ms between samples over 5 ms segments) still
 	// resolves all milestone crossings by interpolation.
-	pred := MustPredictor(syntheticProfile(10, 100), 0.2)
+	pred := mustPredictor(syntheticProfile(10, 100), 0.2)
 	pred.BeginExecution(0)
 	if err := pred.Observe(ms(20), 400); err != nil {
 		t.Fatal(err)
@@ -213,7 +207,7 @@ func TestPredictorMultipleMilestonesInOneSample(t *testing.T) {
 }
 
 func TestPredictorFinishResolvesTail(t *testing.T) {
-	pred := MustPredictor(syntheticProfile(10, 100), 0.2)
+	pred := mustPredictor(syntheticProfile(10, 100), 0.2)
 	pred.BeginExecution(0)
 	if err := pred.Observe(ms(25), 500); err != nil {
 		t.Fatal(err)
@@ -237,7 +231,7 @@ func TestPredictorFinishResolvesTail(t *testing.T) {
 }
 
 func TestPredictDurationAndExecStart(t *testing.T) {
-	pred := MustPredictor(syntheticProfile(4, 100), 0.2)
+	pred := mustPredictor(syntheticProfile(4, 100), 0.2)
 	pred.BeginExecution(ms(100))
 	if pred.ExecStart() != ms(100) {
 		t.Errorf("ExecStart = %v", pred.ExecStart())
@@ -257,7 +251,7 @@ func TestPredictDurationAndExecStart(t *testing.T) {
 func TestPredictorPartialSegmentInterpolation(t *testing.T) {
 	// Halfway through a segment at profiled speed, prediction should still
 	// be the profiled total (smooth between milestones).
-	pred := MustPredictor(syntheticProfile(10, 100), 0.2)
+	pred := mustPredictor(syntheticProfile(10, 100), 0.2)
 	pred.BeginExecution(0)
 	if err := pred.Observe(ms(7.5), 150); err != nil {
 		t.Fatal(err)

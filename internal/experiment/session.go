@@ -62,11 +62,9 @@ type RunParams struct {
 	Extra telemetry.Recorder
 
 	// reprofileDrift enables the runtime's chronic-mismatch detection
-	// (core.RuntimeConfig.ReprofileAlphaDrift) when positive;
-	// reprofileAfter overrides the drifting-execution streak length (0
-	// keeps the runtime default). Only the resilience sweep sets them.
+	// (core.RuntimeConfig.ReprofileAlphaDrift) when positive. Only the
+	// resilience sweep sets it.
 	reprofileDrift float64
-	reprofileAfter int
 }
 
 // Session is one in-flight run that the caller steps explicitly instead of
@@ -243,11 +241,9 @@ func (r *Runner) StartSession(mix Mix, p RunParams) (*Session, error) {
 		rt, err = core.NewRuntime(colo, profiles, core.RuntimeConfig{
 			Targets:             p.Targets,
 			Policy:              pol,
-			EnablePartitioning:  cfg.RuntimePartitioning,
 			Recorder:            rec,
 			Faults:              inj,
 			ReprofileAlphaDrift: p.reprofileDrift,
-			ReprofileAfter:      p.reprofileAfter,
 		})
 		if err != nil {
 			return nil, err

@@ -77,15 +77,6 @@ func (c Class) String() string {
 	return "unknown"
 }
 
-// Classes returns every defined fault class.
-func Classes() []Class {
-	out := make([]Class, 0, numClasses)
-	for c := Class(0); c < numClasses; c++ {
-		out = append(out, c)
-	}
-	return out
-}
-
 // Default latencies for the delayed-actuation classes when the plan enables
 // them without choosing one. A late runtime tick is modelled as one ΔT of
 // scheduling delay; a slow DVFS transition as the hundreds of microseconds

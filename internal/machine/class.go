@@ -126,13 +126,3 @@ func ClassConfig(name string) (Config, error) {
 	}
 	return cl.Config(), nil
 }
-
-// ValidClass reports whether name resolves to a registered class ("" is
-// valid: the default).
-func ValidClass(name string) bool {
-	if name == "" {
-		return true
-	}
-	_, ok := classes[name]
-	return ok
-}

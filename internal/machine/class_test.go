@@ -34,9 +34,6 @@ func TestClassRegistry(t *testing.T) {
 	if _, err := ClassConfig("warehouse-42"); err == nil {
 		t.Fatal("unknown class accepted")
 	}
-	if !ValidClass("") || !ValidClass(DefaultClass) || ValidClass("nope") {
-		t.Fatal("ValidClass wrong")
-	}
 }
 
 func TestDefaultClassIsDefaultConfig(t *testing.T) {

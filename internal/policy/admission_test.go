@@ -32,7 +32,7 @@ func newAdmissionFixture(t *testing.T) *admissionFixture {
 		}
 		bgTasks = append(bgTasks, id)
 	}
-	fc, err := NewFineController(m, []int{fgTask}, []int{0}, bgTasks, []int{1, 2}, FineConfig{})
+	fc, err := NewFineController(m, []int{fgTask}, []int{0}, bgTasks, []int{1, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,54 +28,13 @@ const (
 	DefaultSuppressedFrac = 0.5
 )
 
-// CoarseConfig configures the coarse time scale controller.
-type CoarseConfig struct {
-	// MinFGWays/MaxFGWays bound the FG partition (BG always keeps at least
-	// the remainder). Zero values default to 2 and ways−2.
-	MinFGWays, MaxFGWays int
-	// History is the sliding window length in executions.
-	History int
-	// AdjustEvery is the invocation interval in executions.
-	AdjustEvery int
-	// CorrThreshold is heuristic 1's correlation bound.
-	CorrThreshold float64
-	// SuppressedFrac is heuristic 3's trigger.
-	SuppressedFrac float64
-	// InitialFGWays is the starting partition. Zero defaults to MinFGWays:
-	// the controller starts with minimal isolation and grows the FG
-	// partition one way at a time as the heuristics demand (§4.3 "add one
-	// LLC way to the FG partition"), converging to the knee of the Fig. 8
-	// curve rather than starting from an over-provisioned split.
-	InitialFGWays int
-	// Recorder receives partition-move and decision events. Nil means no
-	// telemetry (the runtime injects its configured recorder here).
-	Recorder telemetry.Recorder
-}
-
-func (c CoarseConfig) withDefaults(totalWays int) CoarseConfig {
-	if c.MinFGWays == 0 {
-		c.MinFGWays = 2
-	}
-	if c.MaxFGWays == 0 {
-		c.MaxFGWays = totalWays - 2
-	}
-	if c.History == 0 {
-		c.History = DefaultHistory
-	}
-	if c.AdjustEvery == 0 {
-		c.AdjustEvery = DefaultAdjustEvery
-	}
-	if c.CorrThreshold == 0 {
-		c.CorrThreshold = DefaultCorrThreshold
-	}
-	if c.SuppressedFrac == 0 {
-		c.SuppressedFrac = DefaultSuppressedFrac
-	}
-	if c.InitialFGWays == 0 {
-		c.InitialFGWays = c.MinFGWays
-	}
-	return c
-}
+// minFGWays is the smallest FG partition, and the one the controller
+// starts from: it begins with minimal isolation and grows the FG partition
+// one way at a time as the heuristics demand (§4.3 "add one LLC way to the
+// FG partition"), converging to the knee of the Fig. 8 curve rather than
+// starting from an over-provisioned split. The largest FG partition leaves
+// BG the same two ways.
+const minFGWays = 2
 
 // CoarseController implements Dirigent's coarse time scale QoS control
 // (§4.3): it adjusts the CAT-style way partition between the FG and BG
@@ -95,7 +54,6 @@ type CoarseController struct {
 	llc     *cache.LLC
 	fgClass cache.ClassID
 	bgClass cache.ClassID
-	cfg     CoarseConfig
 	rec     telemetry.Recorder
 
 	execTimes  *stats.Ring
@@ -115,33 +73,28 @@ type CoarseController struct {
 }
 
 // NewCoarseController builds the controller and applies the initial
-// partition.
-func NewCoarseController(llc *cache.LLC, fgClass, bgClass cache.ClassID, cfg CoarseConfig) (*CoarseController, error) {
+// partition of minFGWays. rec receives partition-move and decision events;
+// nil means no telemetry.
+func NewCoarseController(llc *cache.LLC, fgClass, bgClass cache.ClassID, rec telemetry.Recorder) (*CoarseController, error) {
 	if llc == nil {
 		return nil, errors.New("policy: nil LLC")
 	}
 	if fgClass == bgClass {
 		return nil, errors.New("policy: FG and BG must use distinct partition classes")
 	}
-	cfg = cfg.withDefaults(llc.Ways())
-	if cfg.MinFGWays < 1 || cfg.MaxFGWays > llc.Ways()-1 || cfg.MinFGWays > cfg.MaxFGWays {
+	if llc.Ways()-minFGWays < minFGWays {
 		return nil, fmt.Errorf("policy: FG way bounds [%d,%d] invalid for %d-way cache",
-			cfg.MinFGWays, cfg.MaxFGWays, llc.Ways())
-	}
-	if cfg.InitialFGWays < cfg.MinFGWays || cfg.InitialFGWays > cfg.MaxFGWays {
-		return nil, fmt.Errorf("policy: initial FG ways %d outside [%d,%d]",
-			cfg.InitialFGWays, cfg.MinFGWays, cfg.MaxFGWays)
+			minFGWays, llc.Ways()-minFGWays, llc.Ways())
 	}
 	cc := &CoarseController{
 		llc:        llc,
 		fgClass:    fgClass,
 		bgClass:    bgClass,
-		cfg:        cfg,
-		rec:        telemetry.OrNop(cfg.Recorder),
-		execTimes:  stats.MustRing(cfg.History),
-		execMisses: stats.MustRing(cfg.History),
-		missedDL:   stats.MustRing(cfg.History),
-		fgWays:     cfg.InitialFGWays,
+		rec:        telemetry.OrNop(rec),
+		execTimes:  stats.MustRing(DefaultHistory),
+		execMisses: stats.MustRing(DefaultHistory),
+		missedDL:   stats.MustRing(DefaultHistory),
+		fgWays:     minFGWays,
 	}
 	if err := cc.apply(); err != nil {
 		return nil, err
@@ -192,7 +145,7 @@ func (cc *CoarseController) RecordExecution(durationSec, llcMisses float64, miss
 
 // Due reports whether enough executions have accumulated for an adjustment.
 func (cc *CoarseController) Due() bool {
-	return cc.sinceAdjust >= cc.cfg.AdjustEvery && cc.execTimes.Len() >= 2
+	return cc.sinceAdjust >= DefaultAdjustEvery && cc.execTimes.Len() >= 2
 }
 
 // Adjust runs the three heuristics and applies any partition change. now
@@ -225,7 +178,7 @@ func (cc *CoarseController) Adjust(now sim.Time, window FineWindow) (int, error)
 
 	// Heuristic 1: strong time↔miss correlation plus recent misses.
 	corr, err := stats.Correlation(times, misses)
-	if err == nil && corr > cc.cfg.CorrThreshold && missedRecently {
+	if err == nil && corr > DefaultCorrThreshold && missedRecently {
 		return cc.grow(misses, now, telemetry.ReasonCorrelation)
 	}
 
@@ -235,7 +188,7 @@ func (cc *CoarseController) Adjust(now sim.Time, window FineWindow) (int, error)
 	// under actuation faults the coarse controller compensates with cache.
 	if window.Decisions > 0 {
 		frac := float64(window.BGSuppressed+window.ActuationFailures) / float64(window.Decisions)
-		if frac > cc.cfg.SuppressedFrac {
+		if frac > DefaultSuppressedFrac {
 			return cc.grow(misses, now, telemetry.ReasonBGSuppressed)
 		}
 	}
@@ -264,7 +217,7 @@ func (cc *CoarseController) grow(missWindow []float64, now sim.Time, reason tele
 
 func (cc *CoarseController) step(delta int, now sim.Time, reason telemetry.Reason) (int, error) {
 	next := cc.fgWays + delta
-	if next < cc.cfg.MinFGWays || next > cc.cfg.MaxFGWays {
+	if next < minFGWays || next > cc.llc.Ways()-minFGWays {
 		cc.emitDecision(now, 0, reason)
 		return 0, nil
 	}

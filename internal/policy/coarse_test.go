@@ -6,7 +6,7 @@ import (
 	"dirigent/internal/cache"
 )
 
-func newCoarseFixture(t *testing.T, cfg CoarseConfig) (*cache.LLC, *CoarseController, cache.ClassID, cache.ClassID) {
+func newCoarseFixture(t *testing.T) (*cache.LLC, *CoarseController, cache.ClassID, cache.ClassID) {
 	t.Helper()
 	llc := cache.MustNew(cache.DefaultConfig())
 	fg := llc.DefineClass()
@@ -14,11 +14,30 @@ func newCoarseFixture(t *testing.T, cfg CoarseConfig) (*cache.LLC, *CoarseContro
 	if err := llc.SetPartition(map[cache.ClassID]int{0: 0}); err != nil {
 		t.Fatal(err)
 	}
-	cc, err := NewCoarseController(llc, fg, bg, cfg)
+	cc, err := NewCoarseController(llc, fg, bg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return llc, cc, fg, bg
+}
+
+// startAt moves a fresh controller's FG partition to ways, so a heuristic
+// test starts mid-range instead of at the minimal start.
+func startAt(t *testing.T, cc *CoarseController, ways int) {
+	t.Helper()
+	cc.fgWays = ways
+	if err := cc.apply(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// midRangeFixture is a controller on the default 20-way LLC starting at
+// 10 FG ways, one heuristic step from either neighbour.
+func midRangeFixture(t *testing.T) *CoarseController {
+	t.Helper()
+	_, cc, _, _ := newCoarseFixture(t)
+	startAt(t, cc, 10)
+	return cc
 }
 
 func TestNewCoarseControllerValidation(t *testing.T) {
@@ -26,27 +45,18 @@ func TestNewCoarseControllerValidation(t *testing.T) {
 	fg := llc.DefineClass()
 	bg := llc.DefineClass()
 	_ = llc.SetPartition(map[cache.ClassID]int{0: 0})
-	if _, err := NewCoarseController(nil, fg, bg, CoarseConfig{}); err == nil {
+	if _, err := NewCoarseController(nil, fg, bg, nil); err == nil {
 		t.Error("nil LLC should error")
 	}
-	if _, err := NewCoarseController(llc, fg, fg, CoarseConfig{}); err == nil {
+	if _, err := NewCoarseController(llc, fg, fg, nil); err == nil {
 		t.Error("same class should error")
-	}
-	if _, err := NewCoarseController(llc, fg, bg, CoarseConfig{MinFGWays: 10, MaxFGWays: 5}); err == nil {
-		t.Error("inverted bounds should error")
-	}
-	if _, err := NewCoarseController(llc, fg, bg, CoarseConfig{MaxFGWays: 25}); err == nil {
-		t.Error("bounds beyond cache should error")
-	}
-	if _, err := NewCoarseController(llc, fg, bg, CoarseConfig{InitialFGWays: 19}); err == nil {
-		t.Error("initial outside bounds should error")
 	}
 }
 
 func TestCoarseInitialPartition(t *testing.T) {
-	llc, cc, fg, bg := newCoarseFixture(t, CoarseConfig{})
+	llc, cc, fg, bg := newCoarseFixture(t)
 	if cc.FGWays() != 2 {
-		t.Errorf("initial FG ways = %d, want MinFGWays 2", cc.FGWays())
+		t.Errorf("initial FG ways = %d, want minFGWays 2", cc.FGWays())
 	}
 	w, _ := llc.ClassWays(fg)
 	if w != 2 {
@@ -59,23 +69,24 @@ func TestCoarseInitialPartition(t *testing.T) {
 }
 
 func TestCoarseDue(t *testing.T) {
-	_, cc, _, _ := newCoarseFixture(t, CoarseConfig{AdjustEvery: 3})
+	_, cc, _, _ := newCoarseFixture(t)
 	if cc.Due() {
 		t.Error("fresh controller should not be due")
 	}
-	cc.RecordExecution(1.0, 100, false)
-	cc.RecordExecution(1.1, 110, false)
-	if cc.Due() {
-		t.Error("2 executions < AdjustEvery 3")
+	for i := 1; i < DefaultAdjustEvery; i++ {
+		cc.RecordExecution(1.0+0.1*float64(i), 100+10*float64(i), false)
+		if cc.Due() {
+			t.Errorf("%d executions < DefaultAdjustEvery %d", i, DefaultAdjustEvery)
+		}
 	}
-	cc.RecordExecution(1.2, 120, false)
+	cc.RecordExecution(1.0, 100, false)
 	if !cc.Due() {
-		t.Error("3 executions should be due")
+		t.Errorf("%d executions should be due", DefaultAdjustEvery)
 	}
 }
 
 func TestHeuristic1GrowsOnCorrelationAndMisses(t *testing.T) {
-	_, cc, _, _ := newCoarseFixture(t, CoarseConfig{AdjustEvery: 6, InitialFGWays: 10})
+	cc := midRangeFixture(t)
 	// Perfectly correlated times/misses, with deadline misses.
 	for i := 0; i < 6; i++ {
 		cc.RecordExecution(1.0+0.1*float64(i), 100+10*float64(i), i%2 == 0)
@@ -96,7 +107,7 @@ func TestHeuristic1GrowsOnCorrelationAndMisses(t *testing.T) {
 }
 
 func TestHeuristic1NeedsDeadlineMisses(t *testing.T) {
-	_, cc, _, _ := newCoarseFixture(t, CoarseConfig{AdjustEvery: 6, InitialFGWays: 10})
+	cc := midRangeFixture(t)
 	// Correlated but no deadline misses: no growth.
 	for i := 0; i < 6; i++ {
 		cc.RecordExecution(1.0+0.1*float64(i), 100+10*float64(i), false)
@@ -111,7 +122,7 @@ func TestHeuristic1NeedsDeadlineMisses(t *testing.T) {
 }
 
 func TestHeuristic1NeedsCorrelation(t *testing.T) {
-	_, cc, _, _ := newCoarseFixture(t, CoarseConfig{AdjustEvery: 6, InitialFGWays: 10})
+	cc := midRangeFixture(t)
 	// Deadline misses but anti-correlated misses.
 	for i := 0; i < 6; i++ {
 		cc.RecordExecution(1.0+0.1*float64(i), 200-10*float64(i), true)
@@ -126,7 +137,7 @@ func TestHeuristic1NeedsCorrelation(t *testing.T) {
 }
 
 func TestHeuristic2UndoesUselessGrow(t *testing.T) {
-	_, cc, _, _ := newCoarseFixture(t, CoarseConfig{AdjustEvery: 6, InitialFGWays: 10})
+	cc := midRangeFixture(t)
 	for i := 0; i < 6; i++ {
 		cc.RecordExecution(1.0+0.1*float64(i), 100+10*float64(i), true)
 	}
@@ -150,7 +161,7 @@ func TestHeuristic2UndoesUselessGrow(t *testing.T) {
 }
 
 func TestHeuristic2KeepsUsefulGrow(t *testing.T) {
-	_, cc, _, _ := newCoarseFixture(t, CoarseConfig{AdjustEvery: 6, InitialFGWays: 10})
+	cc := midRangeFixture(t)
 	for i := 0; i < 6; i++ {
 		cc.RecordExecution(1.0+0.1*float64(i), 100+10*float64(i), true)
 	}
@@ -176,7 +187,7 @@ func TestHeuristic2KeepsUsefulGrow(t *testing.T) {
 }
 
 func TestHeuristic3GrowsOnBGSuppression(t *testing.T) {
-	_, cc, _, _ := newCoarseFixture(t, CoarseConfig{AdjustEvery: 6, InitialFGWays: 10})
+	cc := midRangeFixture(t)
 	// Uncorrelated executions, no deadline misses — but the fine controller
 	// reports BG heavily suppressed.
 	vals := []float64{100, 90, 110, 95, 105, 100}
@@ -203,7 +214,9 @@ func TestHeuristic3GrowsOnBGSuppression(t *testing.T) {
 }
 
 func TestCoarseRespectsBounds(t *testing.T) {
-	_, cc, _, _ := newCoarseFixture(t, CoarseConfig{AdjustEvery: 2, MinFGWays: 9, MaxFGWays: 11, InitialFGWays: 10})
+	// The real ceiling: 18 of the default LLC's 20 ways, leaving BG two.
+	llc, cc, _, _ := newCoarseFixture(t)
+	startAt(t, cc, llc.Ways()-3)
 	grow := func() int {
 		for i := 0; i < 2; i++ {
 			cc.RecordExecution(1.0+0.1*float64(i)+0.05*float64(i*i), 100+10*float64(i)+5*float64(i*i), true)
@@ -217,7 +230,7 @@ func TestCoarseRespectsBounds(t *testing.T) {
 	if d := grow(); d != 1 {
 		t.Fatalf("first grow = %d", d)
 	}
-	// 11 = max: further grows must be clamped to 0. (Each Adjust may also
+	// 18 = max: further grows must be clamped to 0. (Each Adjust may also
 	// invoke heuristic 2; feed improving misses so the grow sticks.)
 	cc.lastWasGrow = false
 	for i := 0; i < 2; i++ {
@@ -227,7 +240,7 @@ func TestCoarseRespectsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != 0 || cc.FGWays() != 11 {
+	if d != 0 || cc.FGWays() != 18 {
 		t.Errorf("at max: delta = %d, ways = %d", d, cc.FGWays())
 	}
 }

@@ -36,11 +36,7 @@ func (d *Dirigent) Capabilities() Capabilities {
 // initial partition) — in that order, matching the original runtime
 // assembly.
 func (d *Dirigent) Init(b Binding) error {
-	fcfg := d.opts.Fine
-	if fcfg.Recorder == nil {
-		fcfg.Recorder = b.Recorder
-	}
-	fine, err := NewFineController(b.Machine, b.FGTasks, b.FGCores, b.BGTasks, b.BGCores, fcfg)
+	fine, err := NewFineController(b.Machine, b.FGTasks, b.FGCores, b.BGTasks, b.BGCores, b.Recorder)
 	if err != nil {
 		return err
 	}
@@ -53,11 +49,7 @@ func (d *Dirigent) Init(b Binding) error {
 		if b.LLC == nil {
 			return errors.New("policy: dirigent partitioning needs an LLC binding")
 		}
-		ccfg := d.opts.Coarse
-		if ccfg.Recorder == nil {
-			ccfg.Recorder = b.Recorder
-		}
-		coarse, err := NewCoarseController(b.LLC, b.FGClass, b.BGClass, ccfg)
+		coarse, err := NewCoarseController(b.LLC, b.FGClass, b.BGClass, b.Recorder)
 		if err != nil {
 			return err
 		}

@@ -91,53 +91,15 @@ func (s FGStatus) slack() float64 {
 	return float64(s.Deadline-s.Predicted) / float64(s.Target)
 }
 
-// FineConfig configures the fine time scale controller.
-type FineConfig struct {
-	// Grades are machine frequency-level indices, ascending. Zero value
-	// uses DefaultGrades.
-	Grades []int
-	// AheadMargin, BehindMargin and PauseMargin are the yield / prioritize /
-	// pause thresholds on normalized slack.
-	AheadMargin  float64
-	BehindMargin float64
-	PauseMargin  float64
-	// SpeedupHoldoff is the number of consecutive ahead decisions required
-	// before each BG speed-up (negative disables the hold-off).
-	SpeedupHoldoff int
-	// Recorder receives decision and action events. Nil means no
-	// telemetry (the runtime injects its configured recorder here).
-	Recorder telemetry.Recorder
-}
-
-func (c FineConfig) withDefaults() FineConfig {
-	if len(c.Grades) == 0 {
-		c.Grades = DefaultGrades()
-	}
-	if c.AheadMargin == 0 {
-		c.AheadMargin = DefaultAheadMargin
-	}
-	if c.BehindMargin == 0 {
-		c.BehindMargin = DefaultBehindMargin
-	}
-	if c.PauseMargin == 0 {
-		c.PauseMargin = DefaultPauseMargin
-	}
-	if c.SpeedupHoldoff == 0 {
-		c.SpeedupHoldoff = DefaultSpeedupHoldoff
-	}
-	if c.SpeedupHoldoff < 0 {
-		c.SpeedupHoldoff = 1
-	}
-	return c
-}
-
 // FineController implements Dirigent's fine time scale policy (§4.3): at
 // each decision point it compares predicted FG completion against the
 // deadline and shifts resources between FG and BG tasks using per-core DVFS
 // and task pausing.
 type FineController struct {
-	m   *machine.Machine
-	cfg FineConfig
+	m *machine.Machine
+	// grades are the machine frequency-level indices the controller steps
+	// through, ascending: GradesForLevels of the machine's ladder.
+	grades []int
 
 	fgTasks []int // task IDs, parallel to the runtime's active FG streams
 	fgCores []int
@@ -173,9 +135,10 @@ type FineController struct {
 	aheadStreak int
 }
 
-// NewFineController validates inputs and builds the controller. The
-// machine's frequency levels must include every grade.
-func NewFineController(m *machine.Machine, fgTasks, fgCores, bgTasks, bgCores []int, cfg FineConfig) (*FineController, error) {
+// NewFineController validates inputs and builds the controller over the
+// grades of the machine's DVFS ladder (GradesForLevels). rec receives
+// decision and action events; nil means no telemetry.
+func NewFineController(m *machine.Machine, fgTasks, fgCores, bgTasks, bgCores []int, rec telemetry.Recorder) (*FineController, error) {
 	if m == nil {
 		return nil, errors.New("policy: nil machine")
 	}
@@ -185,32 +148,16 @@ func NewFineController(m *machine.Machine, fgTasks, fgCores, bgTasks, bgCores []
 	if len(bgTasks) != len(bgCores) {
 		return nil, fmt.Errorf("policy: BG task/core lists invalid (%d tasks, %d cores)", len(bgTasks), len(bgCores))
 	}
-	// Default grades adapt to the machine's ladder here, where the ladder
-	// is known (withDefaults has no machine and keeps the nine-level
-	// default for compatibility). On the paper's platform both paths
-	// produce {0,2,4,6,8}.
-	if len(cfg.Grades) == 0 {
-		cfg.Grades = GradesForLevels(m.MaxFreqLevel() + 1)
-	}
-	cfg = cfg.withDefaults()
-	for i, g := range cfg.Grades {
-		if g < 0 || g > m.MaxFreqLevel() {
-			return nil, fmt.Errorf("policy: grade %d (level %d) outside machine levels", i, g)
-		}
-		if i > 0 && g <= cfg.Grades[i-1] {
-			return nil, errors.New("policy: grades must be strictly ascending")
-		}
-	}
 	fc := &FineController{
 		m:            m,
-		cfg:          cfg,
+		grades:       GradesForLevels(m.MaxFreqLevel() + 1),
 		fgTasks:      append([]int(nil), fgTasks...),
 		fgCores:      append([]int(nil), fgCores...),
 		fgStreams:    make([]int, len(fgTasks)),
 		bgTasks:      append([]int(nil), bgTasks...),
 		bgCores:      append([]int(nil), bgCores...),
 		missSnapshot: map[int]float64{},
-		rec:          telemetry.OrNop(cfg.Recorder),
+		rec:          telemetry.OrNop(rec),
 	}
 	for i := range fc.fgStreams {
 		fc.fgStreams[i] = i
@@ -218,7 +165,7 @@ func NewFineController(m *machine.Machine, fgTasks, fgCores, bgTasks, bgCores []
 	// Pin every managed core to a grade (the top one) so grade stepping is
 	// well-defined. A dropped actuation (injected fault) is tolerated: the
 	// core snaps to a grade at the first successful transition.
-	top := cfg.Grades[len(cfg.Grades)-1]
+	top := fc.grades[len(fc.grades)-1]
 	for _, c := range append(append([]int(nil), fgCores...), bgCores...) {
 		if err := m.SetFreqLevel(c, top); err != nil && !errors.Is(err, machine.ErrActuation) {
 			return nil, err
@@ -235,7 +182,7 @@ func (fc *FineController) gradeOf(core int) int {
 		return 0
 	}
 	g := 0
-	for i, l := range fc.cfg.Grades {
+	for i, l := range fc.grades {
 		if level >= l {
 			g = i
 		}
@@ -252,11 +199,10 @@ func (fc *FineController) setGrade(now sim.Time, core, grade int) bool {
 	if grade < 0 {
 		grade = 0
 	}
-	if grade >= len(fc.cfg.Grades) {
-		grade = len(fc.cfg.Grades) - 1
+	if grade >= len(fc.grades) {
+		grade = len(fc.grades) - 1
 	}
-	// The grade is validated against machine levels at construction.
-	if err := fc.m.SetFreqLevel(core, fc.cfg.Grades[grade]); err != nil {
+	if err := fc.m.SetFreqLevel(core, fc.grades[grade]); err != nil {
 		if errors.Is(err, machine.ErrActuation) {
 			fc.windowActFailures++
 			fc.emitAction(now, telemetry.ActionActuationFail, -1, core, -1)
@@ -290,14 +236,14 @@ func (fc *FineController) Decide(now sim.Time, status []FGStatus) error {
 	}
 	fc.windowDecisions++
 
-	topGrade := len(fc.cfg.Grades) - 1
+	topGrade := len(fc.grades) - 1
 	var behind, ahead []int
 	worst := 0
 	for i, st := range status {
 		s := st.slack()
-		if s < fc.cfg.BehindMargin {
+		if s < DefaultBehindMargin {
 			behind = append(behind, i)
-		} else if s > fc.cfg.AheadMargin {
+		} else if s > DefaultAheadMargin {
 			ahead = append(ahead, i)
 		}
 		if st.slack() < status[worst].slack() {
@@ -331,7 +277,7 @@ func (fc *FineController) Decide(now sim.Time, status []FGStatus) error {
 			}
 			if throttled {
 				fc.emitAction(now, telemetry.ActionBGThrottle, -1, -1, -1)
-			} else if status[worst].slack() < -fc.cfg.PauseMargin {
+			} else if status[worst].slack() < -DefaultPauseMargin {
 				// BG already at minimum frequency and the FG is badly
 				// behind: pause the most intrusive active BG.
 				fc.pauseMostIntrusive(now)
@@ -375,7 +321,7 @@ func (fc *FineController) Decide(now sim.Time, status []FGStatus) error {
 			}
 		}
 		if anyPaused || anyThrottled {
-			if fc.aheadStreak < fc.cfg.SpeedupHoldoff {
+			if fc.aheadStreak < DefaultSpeedupHoldoff {
 				break
 			}
 			fc.aheadStreak = 0
@@ -384,7 +330,7 @@ func (fc *FineController) Decide(now sim.Time, status []FGStatus) error {
 				// A dropped resume leaves BG tasks stuck paused; retry at the
 				// very next all-ahead decision instead of waiting out a full
 				// hold-off.
-				fc.aheadStreak = fc.cfg.SpeedupHoldoff
+				fc.aheadStreak = DefaultSpeedupHoldoff
 			}
 			if resumed {
 				fc.emitAction(now, telemetry.ActionBGResume, -1, -1, -1)
@@ -651,7 +597,7 @@ func (fc *FineController) checkAdmission(task, core int) error {
 // pinTop pins a core to the controller's top grade, tolerating a dropped
 // actuation exactly like the constructor does.
 func (fc *FineController) pinTop(core int) error {
-	top := fc.cfg.Grades[len(fc.cfg.Grades)-1]
+	top := fc.grades[len(fc.grades)-1]
 	if err := fc.m.SetFreqLevel(core, top); err != nil && !errors.Is(err, machine.ErrActuation) {
 		return err
 	}

@@ -25,7 +25,7 @@ type fineFixture struct {
 // fine returns the aggregated fine-controller counters.
 func (f *fineFixture) fine() telemetry.FineStats { return f.agg.Fine() }
 
-func newFineFixture(t *testing.T, cfg FineConfig) *fineFixture {
+func newFineFixture(t *testing.T) *fineFixture {
 	t.Helper()
 	m := machine.MustNew(machine.DefaultConfig())
 	fgProg := workload.MustProgram(workload.MustByName("ferret"))
@@ -43,8 +43,7 @@ func newFineFixture(t *testing.T, cfg FineConfig) *fineFixture {
 		bgTasks = append(bgTasks, id)
 	}
 	agg := telemetry.NewAggregator()
-	cfg.Recorder = agg
-	fc, err := NewFineController(m, []int{fgTask}, []int{0}, bgTasks, []int{1, 2, 3, 4, 5}, cfg)
+	fc, err := NewFineController(m, []int{fgTask}, []int{0}, bgTasks, []int{1, 2, 3, 4, 5}, agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,28 +74,22 @@ func (f *fineFixture) bgGrades(t *testing.T) []int {
 
 func TestNewFineControllerValidation(t *testing.T) {
 	m := machine.MustNew(machine.DefaultConfig())
-	if _, err := NewFineController(nil, []int{1}, []int{0}, nil, nil, FineConfig{}); err == nil {
+	if _, err := NewFineController(nil, []int{1}, []int{0}, nil, nil, nil); err == nil {
 		t.Error("nil machine should error")
 	}
-	if _, err := NewFineController(m, nil, nil, nil, nil, FineConfig{}); err == nil {
+	if _, err := NewFineController(m, nil, nil, nil, nil, nil); err == nil {
 		t.Error("no FG should error")
 	}
-	if _, err := NewFineController(m, []int{1}, []int{0, 1}, nil, nil, FineConfig{}); err == nil {
+	if _, err := NewFineController(m, []int{1}, []int{0, 1}, nil, nil, nil); err == nil {
 		t.Error("FG length mismatch should error")
 	}
-	if _, err := NewFineController(m, []int{1}, []int{0}, []int{2}, nil, FineConfig{}); err == nil {
+	if _, err := NewFineController(m, []int{1}, []int{0}, []int{2}, nil, nil); err == nil {
 		t.Error("BG length mismatch should error")
-	}
-	if _, err := NewFineController(m, []int{1}, []int{0}, nil, nil, FineConfig{Grades: []int{5, 3}}); err == nil {
-		t.Error("descending grades should error")
-	}
-	if _, err := NewFineController(m, []int{1}, []int{0}, nil, nil, FineConfig{Grades: []int{0, 99}}); err == nil {
-		t.Error("grade outside machine levels should error")
 	}
 }
 
 func TestFineControllerInitialGrades(t *testing.T) {
-	f := newFineFixture(t, FineConfig{})
+	f := newFineFixture(t)
 	// All managed cores pinned to the top grade (level 8 = 2.0 GHz).
 	for c := 0; c < 6; c++ {
 		l, _ := f.m.FreqLevel(c)
@@ -107,7 +100,7 @@ func TestFineControllerInitialGrades(t *testing.T) {
 }
 
 func TestDecideStatusCountMismatch(t *testing.T) {
-	f := newFineFixture(t, FineConfig{})
+	f := newFineFixture(t)
 	if err := f.fc.Decide(0, nil); err == nil {
 		t.Error("status count mismatch should error")
 	}
@@ -117,7 +110,7 @@ func TestAheadThrottlesBGLastFGFirst(t *testing.T) {
 	// Paper order when ahead: resume paused → speed up throttled BG →
 	// throttle FG. Starting with everything at max, being ahead must
 	// throttle the FG (nothing to resume or speed up).
-	f := newFineFixture(t, FineConfig{})
+	f := newFineFixture(t)
 	if err := f.fc.Decide(0, []FGStatus{statusWithSlack(0.2)}); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +129,7 @@ func TestAheadThrottlesBGLastFGFirst(t *testing.T) {
 }
 
 func TestBehindBoostsFGThenThrottlesBG(t *testing.T) {
-	f := newFineFixture(t, FineConfig{})
+	f := newFineFixture(t)
 	// First make FG throttled by being ahead twice.
 	_ = f.fc.Decide(0, []FGStatus{statusWithSlack(0.2)})
 	_ = f.fc.Decide(0, []FGStatus{statusWithSlack(0.2)})
@@ -172,7 +165,7 @@ func TestBehindBoostsFGThenThrottlesBG(t *testing.T) {
 }
 
 func TestPauseOnlyWhenBadlyBehindAndBGAtMin(t *testing.T) {
-	f := newFineFixture(t, FineConfig{})
+	f := newFineFixture(t)
 	// Drive BG to min grade: FG at max and behind → 4 throttle rounds.
 	for i := 0; i < 4; i++ {
 		_ = f.fc.Decide(0, []FGStatus{statusWithSlack(-0.05)})
@@ -218,7 +211,7 @@ func TestPausesMostIntrusiveBG(t *testing.T) {
 		}
 		bgTasks = append(bgTasks, id)
 	}
-	fc, err := NewFineController(m, []int{fgTask}, []int{0}, bgTasks, []int{1, 2, 3, 4, 5}, FineConfig{})
+	fc, err := NewFineController(m, []int{fgTask}, []int{0}, bgTasks, []int{1, 2, 3, 4, 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +239,7 @@ func TestPausesMostIntrusiveBG(t *testing.T) {
 }
 
 func TestAheadResumesPausedFirst(t *testing.T) {
-	f := newFineFixture(t, FineConfig{})
+	f := newFineFixture(t)
 	// Get one BG paused.
 	for i := 0; i < 4; i++ {
 		_ = f.fc.Decide(0, []FGStatus{statusWithSlack(-0.05)})
@@ -299,7 +292,7 @@ func TestAheadResumesPausedFirst(t *testing.T) {
 }
 
 func TestNeutralZoneNoAction(t *testing.T) {
-	f := newFineFixture(t, FineConfig{})
+	f := newFineFixture(t)
 	// Slack within the hysteresis band (behind 1.5%, ahead 4%): no action.
 	if err := f.fc.Decide(0, []FGStatus{statusWithSlack(0.03)}); err != nil {
 		t.Fatal(err)
@@ -326,7 +319,7 @@ func TestMultiFGMixedTendency(t *testing.T) {
 		id, _ := m.Launch("bwaves", workload.MustProgram(workload.MustByName("bwaves")), c, 0)
 		bgTasks = append(bgTasks, id)
 	}
-	fc, err := NewFineController(m, []int{fg1, fg2}, []int{0, 1}, bgTasks, []int{2, 3, 4, 5}, FineConfig{})
+	fc, err := NewFineController(m, []int{fg1, fg2}, []int{0, 1}, bgTasks, []int{2, 3, 4, 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +344,7 @@ func TestMultiFGMixedTendency(t *testing.T) {
 }
 
 func TestWindowAndAggregatedStats(t *testing.T) {
-	f := newFineFixture(t, FineConfig{})
+	f := newFineFixture(t)
 	_ = f.fc.Decide(sim.Time(time.Second), []FGStatus{statusWithSlack(0.2)})
 	if w := f.fc.Window(); w.Decisions != 1 {
 		t.Errorf("Window = %+v", w)
@@ -372,7 +365,7 @@ func TestWindowAndAggregatedStats(t *testing.T) {
 }
 
 func TestBGSuppressedTelemetry(t *testing.T) {
-	f := newFineFixture(t, FineConfig{})
+	f := newFineFixture(t)
 	for i := 0; i < 4; i++ {
 		_ = f.fc.Decide(0, []FGStatus{statusWithSlack(-0.05)})
 	}
@@ -431,7 +424,7 @@ func TestGradesForLevels(t *testing.T) {
 }
 
 // TestFineControllerShortLadder builds the fine controller on a 5-level
-// ladder machine (the quad-low class shape) and checks default grades adapt
+// ladder machine (the quad-low class shape) and checks the grades adapt
 // instead of rejecting the machine.
 func TestFineControllerShortLadder(t *testing.T) {
 	cfg := machine.DefaultConfig()
@@ -446,11 +439,11 @@ func TestFineControllerShortLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := NewFineController(m, []int{fg}, []int{0}, []int{bg}, []int{1}, FineConfig{})
+	fc, err := NewFineController(m, []int{fg}, []int{0}, []int{bg}, []int{1}, nil)
 	if err != nil {
 		t.Fatalf("five-level ladder rejected: %v", err)
 	}
-	if got, want := fc.cfg.Grades, []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
+	if got, want := fc.grades, []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("grades = %v, want %v", got, want)
 	}
 }

@@ -98,7 +98,7 @@ type ExecutionSample struct {
 
 // Policy is a pluggable QoS controller. The runtime drives the lifecycle:
 // Init once at assembly, Tick at every decision point (every
-// DecisionSegments progress samples), OnExecution at each FG execution
+// DefaultDecisionSegments progress samples), OnExecution at each FG execution
 // boundary, and the Add/Remove hooks on mid-run admission changes.
 //
 // Implementations must be deterministic — no time, randomness, or I/O —

@@ -19,19 +19,13 @@ const (
 )
 
 // Options carries the constructor parameters shared by registered
-// policies. Fine/Coarse configure the Dirigent controllers (zero values
-// take the §4.3 defaults); Partitioning enables LLC-way control for
-// policies that support it.
+// policies. The Dirigent controllers' parameters are the §4.3 constants in
+// fine.go and coarse.go.
 type Options struct {
-	// Partitioning enables the LLC-way actuator (Dirigent's coarse
-	// controller; CORDLike's static split). The binding must then carry
-	// distinct FG/BG classes.
+	// Partitioning enables Dirigent's LLC-way actuator, its coarse
+	// controller; the binding must then carry distinct FG/BG classes.
+	// CORDLike always partitions and RTGang never does.
 	Partitioning bool
-	// Fine configures the fine time scale controller (Dirigent).
-	Fine FineConfig
-	// Coarse configures the coarse time scale controller (Dirigent with
-	// Partitioning).
-	Coarse CoarseConfig
 }
 
 // Factory builds a fresh, un-bound policy instance.

@@ -21,19 +21,24 @@ import (
 	"dirigent/internal/workload"
 )
 
-// Config tunes the service's limits. The zero value is usable: every field
-// falls back to the documented default.
+// The service's fixed limits.
+const (
+	// maxBodyBytes caps request body size.
+	maxBodyBytes = 1 << 20
+	// commandTimeout bounds how long a control request waits for a tenant's
+	// worker to accept it before failing with 503.
+	commandTimeout = 10 * time.Second
+	// subscriberBuffer is the default per-subscriber event buffer (the
+	// ?buffer= query overrides it); a consumer that falls further behind
+	// drops events.
+	subscriberBuffer = 4096
+)
+
+// Config tunes the service. The zero value is usable: every field falls
+// back to the documented default.
 type Config struct {
 	// MaxTenants caps concurrently hosted tenants (default 256).
 	MaxTenants int
-	// MaxBodyBytes caps request body size (default 1 MiB).
-	MaxBodyBytes int64
-	// CommandTimeout bounds how long a control request waits for a tenant's
-	// worker to accept it before failing with 503 (default 10 s).
-	CommandTimeout time.Duration
-	// SubscriberBuffer is the per-subscriber event buffer; a consumer that
-	// falls further behind drops events (default 4096).
-	SubscriberBuffer int
 	// Runner executes tenant sessions. Its Warmup/TimeLimit defaults apply
 	// to every tenant; its profile cache is shared across them (single-
 	// flight, so concurrent tenants admitting the same benchmark profile it
@@ -44,15 +49,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxTenants <= 0 {
 		c.MaxTenants = 256
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.CommandTimeout <= 0 {
-		c.CommandTimeout = 10 * time.Second
-	}
-	if c.SubscriberBuffer <= 0 {
-		c.SubscriberBuffer = 4096
 	}
 	if c.Runner == nil {
 		c.Runner = experiment.NewRunner()
@@ -110,7 +106,7 @@ func (s *Server) Handler() http.Handler { return s }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Body != nil {
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	}
 	s.mux.ServeHTTP(w, r)
 }
@@ -318,7 +314,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	t := newTenant(id, req.Name, runner, sess, bcast, limit, s.cfg.CommandTimeout)
+	t := newTenant(id, req.Name, runner, sess, bcast, limit, commandTimeout)
 	s.mu.Lock()
 	if s.closed {
 		delete(s.tenants, id)
@@ -570,7 +566,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	sse := q.Get("format") == "sse" ||
 		strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	buffer := s.cfg.SubscriberBuffer
+	buffer := subscriberBuffer
 	if v := q.Get("buffer"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 && n <= 1<<20 {
 			buffer = n

@@ -53,15 +53,6 @@ func NewClock(quantum time.Duration) (*Clock, error) {
 	return &Clock{quantum: quantum}, nil
 }
 
-// MustClock is NewClock that panics on invalid input.
-func MustClock(quantum time.Duration) *Clock {
-	c, err := NewClock(quantum)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Now returns the current simulated time.
 func (c *Clock) Now() Time { return c.now }
 

@@ -21,17 +21,18 @@ func TestNewClockValidation(t *testing.T) {
 	}
 }
 
-func TestMustClockPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustClock(0) should panic")
-		}
-	}()
-	MustClock(0)
+// testClock is NewClock for a quantum the test knows is valid.
+func testClock(t *testing.T, quantum time.Duration) *Clock {
+	t.Helper()
+	c, err := NewClock(quantum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestClockAdvance(t *testing.T) {
-	c := MustClock(100 * time.Microsecond)
+	c := testClock(t, 100*time.Microsecond)
 	if c.Now() != 0 {
 		t.Errorf("fresh clock Now = %v", c.Now())
 	}
@@ -63,7 +64,7 @@ func TestTickerFiresEveryPeriod(t *testing.T) {
 		t.Errorf("Period = %v", tk.Period())
 	}
 	fires := 0
-	c := MustClock(100 * time.Microsecond)
+	c := testClock(t, 100*time.Microsecond)
 	for c.Now() < 50*time.Millisecond {
 		now := c.Advance()
 		if tk.Fire(now) {

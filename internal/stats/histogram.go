@@ -27,29 +27,6 @@ func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
 	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
 }
 
-// HistogramOf builds a histogram sized to the data: range [min, max] padded
-// by half a bin on each side so extreme samples land strictly inside.
-func HistogramOf(xs []float64, bins int) (*Histogram, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	lo, hi := Min(xs), Max(xs)
-	//lint:ignore floateq exact degenerate-range guard; any nonzero width is a valid histogram range
-	if lo == hi { // degenerate: all samples equal
-		lo -= 0.5
-		hi += 0.5
-	}
-	pad := float64((hi - lo) / float64(bins) / 2)
-	h, err := NewHistogram(lo-pad, hi+pad, bins)
-	if err != nil {
-		return nil, err
-	}
-	for _, x := range xs {
-		h.Add(x)
-	}
-	return h, nil
-}
-
 // Add folds one sample into the histogram.
 func (h *Histogram) Add(x float64) {
 	i := h.binIndex(x)

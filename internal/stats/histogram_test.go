@@ -42,31 +42,6 @@ func TestHistogramAddAndClamp(t *testing.T) {
 	}
 }
 
-func TestHistogramOf(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	h, err := HistogramOf(xs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != len(xs) {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Lo >= 1 || h.Hi <= 5 {
-		t.Errorf("range [%g,%g) should strictly contain data", h.Lo, h.Hi)
-	}
-	if _, err := HistogramOf(nil, 4); err == nil {
-		t.Error("empty data should error")
-	}
-	// Degenerate constant data must not produce an empty range.
-	h, err = HistogramOf([]float64{3, 3, 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != 3 {
-		t.Errorf("Total = %d", h.Total())
-	}
-}
-
 func TestHistogramPDFIntegratesToOne(t *testing.T) {
 	f := func(seed int64) bool {
 		r := newTestRand(seed)
@@ -75,9 +50,12 @@ func TestHistogramPDFIntegratesToOne(t *testing.T) {
 		for i := range xs {
 			xs[i] = r.float64() * 10
 		}
-		h, err := HistogramOf(xs, 16)
+		h, err := NewHistogram(0, 10, 16)
 		if err != nil {
 			return false
+		}
+		for _, x := range xs {
+			h.Add(x)
 		}
 		integral := 0.0
 		for _, d := range h.PDF() {

@@ -71,22 +71,6 @@ func HarmonicMean(xs []float64) (float64, error) {
 	return float64(len(xs)) / inv, nil
 }
 
-// GeometricMean returns the geometric mean of xs; all samples must be
-// positive.
-func GeometricMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	logSum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geometric mean of non-positive sample %g", x)
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}
-
 // Min returns the minimum of xs, or +Inf for an empty slice.
 func Min(xs []float64) float64 {
 	m := math.Inf(1)
@@ -109,22 +93,8 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. It copies and sorts internally; use
-// Percentiles for repeated queries against the same data.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %g out of range [0,100]", p)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p), nil
-}
-
-// Percentiles returns the requested percentiles of xs with a single sort.
+// Percentiles returns the requested percentiles (0 <= p <= 100) of xs with a
+// single sort, each by linear interpolation between closest ranks.
 func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
 	if len(xs) == 0 {
 		return nil, ErrEmpty

@@ -66,22 +66,6 @@ func TestHarmonicMean(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	got, err := GeometricMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, 4, 1e-9) {
-		t.Errorf("GeometricMean = %g, want 4", got)
-	}
-	if _, err := GeometricMean(nil); err == nil {
-		t.Error("GeometricMean(nil) should error")
-	}
-	if _, err := GeometricMean([]float64{0}); err == nil {
-		t.Error("GeometricMean(0) should error")
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if got := Min(xs); got != -1 {
@@ -107,26 +91,23 @@ func TestPercentile(t *testing.T) {
 		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {90, 4.6},
 	}
 	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
+		got, err := Percentiles(xs, c.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%g) = %g, want %g", c.p, got, c.want)
+		if !almostEq(got[0], c.want, 1e-12) {
+			t.Errorf("Percentiles(%g) = %g, want %g", c.p, got[0], c.want)
 		}
 	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Error("Percentile(nil) should error")
+	if _, err := Percentiles(xs, -1); err == nil {
+		t.Error("Percentiles(-1) should error")
 	}
-	if _, err := Percentile(xs, -1); err == nil {
-		t.Error("Percentile(-1) should error")
+	if _, err := Percentiles(xs, 101); err == nil {
+		t.Error("Percentiles(101) should error")
 	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("Percentile(101) should error")
-	}
-	got, err := Percentile([]float64{42}, 73)
-	if err != nil || got != 42 {
-		t.Errorf("Percentile(single) = %g, %v", got, err)
+	got, err := Percentiles([]float64{42}, 73)
+	if err != nil || got[0] != 42 {
+		t.Errorf("Percentiles(single) = %v, %v", got, err)
 	}
 }
 

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // This file is the benchmark catalog: synthetic stand-ins for the paper's
 // Table 1 workloads. Instruction budgets are calibrated so that standalone
@@ -188,17 +185,6 @@ func All() []*Benchmark {
 	out = append(out, SingleBG()...)
 	out = append(out, RotateBenchmarks()...)
 	return out
-}
-
-// Names returns the sorted names of every catalog benchmark.
-func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, b := range all {
-		names[i] = b.Name
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ByName returns a fresh copy of the named benchmark.

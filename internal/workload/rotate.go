@@ -45,15 +45,6 @@ func NewRotator(a, b *Benchmark, rng *sim.Rand) (*Rotator, error) {
 	}, nil
 }
 
-// MustRotator is NewRotator that panics on error.
-func MustRotator(a, b *Benchmark, rng *sim.Rand) *Rotator {
-	r, err := NewRotator(a, b, rng)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Name returns "a+b".
 func (r *Rotator) Name() string { return r.name }
 

@@ -23,7 +23,7 @@ func TestNewRotatorValidation(t *testing.T) {
 
 func TestRotatorInitialState(t *testing.T) {
 	a, b := MustByName("lbm"), MustByName("namd")
-	r := MustRotator(a, b, sim.NewRand(7))
+	r := mustRotator(a, b, sim.NewRand(7))
 	if r.Name() != "lbm+namd" {
 		t.Errorf("Name = %q", r.Name())
 	}
@@ -40,7 +40,7 @@ func TestRotatorInitialState(t *testing.T) {
 
 func TestRotateSwitchesAndCounts(t *testing.T) {
 	a, b := MustByName("lbm"), MustByName("namd")
-	r := MustRotator(a, b, sim.NewRand(42))
+	r := mustRotator(a, b, sim.NewRand(42))
 	counts := map[string]int{}
 	const n = 400
 	for i := 0; i < n; i++ {
@@ -72,7 +72,7 @@ func TestRotateSwitchesAndCounts(t *testing.T) {
 
 func TestRotateDeterministicBySeed(t *testing.T) {
 	seq := func(seed uint64) []string {
-		r := MustRotator(MustByName("lbm"), MustByName("namd"), sim.NewRand(seed))
+		r := mustRotator(MustByName("lbm"), MustByName("namd"), sim.NewRand(seed))
 		out := make([]string, 64)
 		for i := range out {
 			out[i] = r.Rotate().Name
@@ -96,4 +96,13 @@ func TestRotateDeterministicBySeed(t *testing.T) {
 	if same {
 		t.Error("different seeds produced an identical 64-rotation sequence")
 	}
+}
+
+// mustRotator is NewRotator that panics on error.
+func mustRotator(a, b *Benchmark, rng *sim.Rand) *Rotator {
+	r, err := NewRotator(a, b, rng)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
