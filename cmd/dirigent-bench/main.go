@@ -191,7 +191,7 @@ func run(args []string, stdout io.Writer) (err error) {
 			fmt.Fprintln(stdout, experiment.RenderPDFCurves(ferretRS.Mix, curves))
 		}
 		if *fig12 {
-			rows, err := experiment.FreqDistribution(ferretRS)
+			rows, err := r.FreqDistribution(ferretRS)
 			if err != nil {
 				return err
 			}
@@ -216,7 +216,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	if *resil {
 		mix := experiment.Mix{Name: "ferret rs", FG: []string{"ferret"}, BG: five("rs")}
-		res, err := r.ResilienceSweep(mix, experiment.ResilienceOptions{})
+		res, err := r.ResilienceSweep(mix)
 		if err != nil {
 			return err
 		}

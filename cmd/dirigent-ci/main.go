@@ -1,8 +1,8 @@
 // Command dirigent-ci runs the declarative scenario suite under
 // scenarios/ and gates on each scenario's goals. It times nothing:
-// wall-clock measurement is perfbench's job. The QoS probe suite
-// (internal/benchreg) is pinned by a golden and gated by go test, which
-// also proves the scenario gate can fail (scenario.TestSelfTest).
+// wall-clock measurement is perfbench's job. The scenario harness's
+// per-class goldens are checked by go test, which also proves the scenario
+// gate can fail (scenario.TestSelfTest).
 //
 // Usage:
 //

@@ -177,8 +177,8 @@ func TestDefaultConfigScope(t *testing.T) {
 		t.Error("cmd/dirigent-serve should not be determinism-critical")
 	}
 	for _, check := range []string{"walltime", "nondetsched"} {
-		if !cfg.inScope(check, "internal/benchreg") {
-			t.Errorf("benchreg must be in %s scope: the QoS probe suite reads no wall clock and starts no goroutine", check)
+		if !cfg.inScope(check, "internal/core") {
+			t.Errorf("core must be in %s scope: the runtime reads no wall clock and starts no goroutine", check)
 		}
 	}
 	if cfg.inScope("walltime", "internal/server") {

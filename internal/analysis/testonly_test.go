@@ -13,11 +13,9 @@ import (
 )
 
 // testOnlyExempt lists the internal packages whose declarations may be
-// called only from tests: golden.Check is a test helper by design, and
-// internal/benchreg is a test-only harness due for removal.
+// called only from tests: golden.Check is a test helper by design.
 var testOnlyExempt = map[string]bool{
-	"internal/golden":   true,
-	"internal/benchreg": true,
+	"internal/golden": true,
 }
 
 // TestNoTestOnlyDeclarations keeps test-only code out of the shipped

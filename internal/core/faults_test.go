@@ -104,7 +104,7 @@ func TestFineControllerSurfacesPauseFaults(t *testing.T) {
 	// until all cores sit at the bottom grade, then the controller reaches
 	// for the pause — which the plan drops.
 	colo.Step() // accumulate some LLC misses for the intrusiveness ranking
-	for i := 0; i < len(policy.DefaultGrades())+2; i++ {
+	for i := 0; i < len(policy.GradesForLevels(9))+2; i++ {
 		if err := fc.Decide(m.Now(), []policy.FGStatus{statusWithSlack(-0.2)}); err != nil {
 			t.Fatal(err)
 		}

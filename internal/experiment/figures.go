@@ -9,8 +9,6 @@ import (
 
 	"dirigent/internal/config"
 	"dirigent/internal/core"
-	"dirigent/internal/machine"
-	"dirigent/internal/policy"
 	"dirigent/internal/sched"
 	"dirigent/internal/sim"
 	"dirigent/internal/stats"
@@ -610,7 +608,7 @@ func RenderPDFCurves(mix Mix, curves map[config.Name]*stats.Histogram) string {
 // ---------------------------------------------------------------- Fig. 12
 
 // FreqDistRow is the BG-core frequency residency distribution of one
-// configuration, over the five Dirigent grades.
+// configuration, over the Dirigent grades of the machine class.
 type FreqDistRow struct {
 	Config config.Name
 	// GHz are the grade frequencies; Fraction the time share at each.
@@ -618,11 +616,14 @@ type FreqDistRow struct {
 	Fraction []float64
 }
 
-// FreqDistribution extracts Fig. 12 from a mix result: the distribution of
-// BG core frequencies under DirigentFreq and Dirigent.
-func FreqDistribution(mr *MixResult) ([]FreqDistRow, error) {
-	levels := machine.DefaultConfig().FreqLevelsGHz
-	grades := policy.DefaultGrades()
+// FreqDistribution extracts Fig. 12 from a mix result of this runner: the
+// distribution of BG core frequencies under DirigentFreq and Dirigent, over
+// the runner's machine class's ladder.
+func (r *Runner) FreqDistribution(mr *MixResult) ([]FreqDistRow, error) {
+	levels, grades, err := r.ladder()
+	if err != nil {
+		return nil, err
+	}
 	var rows []FreqDistRow
 	for _, c := range []config.Name{config.DirigentFreq, config.Dirigent} {
 		run := mr.ByConfig[c]

@@ -362,7 +362,7 @@ func TestFreqDistribution(t *testing.T) {
 		resid[8] = 6 * time.Second
 		res.ByConfig[c].BGFreqResidency = resid
 	}
-	rows, err := FreqDistribution(res)
+	rows, err := NewRunner().FreqDistribution(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestFreqDistribution(t *testing.T) {
 		t.Error("freq render incomplete")
 	}
 	delete(res.ByConfig, config.Dirigent)
-	if _, err := FreqDistribution(res); err == nil {
+	if _, err := NewRunner().FreqDistribution(res); err == nil {
 		t.Error("missing config should error")
 	}
 }

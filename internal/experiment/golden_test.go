@@ -61,7 +61,7 @@ func TestSkipaheadEquivalentResilience(t *testing.T) {
 	mix := Mix{Name: "skipahead res", FG: []string{"ferret"}, BG: repeat("rs", 5)}
 	r := goldenRunner()
 	r.Executions = 12
-	res, err := r.ResilienceSweep(mix, ResilienceOptions{Intensities: []float64{0.3}})
+	res, err := r.resilienceSweep(mix, []float64{0.3})
 	if err != nil {
 		t.Fatal(err)
 	}

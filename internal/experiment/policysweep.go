@@ -11,7 +11,7 @@ import (
 // PolicyMixResult bundles one mix's runs across QoS policies. Each policy
 // runs under the full-runtime configuration (config.Dirigent) with the
 // policy swapped behind the engine; Baseline runs once to define the
-// deadlines and the throughput denominator, exactly as in RunConfigs.
+// deadlines and the throughput denominator, exactly as in RunMix.
 type PolicyMixResult struct {
 	Mix Mix
 	// Deadlines are the per-stream deadlines (seconds) from the Baseline

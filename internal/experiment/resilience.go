@@ -15,12 +15,13 @@ import (
 // gracefully the control loop degrades when its inputs lie: lost and noisy
 // counter samples, missed runtime invocations, failed DVFS and pause
 // actuation, and stale profiles. dirigent-bench -resilience renders it;
-// the probe-suite golden of internal/benchreg pins its key numbers.
+// the resilience golden pins a one-intensity sweep, and
+// TestResilienceDegradesGracefully holds its degradation bounds.
 
 // DefaultResilienceIntensities are the sweep's fault-intensity grid; 0.3 is
-// the "moderate" point the regression probes pin, 0.9 the near-saturation
-// point where holding FG success stops being possible by shedding BG
-// throughput alone.
+// the "moderate" point the golden and the degradation bounds sweep alone,
+// 0.9 the near-saturation point where holding FG success stops being
+// possible by shedding BG throughput alone.
 var DefaultResilienceIntensities = []float64{0.15, 0.3, 0.6, 0.9}
 
 // Default staleness knobs for the profile-staleness scenario: the profile
@@ -68,20 +69,6 @@ func resilienceClasses() []resilienceClass {
 // protocol for the staleness scenario.
 const DefaultResilienceTargetFactor = 1.09
 
-// ResilienceOptions configures the sweep.
-type ResilienceOptions struct {
-	// Intensities is the fault-intensity grid (default
-	// DefaultResilienceIntensities).
-	Intensities []float64
-}
-
-func (o ResilienceOptions) withDefaults() ResilienceOptions {
-	if len(o.Intensities) == 0 {
-		o.Intensities = append([]float64(nil), DefaultResilienceIntensities...)
-	}
-	return o
-}
-
 // ResiliencePoint is one (class, intensity) outcome under full Dirigent.
 type ResiliencePoint struct {
 	Intensity float64
@@ -127,36 +114,18 @@ type ResilienceResult struct {
 	Reprofiles int
 }
 
-// MinSuccessAt returns the worst per-class success at one intensity of the
-// grid (the regression probes pin the moderate point), or -1 when the
-// intensity was not swept.
-func (res *ResilienceResult) MinSuccessAt(intensity float64) float64 {
-	min, found := 1.0, false
-	for _, c := range res.Classes {
-		for _, p := range c.Points {
-			//lint:ignore floateq intensities are copied verbatim from the sweep plan, so exact match is the lookup key
-			if p.Intensity == intensity {
-				found = true
-				if p.Success < min {
-					min = p.Success
-				}
-			}
-		}
-	}
-	if !found {
-		return -1
-	}
-	return min
-}
-
 // ResilienceSweep measures QoS-vs-fault-intensity for one mix under full
 // Dirigent. A clean baseline pass defines the deadlines (exactly like the
 // QoS experiments), a clean Dirigent run defines the reference success rate,
 // then each fault class is swept over the intensity grid on its own seeded
 // streams. Finally the staleness scenario degrades the offline profile and
 // measures recovery with the runtime's re-profiling enabled.
-func (r *Runner) ResilienceSweep(mix Mix, opts ResilienceOptions) (*ResilienceResult, error) {
-	opts = opts.withDefaults()
+func (r *Runner) ResilienceSweep(mix Mix) (*ResilienceResult, error) {
+	return r.resilienceSweep(mix, DefaultResilienceIntensities)
+}
+
+// resilienceSweep is ResilienceSweep over the intensity grid intensities.
+func (r *Runner) resilienceSweep(mix Mix, intensities []float64) (*ResilienceResult, error) {
 	if err := mix.Validate(); err != nil {
 		return nil, err
 	}
@@ -200,7 +169,7 @@ func (r *Runner) ResilienceSweep(mix Mix, opts ResilienceOptions) (*ResilienceRe
 	classes := resilienceClasses()
 	jobs := []RunParams{dirigent(fault.Plan{}, r.ConvergenceWarmup)}
 	for _, c := range classes {
-		for _, x := range opts.Intensities {
+		for _, x := range intensities {
 			jobs = append(jobs, dirigent(c.plan(x), r.ConvergenceWarmup))
 		}
 	}
@@ -231,7 +200,7 @@ func (r *Runner) ResilienceSweep(mix Mix, opts ResilienceOptions) (*ResilienceRe
 	runs = runs[1:]
 	for _, c := range classes {
 		cr := ResilienceClassResult{Class: c.name}
-		for _, x := range opts.Intensities {
+		for _, x := range intensities {
 			run := runs[0]
 			runs = runs[1:]
 			bgRel := 0.0

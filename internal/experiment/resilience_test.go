@@ -18,20 +18,8 @@ func TestRenderPredictionAccuracyEmpty(t *testing.T) {
 func TestResilienceSweepRejectsMultiFG(t *testing.T) {
 	r := NewRunner()
 	mix := Mix{Name: "two fg", FG: []string{"ferret", "raytrace"}, BG: []string{"rs", "rs", "rs", "rs"}}
-	if _, err := r.ResilienceSweep(mix, ResilienceOptions{}); err == nil {
+	if _, err := r.ResilienceSweep(mix); err == nil {
 		t.Error("multi-FG mix should be rejected")
-	}
-}
-
-func TestMinSuccessAtUnknownIntensity(t *testing.T) {
-	res := &ResilienceResult{Classes: []ResilienceClassResult{
-		{Class: "tick", Points: []ResiliencePoint{{Intensity: 0.3, Success: 0.9}}},
-	}}
-	if got := res.MinSuccessAt(0.5); got != -1 {
-		t.Errorf("MinSuccessAt(unswept) = %v, want -1", got)
-	}
-	if got := res.MinSuccessAt(0.3); got != 0.9 {
-		t.Errorf("MinSuccessAt(0.3) = %v, want 0.9", got)
 	}
 }
 
@@ -40,7 +28,7 @@ func TestResilienceSweepSmoke(t *testing.T) {
 	r.Executions = 16
 	r.ConvergenceWarmup = 6
 	mix := Mix{Name: "ferret rs", FG: []string{"ferret"}, BG: []string{"rs", "rs", "rs", "rs", "rs"}}
-	res, err := r.ResilienceSweep(mix, ResilienceOptions{Intensities: []float64{0.3}})
+	res, err := r.resilienceSweep(mix, []float64{0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +57,7 @@ func TestResilienceSweepSmoke(t *testing.T) {
 	}
 	// Determinism: the whole sweep is seeded by the mix, so a second run
 	// reproduces it exactly.
-	again, err := r.ResilienceSweep(mix, ResilienceOptions{Intensities: []float64{0.3}})
+	again, err := r.resilienceSweep(mix, []float64{0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,5 +72,31 @@ func TestResilienceSweepSmoke(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
+	}
+}
+
+// TestResilienceDegradesGracefully holds the sweep's degradation bounds on
+// the paper's detailed mix at moderate intensity (0.3), 40 executions and
+// a convergence warmup of 16: every fault class keeps its FG success
+// within 10 points of fault-free Dirigent, and re-profiling recovers a
+// stale profile to within 2 points of the fault-free transient reference.
+func TestResilienceDegradesGracefully(t *testing.T) {
+	r := NewRunner()
+	r.Executions = 40
+	r.ConvergenceWarmup = 16
+	mix := Mix{Name: "ferret rs", FG: []string{"ferret"}, BG: repeat("rs", 5)}
+	res, err := r.resilienceSweep(mix, []float64{0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range res.Classes {
+		if p := c.Points[0]; res.CleanSuccess-p.Success > 0.10 {
+			t.Errorf("%s at intensity %.2f: FG success %.4f is more than 10 points below fault-free %.4f",
+				c.Class, p.Intensity, p.Success, res.CleanSuccess)
+		}
+	}
+	if res.StaleCleanSuccess-res.RecoveredSuccess > 0.02 {
+		t.Errorf("re-profiled FG success %.4f is more than 2 points below the fault-free transient %.4f",
+			res.RecoveredSuccess, res.StaleCleanSuccess)
 	}
 }

@@ -275,28 +275,8 @@ func (mr *MixResult) RelStd(cfg config.Name) float64 {
 // from the Baseline pass and calibrating StaticBoth per the paper's
 // methodology.
 func (r *Runner) RunMix(mix Mix) (*MixResult, error) {
-	return r.RunConfigs(mix, config.Names()...)
-}
-
-// RunConfigs executes a mix under a subset of the five configurations. The
-// Baseline pass always runs first — it defines the per-stream deadlines —
-// and is always present in the result, whether or not it was requested.
-// When StaticBoth is requested without Dirigent, its static partition falls
-// back to the default 10 ways instead of Dirigent's converged value.
-//
-// Lighter subsets are what the QoS probe suite (internal/benchreg) runs:
-// Baseline + the Dirigent configurations give the QoS completion rates
-// without paying for StaticBoth's offline calibration sweep.
-func (r *Runner) RunConfigs(mix Mix, names ...config.Name) (*MixResult, error) {
 	if err := mix.Validate(); err != nil {
 		return nil, err
-	}
-	want := map[config.Name]bool{}
-	for _, n := range names {
-		if _, err := config.ByName(n); err != nil {
-			return nil, err
-		}
-		want[n] = true
 	}
 	res := &MixResult{Mix: mix, ByConfig: map[config.Name]*RunResult{}}
 
@@ -310,63 +290,63 @@ func (r *Runner) RunConfigs(mix Mix, names ...config.Name) (*MixResult, error) {
 	res.ByConfig[config.Baseline] = base
 
 	// 2. StaticFreq: BG pinned to the slowest level.
-	if want[config.StaticFreq] {
-		sf, err := r.Run(mix, RunParams{Config: config.StaticFreq, Deadlines: deadlines})
-		if err != nil {
-			return nil, fmt.Errorf("staticfreq %s: %w", mix.Name, err)
-		}
-		res.ByConfig[config.StaticFreq] = sf
+	sf, err := r.Run(mix, RunParams{Config: config.StaticFreq, Deadlines: deadlines})
+	if err != nil {
+		return nil, fmt.Errorf("staticfreq %s: %w", mix.Name, err)
 	}
+	res.ByConfig[config.StaticFreq] = sf
 
 	// 3. DirigentFreq: fine control only.
-	if want[config.DirigentFreq] {
-		df, err := r.Run(mix, RunParams{Config: config.DirigentFreq, Targets: targets, Deadlines: deadlines, BGLevel: -1})
-		if err != nil {
-			return nil, fmt.Errorf("dirigentfreq %s: %w", mix.Name, err)
-		}
-		res.ByConfig[config.DirigentFreq] = df
+	df, err := r.Run(mix, RunParams{Config: config.DirigentFreq, Targets: targets, Deadlines: deadlines, BGLevel: -1})
+	if err != nil {
+		return nil, fmt.Errorf("dirigentfreq %s: %w", mix.Name, err)
 	}
+	res.ByConfig[config.DirigentFreq] = df
 
 	// 4. Dirigent: fine + coarse.
-	ways := 0
-	if want[config.Dirigent] {
-		dir, err := r.Run(mix, RunParams{Config: config.Dirigent, Targets: targets, Deadlines: deadlines, BGLevel: -1, ExtraWarmup: r.ConvergenceWarmup})
-		if err != nil {
-			return nil, fmt.Errorf("dirigent %s: %w", mix.Name, err)
-		}
-		res.ByConfig[config.Dirigent] = dir
-		ways = dir.FGWays
+	dir, err := r.Run(mix, RunParams{Config: config.Dirigent, Targets: targets, Deadlines: deadlines, BGLevel: -1, ExtraWarmup: r.ConvergenceWarmup})
+	if err != nil {
+		return nil, fmt.Errorf("dirigent %s: %w", mix.Name, err)
 	}
+	res.ByConfig[config.Dirigent] = dir
 
 	// 5. StaticBoth: static partition from Dirigent's converged heuristic
 	// (the paper verified it near-optimal) + the best static BG frequency
 	// found by offline search.
-	if want[config.StaticBoth] {
-		if ways == 0 {
-			ways = 10
-		}
-		level, err := r.calibrateStaticBGLevel(mix, ways, deadlines)
-		if err != nil {
-			return nil, fmt.Errorf("staticboth calibration %s: %w", mix.Name, err)
-		}
-		sb, err := r.Run(mix, RunParams{Config: config.StaticBoth, Deadlines: deadlines, FGWays: ways, BGLevel: level})
-		if err != nil {
-			return nil, fmt.Errorf("staticboth %s: %w", mix.Name, err)
-		}
-		res.ByConfig[config.StaticBoth] = sb
+	level, err := r.calibrateStaticBGLevel(mix, dir.FGWays, deadlines)
+	if err != nil {
+		return nil, fmt.Errorf("staticboth calibration %s: %w", mix.Name, err)
 	}
+	sb, err := r.Run(mix, RunParams{Config: config.StaticBoth, Deadlines: deadlines, FGWays: dir.FGWays, BGLevel: level})
+	if err != nil {
+		return nil, fmt.Errorf("staticboth %s: %w", mix.Name, err)
+	}
+	res.ByConfig[config.StaticBoth] = sb
 	return res, nil
 }
 
-// calibrateStaticBGLevel searches the five Dirigent grades from fastest to
-// slowest for the highest static BG frequency whose calibration run meets
-// the deadline on EVERY execution. A static configuration cannot adapt, so
-// it must be provisioned for the worst case observed offline — this is
-// precisely the over-provisioning the paper identifies as the cost of
-// static schemes (§3.1): resources are reserved so that the tail fits, and
-// are wasted whenever tasks finish early.
+// ladder returns the DVFS ladder of the runner's machine class and the
+// grades Dirigent uses on it (policy.GradesForLevels).
+func (r *Runner) ladder() ([]float64, []int, error) {
+	cfg, err := machine.ClassConfig(r.MachineClass)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cfg.FreqLevelsGHz, policy.GradesForLevels(len(cfg.FreqLevelsGHz)), nil
+}
+
+// calibrateStaticBGLevel searches the Dirigent grades of the runner's
+// machine class from fastest to slowest for the highest static BG frequency
+// whose calibration run meets the deadline on EVERY execution. A static
+// configuration cannot adapt, so it must be provisioned for the worst case
+// observed offline — this is precisely the over-provisioning the paper
+// identifies as the cost of static schemes (§3.1): resources are reserved
+// so that the tail fits, and are wasted whenever tasks finish early.
 func (r *Runner) calibrateStaticBGLevel(mix Mix, fgWays int, deadlines []float64) (int, error) {
-	grades := policy.DefaultGrades()
+	_, grades, err := r.ladder()
+	if err != nil {
+		return 0, err
+	}
 	for gi := len(grades) - 1; gi >= 1; gi-- {
 		run, err := r.Run(mix, RunParams{
 			Config:     config.StaticBoth,

@@ -1,14 +1,16 @@
 package experiment
 
 import (
-	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
 
 	"dirigent/internal/config"
+	"dirigent/internal/machine"
+	"dirigent/internal/policy"
 )
 
 // smallRunner keeps experiment tests fast: fewer executions, same defaults
@@ -139,6 +141,40 @@ func TestRunMixAllConfigs(t *testing.T) {
 	}
 }
 
+// TestRunMixEveryClass: StaticBoth's calibration and Fig. 12 use the DVFS
+// grades of the runner's machine class, so both work on every class,
+// quad-low's five-level ladder included.
+func TestRunMixEveryClass(t *testing.T) {
+	mix := Mix{Name: "ferret rs", FG: []string{"ferret"}, BG: repeat("rs", 3)}
+	for _, class := range machine.ClassNames() {
+		r := NewRunner()
+		r.MachineClass = class
+		r.Executions, r.Warmup, r.CalibExecutions, r.ConvergenceWarmup = 8, 2, 4, 4
+		res, err := r.RunMix(mix)
+		if err != nil {
+			t.Fatalf("%s: %v", class, err)
+		}
+		rows, err := r.FreqDistribution(res)
+		if err != nil {
+			t.Fatalf("%s: %v", class, err)
+		}
+		cfg, _ := machine.ClassConfig(class)
+		grades := policy.GradesForLevels(len(cfg.FreqLevelsGHz))
+		if lvl := res.ByConfig[config.StaticBoth].StaticBGLevel; !slices.Contains(grades, lvl) {
+			t.Errorf("%s: StaticBoth BG level %d is not one of the grades %v", class, lvl, grades)
+		}
+		for _, row := range rows {
+			sum := 0.0
+			for _, f := range row.Fraction {
+				sum += f
+			}
+			if len(row.GHz) != len(grades) || math.Abs(sum-1) > 1e-9 {
+				t.Errorf("%s %s: %v GHz with fractions %v, want the %d grades' residency summing to 1", class, row.Config, row.GHz, row.Fraction, len(grades))
+			}
+		}
+	}
+}
+
 func TestRunMixesParallelDeterminism(t *testing.T) {
 	r := smallRunner()
 	mixes := []Mix{
@@ -217,98 +253,6 @@ func TestRunResultHelpers(t *testing.T) {
 	}
 	if got := full.FGMissShare(); got != 0.25 {
 		t.Errorf("FGMissShare = %g", got)
-	}
-}
-
-// TestRunConfigsSubset checks the reduced entry point the regression harness
-// uses: only the requested configurations run (plus Baseline, which always
-// runs because it defines the deadlines), and unknown names are rejected
-// before any simulation starts.
-func TestRunConfigsSubset(t *testing.T) {
-	r := smallRunner()
-	r.Executions = 8
-	r.Warmup = 2
-	r.ConvergenceWarmup = 10
-	mix := Mix{Name: "subset", FG: []string{"ferret"}, BG: repeat("rs", 5)}
-
-	res, err := r.RunConfigs(mix, config.DirigentFreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.ByConfig) != 2 {
-		t.Fatalf("ByConfig has %d entries, want Baseline + DirigentFreq", len(res.ByConfig))
-	}
-	for _, name := range []config.Name{config.Baseline, config.DirigentFreq} {
-		rr := res.ByConfig[name]
-		if rr == nil {
-			t.Fatalf("missing %s result", name)
-		}
-		if sr := rr.MeanSuccessRate(); sr < 0 || sr > 1 {
-			t.Errorf("%s success rate %g outside [0,1]", name, sr)
-		}
-	}
-	if len(res.Deadlines) == 0 || res.Deadlines[0] <= 0 {
-		t.Errorf("deadlines not derived from the baseline run: %v", res.Deadlines)
-	}
-
-	// Requesting only Baseline still works and yields exactly one entry.
-	only, err := r.RunConfigs(mix, config.Baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(only.ByConfig) != 1 || only.ByConfig[config.Baseline] == nil {
-		t.Fatalf("Baseline-only run has entries %v", len(only.ByConfig))
-	}
-
-	// The subset's results must be identical to the same configs from a full
-	// RunMix: each configuration is an independently seeded run.
-	full, err := r.RunMix(mix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(res.ByConfig[config.DirigentFreq])
-	b, _ := json.Marshal(full.ByConfig[config.DirigentFreq])
-	if string(a) != string(b) {
-		t.Error("subset run differs from the same config inside a full RunMix")
-	}
-
-	if _, err := r.RunConfigs(mix, config.Name("nonsense")); err == nil {
-		t.Error("unknown config name must be rejected")
-	}
-}
-
-// TestRunConfigsStaticBothFallback: StaticBoth's static partition normally
-// reuses Dirigent's converged way count; when Dirigent is not part of the
-// requested subset it must fall back to the default 10 ways rather than
-// running Dirigent implicitly.
-func TestRunConfigsStaticBothFallback(t *testing.T) {
-	r := smallRunner()
-	r.Executions = 8
-	r.Warmup = 2
-	r.CalibExecutions = 6
-	mix := Mix{Name: "sb fallback", FG: []string{"bodytrack"}, BG: repeat("pca", 5)}
-
-	res, err := r.RunConfigs(mix, config.StaticBoth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb := res.ByConfig[config.StaticBoth]
-	if sb == nil {
-		t.Fatal("missing StaticBoth result")
-	}
-	if sb.FGWays != 10 {
-		t.Errorf("StaticBoth without Dirigent ran with %d FG ways, want the 10-way fallback", sb.FGWays)
-	}
-	if _, ok := res.ByConfig[config.Dirigent]; ok {
-		t.Error("Dirigent ran although it was not requested")
-	}
-	// Baseline is always present — it defines the deadlines — even though
-	// only StaticBoth was requested.
-	if res.ByConfig[config.Baseline] == nil {
-		t.Error("Baseline missing from result despite not being requested")
-	}
-	if sb.StaticBGLevel < 0 {
-		t.Errorf("StaticBoth BG level = %d, want a calibrated static level", sb.StaticBGLevel)
 	}
 }
 

@@ -816,7 +816,7 @@ func (m *Machine) flushQuanta() {
 // walk only the running cores, and the quantum-step event is buffered for
 // flushQuanta instead of emitted inline. The floating-point expression
 // forms and their evaluation order are pinned bit for bit by the recorded
-// goldens (TestStepEnginesEquivalent and the experiment and benchreg
+// goldens (TestStepEnginesEquivalent and the experiment and scenario
 // goldens), so reassociating any of them is a deliberate re-baseline.
 func (m *Machine) step() []Completion {
 	dt := m.cfg.Quantum

@@ -82,7 +82,7 @@ func slackBudget(targets []time.Duration, profiles []StreamProfile) float64 {
 // reserves a large FG partition.
 func (c *CORDLike) decompose(budget float64) {
 	// The grade set adapts to the machine's ladder (the paper's nine-level
-	// ladder yields DefaultGrades); shorter ladders have fewer grades, so
+	// ladder yields five grades); shorter ladders have fewer grades, so
 	// clamp the chosen rung.
 	grades := GradesForLevels(c.m.MaxFreqLevel() + 1)
 	rung := func(i int) int {

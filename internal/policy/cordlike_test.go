@@ -47,7 +47,7 @@ func TestCORDLikeDecomposeMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grades := DefaultGrades()
+	grades := GradesForLevels(9)
 	cases := []struct {
 		budget      float64
 		wantBGLevel int
@@ -127,7 +127,7 @@ func TestCORDLikeTickReassertsOperatingPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Assumed 0.15 budget → grades[2].
-	if want := DefaultGrades()[2]; p.BGLevel() != want {
+	if want := GradesForLevels(9)[2]; p.BGLevel() != want {
 		t.Fatalf("BGLevel = %d, want %d", p.BGLevel(), want)
 	}
 	if err := f.m.SetFreqLevel(2, f.m.MaxFreqLevel()); err != nil {

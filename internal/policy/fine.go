@@ -42,16 +42,12 @@ const (
 	DefaultSpeedupHoldoff = 20
 )
 
-// DefaultGrades returns the five equi-spaced DVFS grades Dirigent uses out
-// of the platform's nine levels (§5.1: "Dirigent uses just 5 equi-spaced
-// frequencies", 1.2/1.4/1.6/1.8/2.0 GHz), as indices into the machine's
-// level table.
-func DefaultGrades() []int { return []int{0, 2, 4, 6, 8} }
-
-// GradesForLevels generalizes DefaultGrades to an arbitrary DVFS ladder:
-// up to five equi-spaced level indices spanning [0, levels-1]. Ladders
-// with five or fewer levels use every level; the paper's nine-level ladder
-// reproduces DefaultGrades exactly.
+// GradesForLevels returns the DVFS grades Dirigent uses on a ladder of
+// levels levels, as indices into the machine's level table: up to five
+// equi-spaced level indices spanning [0, levels-1]. Ladders with five or
+// fewer levels use every level; the paper's nine-level ladder yields
+// {0, 2, 4, 6, 8} (§5.1: "Dirigent uses just 5 equi-spaced frequencies",
+// 1.2/1.4/1.6/1.8/2.0 GHz).
 func GradesForLevels(levels int) []int {
 	if levels <= 0 {
 		return nil

@@ -69,12 +69,12 @@ func (b *broadcaster) Record(ev telemetry.Event) {
 	b.mu.Unlock()
 }
 
-// subscribe registers a new consumer with the given buffer size. On a
-// broadcaster that has already been closed (the tenant's run ended) the
-// subscriber's channel is returned pre-closed, so a late consumer sees a
-// clean empty stream.
-func (b *broadcaster) subscribe(buffer int, quantum bool) *subscriber {
-	s := &subscriber{ch: make(chan telemetry.Event, buffer), quantum: quantum}
+// subscribe registers a new consumer with a subscriberBuffer-event buffer.
+// On a broadcaster that has already been closed (the tenant's run ended)
+// the subscriber's channel is returned pre-closed, so a late consumer sees
+// a clean empty stream.
+func (b *broadcaster) subscribe(quantum bool) *subscriber {
+	s := &subscriber{ch: make(chan telemetry.Event, subscriberBuffer), quantum: quantum}
 	b.mu.Lock()
 	if b.closed {
 		close(s.ch)

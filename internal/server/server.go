@@ -28,9 +28,8 @@ const (
 	// commandTimeout bounds how long a control request waits for a tenant's
 	// worker to accept it before failing with 503.
 	commandTimeout = 10 * time.Second
-	// subscriberBuffer is the default per-subscriber event buffer (the
-	// ?buffer= query overrides it); a consumer that falls further behind
-	// drops events.
+	// subscriberBuffer is every subscriber's event buffer; a consumer that
+	// falls further behind drops events.
 	subscriberBuffer = 4096
 )
 
@@ -566,15 +565,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	sse := q.Get("format") == "sse" ||
 		strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	buffer := subscriberBuffer
-	if v := q.Get("buffer"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 && n <= 1<<20 {
-			buffer = n
-		}
-	}
 	quantum := q.Get("quantum") == "1" || q.Get("quantum") == "true"
 
-	sub := t.bcast.subscribe(buffer, quantum)
+	sub := t.bcast.subscribe(quantum)
 	defer t.bcast.unsubscribe(sub)
 
 	if sse {

@@ -95,11 +95,18 @@ func TestServedDeterminism(t *testing.T) {
 	r.ConvergenceWarmup = 10
 	mix := experiment.Mix{Name: "served bodytrack pca", FG: []string{"bodytrack"}, BG: []string{"pca", "pca", "pca"}}
 
-	mr, err := r.RunConfigs(mix, config.Dirigent)
+	_, deadlines, targets, err := r.Baseline(mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(mr.ByConfig[config.Dirigent])
+	run, err := r.Run(mix, experiment.RunParams{
+		Config: config.Dirigent, Targets: targets, Deadlines: deadlines,
+		BGLevel: -1, ExtraWarmup: r.ConvergenceWarmup,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +123,9 @@ func TestServedDeterminism(t *testing.T) {
 		Config:      string(config.Dirigent),
 		Executions:  r.Executions,
 		ExtraWarmup: r.ConvergenceWarmup,
-		DeadlinesS:  mr.Deadlines,
+		DeadlinesS:  deadlines,
 	}
-	for _, d := range mr.Deadlines {
+	for _, d := range deadlines {
 		req.TargetsNS = append(req.TargetsNS, int64(time.Duration(d*float64(time.Second))))
 	}
 	var created createTenantResponse
@@ -480,6 +487,40 @@ func TestShutdownDrains(t *testing.T) {
 	}
 	if got := srv.Tenants(); got != 0 {
 		t.Fatalf("tenants after shutdown: %d", got)
+	}
+}
+
+// TestEventsBufferFixed: every subscriber gets subscriberBuffer events of
+// buffer, so no events request can make the server allocate more.
+func TestEventsBufferFixed(t *testing.T) {
+	srv := New(Config{Runner: experiment.NewRunner()})
+	ts, client := testClient(t, srv)
+	req := CreateTenantRequest{
+		Mix:        MixSpec{Name: "buffer ferret pca", FG: []string{"ferret"}, BG: []string{"pca"}},
+		Config:     string(config.Baseline),
+		Executions: 100_000, // never finishes on its own
+	}
+	var created createTenantResponse
+	if code, raw := doJSON(t, client, "POST", ts.URL+"/v1/tenants", req, &created); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, raw)
+	}
+	resp, err := client.Get(ts.URL + "/v1/tenants/" + created.ID + "/events?buffer=1048576")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	srv.mu.Lock()
+	b := srv.tenants[created.ID].bcast
+	srv.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for sub := range b.subs {
+		if cap(sub.ch) != subscriberBuffer {
+			t.Errorf("subscriber buffer holds %d events, want %d", cap(sub.ch), subscriberBuffer)
+		}
+	}
+	if len(b.subs) != 1 {
+		t.Errorf("%d live subscribers, want 1", len(b.subs))
 	}
 }
 

@@ -7,12 +7,12 @@
 #                             #   arm64, ppc64le, s390x, riscv64
 #                             #   (scripts/unfused-sim.sh)
 #                             # + build + tests
-#                             #   (every test, the goldens, the QoS probe
-#                             #   suite, the dirigent-bench -all report
-#                             #   golden, the check of EXPERIMENTS.md's and
-#                             #   README's quotes against it, and the
-#                             #   analyzer, scenario-gate and
-#                             #   load-determinism tests included)
+#                             #   (every test, the goldens, the
+#                             #   dirigent-bench -all report golden, the
+#                             #   check of EXPERIMENTS.md's and README's
+#                             #   quotes against it, and the analyzer,
+#                             #   scenario-gate and load-determinism tests
+#                             #   included)
 #                             # + race detector
 #                             # + the goldens as a GOAMD64=v3 (FMA-capable) build
 #                             # + perfbench vet + tests (its own module, which
@@ -74,7 +74,7 @@ gofmt_clean() {
 # build must fuse no floating-point expression, or every golden moves.
 run_goamd64_v3() {
 	GOAMD64=v3 go test ./internal/sim ./internal/mem ./internal/cache ./internal/machine \
-		./internal/core ./internal/experiment ./internal/benchreg ./internal/load
+		./internal/core ./internal/experiment ./internal/scenario ./internal/load
 }
 run_perfbench() { (cd perfbench && go vet ./... && go test ./...); }
 # Seeded 5 s churn replayed in-process at 4x: -fail-on-drops plus the

@@ -10,7 +10,9 @@
 # each generator computes every golden value twice — once on the
 # per-quantum reference engine, once with batched stepping — fails unless
 # the two are byte-identical, and writes the value. The regenerated files
-# are then compared with the committed ones. Takes about 15 s.
+# are then compared with the committed ones; the scenario goldens, which
+# package benchreg generates at that commit, are compared with
+# internal/scenario's. Takes about 15 s.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -27,6 +29,10 @@ for p in $pkgs; do
 done
 (cd "$work" && go test -count=1 -run TestWriteParentGoldens $(for p in $pkgs; do printf './internal/%s ' "$p"; done))
 for p in $pkgs; do
-	diff -r "$work/internal/$p/testdata/golden" "internal/$p/testdata/golden"
+	case $p in
+	benchreg) dest=scenario ;;
+	*) dest=$p ;;
+	esac
+	diff -r "$work/internal/$p/testdata/golden" "internal/$dest/testdata/golden"
 done
 echo "goldens: every file matches its regeneration at $rev"
