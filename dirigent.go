@@ -20,7 +20,12 @@
 //     only the targets, the policy, partitioning, telemetry, fault
 //     injection and re-profiling.
 //   - The evaluation harness that regenerates every table and figure of
-//     the paper (NewRunner and the Fig* helpers in this package).
+//     the paper (NewRunner; cmd/dirigent-bench prints them all).
+//
+// The facade promises the package-level names below; public_api_test.go
+// pins them. A type re-exported here as an alias of an internal type keeps
+// the methods that the examples, README.md or this comment call; its other
+// methods serve the simulator itself and may change with it.
 //
 // Quick start (see examples/quickstart for the runnable version):
 //

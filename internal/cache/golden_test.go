@@ -71,7 +71,7 @@ func TestApplyFastMatchesApply(t *testing.T) {
 		}
 		l.ApplyFast(quantum, tr)
 		for i := 0; i < nTasks; i++ {
-			fmt.Fprintf(h, "o %d %d %v\n", step, i+1, l.Occupancy(i+1))
+			fmt.Fprintf(h, "o %d %d %v\n", step, i+1, occupancy(l, i+1))
 		}
 	}
 	// Unregister, then keep stepping: the departed task must stay gone.
@@ -80,7 +80,7 @@ func TestApplyFastMatchesApply(t *testing.T) {
 		hr := l.HitRateRef(refs[0], wss[0], loc[0])
 		l.ApplyFast(quantum, []Traffic{{Task: 1, Accesses: acc[0], MissRate: 1 - hr, WSS: wss[0], Ref: refs[0]}})
 		for i := 0; i < nTasks; i++ {
-			fmt.Fprintf(h, "u %d %d %v\n", step, i+1, l.Occupancy(i+1))
+			fmt.Fprintf(h, "u %d %d %v\n", step, i+1, occupancy(l, i+1))
 		}
 	}
 	g := struct {
@@ -89,7 +89,15 @@ func TestApplyFastMatchesApply(t *testing.T) {
 		SHA256 string    `json:"sha256"`
 	}{Steps: 4050, SHA256: hex.EncodeToString(h.Sum(nil))}
 	for i := 0; i < nTasks; i++ {
-		g.Final = append(g.Final, l.Occupancy(i+1))
+		g.Final = append(g.Final, occupancy(l, i+1))
 	}
 	golden.Check(t, "testdata/golden/apply_sequence.json", g)
+}
+
+// occupancy returns a task's resident bytes (0 for unknown tasks).
+func occupancy(l *LLC, task int) float64 {
+	if st, ok := l.tasks[task]; ok {
+		return st.occupancy
+	}
+	return 0
 }

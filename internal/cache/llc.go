@@ -30,9 +30,8 @@ type ClassID int
 // LLC is a way-partitioned last-level cache. It is not safe for concurrent
 // use; the machine steps it from a single goroutine.
 type LLC struct {
-	totalBytes float64
-	ways       int
-	wayBytes   float64
+	ways     int
+	wayBytes float64
 
 	classWays map[ClassID]int
 	nextClass ClassID
@@ -95,7 +94,6 @@ func New(cfg Config) (*LLC, error) {
 		return nil, fmt.Errorf("cache: ways %d must be positive", cfg.Ways)
 	}
 	l := &LLC{
-		totalBytes: float64(cfg.Bytes),
 		ways:       cfg.Ways,
 		wayBytes:   float64(cfg.Bytes) / float64(cfg.Ways),
 		classWays:  map[ClassID]int{0: cfg.Ways},
@@ -117,12 +115,6 @@ func MustNew(cfg Config) *LLC {
 
 // Ways returns the total number of partitionable ways.
 func (l *LLC) Ways() int { return l.ways }
-
-// TotalBytes returns the cache capacity in bytes.
-func (l *LLC) TotalBytes() float64 { return l.totalBytes }
-
-// WayBytes returns the capacity of a single way in bytes.
-func (l *LLC) WayBytes() float64 { return l.wayBytes }
 
 // DefineClass allocates a new partition class with zero ways. Ways must be
 // assigned with SetPartition before tasks in the class can cache anything.
@@ -184,15 +176,6 @@ func (l *LLC) ClassWays(id ClassID) (int, error) {
 	return w, nil
 }
 
-// ClassBytes returns the byte capacity of a class's partition.
-func (l *LLC) ClassBytes(id ClassID) (float64, error) {
-	w, err := l.ClassWays(id)
-	if err != nil {
-		return 0, err
-	}
-	return float64(w) * l.wayBytes, nil
-}
-
 // Register adds task to a partition class with zero initial occupancy.
 // Re-registering an existing task moves it to the new class, keeping its
 // occupancy (data does not vanish when a task's CLOS changes; it drains or
@@ -228,14 +211,6 @@ func (l *LLC) Unregister(task int) {
 			break
 		}
 	}
-}
-
-// Occupancy returns a task's resident bytes (0 for unknown tasks).
-func (l *LLC) Occupancy(task int) float64 {
-	if st, ok := l.tasks[task]; ok {
-		return st.occupancy
-	}
-	return 0
 }
 
 // Ref resolves a task's state handle (nil for unknown tasks). The handle

@@ -20,11 +20,8 @@ func TestNewValidation(t *testing.T) {
 	if l.Ways() != 20 {
 		t.Errorf("Ways = %d", l.Ways())
 	}
-	if l.TotalBytes() != float64(15<<20) {
-		t.Errorf("TotalBytes = %g", l.TotalBytes())
-	}
-	if got := l.WayBytes(); got != float64(15<<20)/20 {
-		t.Errorf("WayBytes = %g", got)
+	if got := l.wayBytes; got != float64(15<<20)/20 {
+		t.Errorf("wayBytes = %g", got)
 	}
 }
 
@@ -48,9 +45,9 @@ func TestPartitionManagement(t *testing.T) {
 	if err != nil || w != 5 {
 		t.Errorf("ClassWays(fg) = %d, %v", w, err)
 	}
-	b, err := l.ClassBytes(bg)
-	if err != nil || b != 15*l.WayBytes() {
-		t.Errorf("ClassBytes(bg) = %g, %v", b, err)
+	w, err = l.ClassWays(bg)
+	if err != nil || w != 15 {
+		t.Errorf("ClassWays(bg) = %d, %v", w, err)
 	}
 	// Over-allocation rejected.
 	if err := l.SetPartition(map[ClassID]int{fg: 21}); err == nil {
@@ -66,9 +63,6 @@ func TestPartitionManagement(t *testing.T) {
 	}
 	if _, err := l.ClassWays(99); err == nil {
 		t.Error("ClassWays(unknown) should error")
-	}
-	if _, err := l.ClassBytes(99); err == nil {
-		t.Error("ClassBytes(unknown) should error")
 	}
 	// Partial update keeps unmentioned classes.
 	if err := l.SetPartition(map[ClassID]int{fg: 4}); err != nil {
@@ -105,14 +99,14 @@ func TestRegisterUnregister(t *testing.T) {
 	if err := l.Register(1, ClassID(42)); err == nil {
 		t.Error("register to unknown class should error")
 	}
-	if got := l.Occupancy(1); got != 0 {
+	if got := occupancy(l, 1); got != 0 {
 		t.Errorf("initial occupancy = %g", got)
 	}
-	if got := l.Occupancy(999); got != 0 {
+	if got := occupancy(l, 999); got != 0 {
 		t.Errorf("unknown task occupancy = %g", got)
 	}
 	l.Unregister(1)
-	if got := l.Occupancy(1); got != 0 {
+	if got := occupancy(l, 1); got != 0 {
 		t.Errorf("occupancy after unregister = %g", got)
 	}
 }
@@ -179,10 +173,10 @@ func TestApplyClampsMissRate(t *testing.T) {
 		})
 		exact.ApplyFast(quantum, []Traffic{{Task: 1, Accesses: 1000, MissRate: 1, WSS: 1 << 20}})
 	}
-	if got, want := clamped.Occupancy(1), exact.Occupancy(1); got != want || got == 0 {
+	if got, want := occupancy(clamped, 1), occupancy(exact, 1); got != want || got == 0 {
 		t.Errorf("occupancy with miss rate 2 = %g, with miss rate 1 = %g", got, want)
 	}
-	if clamped.Ref(7) != nil || clamped.Occupancy(7) != 0 {
+	if clamped.Ref(7) != nil || occupancy(clamped, 7) != 0 {
 		t.Error("unknown task traffic created cache state")
 	}
 }
@@ -206,14 +200,14 @@ func TestPartitionIsolation(t *testing.T) {
 		})
 	}
 	// FG working set (4MB) fits in its 7.5MB partition: occupancy ~ wss.
-	occ1 := l.Occupancy(1)
+	occ1 := occupancy(l, 1)
 	if occ1 < 0.9*wss1 {
 		t.Errorf("isolated FG occupancy = %g, want ~%g", occ1, wss1)
 	}
 	// BG must not exceed its own partition.
-	occ2 := l.Occupancy(2)
-	if occ2 > 10*l.WayBytes()*1.001 {
-		t.Errorf("BG occupancy %g exceeds its partition %g", occ2, 10*l.WayBytes())
+	occ2 := occupancy(l, 2)
+	if occ2 > 10*l.wayBytes*1.001 {
+		t.Errorf("BG occupancy %g exceeds its partition %g", occ2, 10*l.wayBytes)
 	}
 }
 
@@ -228,7 +222,7 @@ func TestSharedClassContention(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		l.ApplyFast(quantum, []Traffic{{Task: 1, Accesses: 3000, MissRate: 1 - hitRate(l, 1, wss1, 0.9), WSS: wss1}})
 	}
-	occAlone := l.Occupancy(1)
+	occAlone := occupancy(l, 1)
 	// Add aggressive streamer.
 	for i := 0; i < 3000; i++ {
 		l.ApplyFast(quantum, []Traffic{
@@ -236,7 +230,7 @@ func TestSharedClassContention(t *testing.T) {
 			{Task: 2, Accesses: 30000, MissRate: 1 - hitRate(l, 2, wss2, 0.5), WSS: wss2},
 		})
 	}
-	occContended := l.Occupancy(1)
+	occContended := occupancy(l, 1)
 	if occContended >= occAlone {
 		t.Errorf("contention should shrink occupancy: alone %g, contended %g", occAlone, occContended)
 	}
@@ -258,7 +252,7 @@ func TestCacheInertia(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		step()
 	}
-	before := l.Occupancy(1)
+	before := occupancy(l, 1)
 	if before < 8*(1<<20) {
 		t.Fatalf("warmup failed: occupancy %g", before)
 	}
@@ -267,7 +261,7 @@ func TestCacheInertia(t *testing.T) {
 		t.Fatal(err)
 	}
 	step()
-	after1 := l.Occupancy(1)
+	after1 := occupancy(l, 1)
 	if after1 < before*0.5 {
 		t.Errorf("occupancy collapsed instantly: %g -> %g", before, after1)
 	}
@@ -275,9 +269,9 @@ func TestCacheInertia(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		step()
 	}
-	final := l.Occupancy(1)
-	if final > 2*l.WayBytes()*1.01 {
-		t.Errorf("occupancy %g did not converge under new partition %g", final, 2*l.WayBytes())
+	final := occupancy(l, 1)
+	if final > 2*l.wayBytes*1.01 {
+		t.Errorf("occupancy %g did not converge under new partition %g", final, 2*l.wayBytes)
 	}
 }
 
@@ -292,7 +286,7 @@ func TestApplyFastFollowsQuantumLength(t *testing.T) {
 	for _, dt := range []time.Duration{quantum, 4 * quantum, quantum} {
 		l.ApplyFast(dt, []Traffic{{Task: 1, WSS: wss}})
 		want += (wss - want) * (0.02 * dt.Seconds() / 0.005)
-		if got := l.Occupancy(1); got != want {
+		if got := occupancy(l, 1); got != want {
 			t.Fatalf("after a %v quantum: occupancy %v, want %v", dt, got, want)
 		}
 	}
@@ -305,7 +299,7 @@ func TestZeroWayClassDrains(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l.ApplyFast(quantum, []Traffic{{Task: 1, Accesses: 1000, MissRate: 0.5, WSS: 1 << 20}})
 	}
-	if occ := l.Occupancy(1); occ > 1 {
+	if occ := occupancy(l, 1); occ > 1 {
 		t.Errorf("zero-way class retained occupancy %g", occ)
 	}
 	if hr := hitRate(l, 1, 1<<20, 0.9); hr > 0.01 {
@@ -321,12 +315,12 @@ func TestPausedTaskLosesOccupancyToActive(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		l.ApplyFast(quantum, []Traffic{{Task: 1, Accesses: 5000, MissRate: 1 - hitRate(l, 1, wss, 0.9), WSS: wss}})
 	}
-	occ := l.Occupancy(1)
+	occ := occupancy(l, 1)
 	// Task 1 pauses; task 2 streams.
 	for i := 0; i < 3000; i++ {
 		l.ApplyFast(quantum, []Traffic{{Task: 2, Accesses: 30000, MissRate: 0.8, WSS: 64 << 20}})
 	}
-	if got := l.Occupancy(1); got >= occ*0.5 {
+	if got := occupancy(l, 1); got >= occ*0.5 {
 		t.Errorf("paused task kept %g of %g occupancy under pressure", got, occ)
 	}
 }
@@ -353,11 +347,11 @@ func TestOccupancyConservationProperty(t *testing.T) {
 				{Task: 3, Accesses: 20000 * next(), MissRate: next(), WSS: 1 << 20},
 			}
 			l.ApplyFast(quantum, tr)
-			total := l.Occupancy(1) + l.Occupancy(2) + l.Occupancy(3)
-			if total > l.TotalBytes()*1.01 {
+			total := occupancy(l, 1) + occupancy(l, 2) + occupancy(l, 3)
+			if total > float64(l.ways)*l.wayBytes*1.01 {
 				return false
 			}
-			if l.Occupancy(1) < 0 || l.Occupancy(2) < 0 || l.Occupancy(3) < 0 {
+			if occupancy(l, 1) < 0 || occupancy(l, 2) < 0 || occupancy(l, 3) < 0 {
 				return false
 			}
 		}
@@ -380,7 +374,7 @@ func TestEquilibriumSplitsByTraffic(t *testing.T) {
 			{Task: 2, Accesses: 10000, MissRate: 1 - hitRate(l, 2, wss, 0.8), WSS: wss},
 		})
 	}
-	o1, o2 := l.Occupancy(1), l.Occupancy(2)
+	o1, o2 := occupancy(l, 1), occupancy(l, 2)
 	if math.Abs(o1-o2)/math.Max(o1, o2) > 0.05 {
 		t.Errorf("symmetric tasks diverged: %g vs %g", o1, o2)
 	}

@@ -50,8 +50,6 @@ type Config struct {
 	// registry name); empty means the default Dirigent policy. Only
 	// meaningful with UseRuntime.
 	Policy string
-	// Description is a one-line summary for reports.
-	Description string
 }
 
 // ByName returns the named configuration.
@@ -67,30 +65,16 @@ func ByName(n Name) (Config, error) {
 // All returns the five configurations in the paper's presentation order.
 func All() []Config {
 	return []Config{
-		{
-			Name:        Baseline,
-			Description: "all cores at max frequency, free contention",
-		},
-		{
-			Name:            StaticFreq,
-			StaticBGMinFreq: true,
-			Description:     "FG cores at max, BG cores statically at 1.2 GHz",
-		},
-		{
-			Name:        StaticBoth,
-			Description: "best static partition + best static BG frequency",
-		},
-		{
-			Name:        DirigentFreq,
-			UseRuntime:  true,
-			Description: "Dirigent fine time scale control only (no partitioning)",
-		},
-		{
-			Name:                Dirigent,
-			UseRuntime:          true,
-			RuntimePartitioning: true,
-			Description:         "full Dirigent: fine control + coarse cache partitioning",
-		},
+		// All cores at max frequency, free contention.
+		{Name: Baseline},
+		// FG cores at max, BG cores statically at 1.2 GHz.
+		{Name: StaticFreq, StaticBGMinFreq: true},
+		// Best static partition + best static BG frequency.
+		{Name: StaticBoth},
+		// Dirigent fine time scale control only (no partitioning).
+		{Name: DirigentFreq, UseRuntime: true},
+		// Full Dirigent: fine control + coarse cache partitioning.
+		{Name: Dirigent, UseRuntime: true, RuntimePartitioning: true},
 	}
 }
 

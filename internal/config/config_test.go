@@ -12,9 +12,6 @@ func TestAllFiveConfigs(t *testing.T) {
 		if c.Name != want[i] {
 			t.Errorf("config %d = %s, want %s", i, c.Name, want[i])
 		}
-		if c.Description == "" {
-			t.Errorf("%s has no description", c.Name)
-		}
 	}
 	if got := Names(); len(got) != 5 || got[0] != Baseline || got[4] != Dirigent {
 		t.Errorf("Names = %v", got)

@@ -16,12 +16,12 @@ import (
 
 // buildFaultyColo is buildColo with a fault injector installed in the
 // machine (and returned for count assertions).
-func buildFaultyColo(t *testing.T, fg []string, bg string, plan fault.Plan, seed uint64) (*sched.Colocation, *fault.Injector) {
+func buildFaultyColo(t *testing.T, fg []string, bg string, plan fault.Plan, seed uint64) (*sched.Colocation, *telemetry.Aggregator) {
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.Seed = seed
-	inj := fault.NewInjector(plan, seed, nil)
-	cfg.Faults = inj
+	faults := telemetry.NewAggregator()
+	cfg.Faults = fault.NewInjector(plan, seed, faults)
 	m := machine.MustNew(cfg)
 	var fgb []*workload.Benchmark
 	for _, n := range fg {
@@ -35,7 +35,7 @@ func buildFaultyColo(t *testing.T, fg []string, bg string, plan fault.Plan, seed
 	if err != nil {
 		t.Fatal(err)
 	}
-	return colo, inj
+	return colo, faults
 }
 
 // statusWithSlack builds a policy.FGStatus with the given normalized slack
@@ -48,15 +48,14 @@ func statusWithSlack(slack float64) policy.FGStatus {
 }
 
 func TestFineControllerSurfacesDVFSFaults(t *testing.T) {
-	colo, inj := buildFaultyColo(t, []string{"ferret"}, "bwaves", fault.Plan{DVFSFail: 1}, 41)
+	colo, faults := buildFaultyColo(t, []string{"ferret"}, "bwaves", fault.Plan{DVFSFail: 1}, 41)
 	m := colo.Machine()
 	agg := telemetry.NewAggregator()
 	fgTask := colo.FG()[0].Task
 	var bgTasks, bgCores []int
 	for _, w := range colo.BG() {
 		bgTasks = append(bgTasks, w.Task)
-		c, _ := m.TaskCore(w.Task)
-		bgCores = append(bgCores, c)
+		bgCores = append(bgCores, w.Core)
 	}
 	fc, err := policy.NewFineController(m, []int{fgTask}, []int{0}, bgTasks, bgCores, agg)
 	if err != nil {
@@ -72,8 +71,8 @@ func TestFineControllerSurfacesDVFSFaults(t *testing.T) {
 	if w.ActuationFailures != 5 {
 		t.Errorf("ActuationFailures = %d, want 5 (one per BG core)", w.ActuationFailures)
 	}
-	if inj.Count(fault.ClassDVFSFail) != 5 {
-		t.Errorf("injected DVFS faults = %d, want 5", inj.Count(fault.ClassDVFSFail))
+	if faults.FaultsByClass()[fault.ClassDVFSFail.String()] != 5 {
+		t.Errorf("injected DVFS faults = %d, want 5", faults.FaultsByClass()[fault.ClassDVFSFail.String()])
 	}
 	for _, c := range bgCores {
 		if l, _ := m.FreqLevel(c); l != m.MaxFreqLevel() {
@@ -87,14 +86,13 @@ func TestFineControllerSurfacesDVFSFaults(t *testing.T) {
 }
 
 func TestFineControllerSurfacesPauseFaults(t *testing.T) {
-	colo, inj := buildFaultyColo(t, []string{"ferret"}, "bwaves", fault.Plan{PauseFail: 1}, 43)
+	colo, faults := buildFaultyColo(t, []string{"ferret"}, "bwaves", fault.Plan{PauseFail: 1}, 43)
 	m := colo.Machine()
 	fgTask := colo.FG()[0].Task
 	var bgTasks, bgCores []int
 	for _, w := range colo.BG() {
 		bgTasks = append(bgTasks, w.Task)
-		c, _ := m.TaskCore(w.Task)
-		bgCores = append(bgCores, c)
+		bgCores = append(bgCores, w.Core)
 	}
 	fc, err := policy.NewFineController(m, []int{fgTask}, []int{0}, bgTasks, bgCores, nil)
 	if err != nil {
@@ -103,13 +101,13 @@ func TestFineControllerSurfacesPauseFaults(t *testing.T) {
 	// Drive badly-behind decisions: BG throttles one grade per decision
 	// until all cores sit at the bottom grade, then the controller reaches
 	// for the pause — which the plan drops.
-	colo.Step() // accumulate some LLC misses for the intrusiveness ranking
+	colo.StepN(1) // accumulate some LLC misses for the intrusiveness ranking
 	for i := 0; i < len(policy.GradesForLevels(9))+2; i++ {
 		if err := fc.Decide(m.Now(), []policy.FGStatus{statusWithSlack(-0.2)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if inj.Count(fault.ClassPauseFail) == 0 {
+	if faults.FaultsByClass()[fault.ClassPauseFail.String()] == 0 {
 		t.Fatal("pause fault never drawn — pause path not reached")
 	}
 	if fc.Window().ActuationFailures == 0 {
@@ -143,11 +141,11 @@ func TestProfileOnlineTimeoutTypedError(t *testing.T) {
 }
 
 func TestProfileOnlineRetriesDroppedResumes(t *testing.T) {
-	colo, inj := buildFaultyColo(t, []string{"fluidanimate"}, "rs", fault.Plan{ResumeFail: 0.3}, 47)
+	colo, faults := buildFaultyColo(t, []string{"fluidanimate"}, "rs", fault.Plan{ResumeFail: 0.3}, 47)
 	if _, err := ProfileOnline(colo, 0, OnlineProfileOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if inj.Count(fault.ClassResumeFail) == 0 {
+	if faults.FaultsByClass()[fault.ClassResumeFail.String()] == 0 {
 		t.Fatal("no resume fault drawn — the retry path was not exercised")
 	}
 	for _, w := range colo.BG() {
@@ -174,14 +172,11 @@ func TestRuntimeReprofilesOnChronicDrift(t *testing.T) {
 	if err := rt.RunExecutions(start+12, sim.Time(5*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Reprofiles() < 1 {
+	if agg.Reprofiles() < 1 {
 		t.Fatal("chronic α drift from a stale profile never triggered a re-profile")
 	}
-	if rt.Reprofiles() > 2 {
-		t.Errorf("Reprofiles = %d; an accurate rebuilt profile should not keep drifting", rt.Reprofiles())
-	}
-	if agg.Reprofiles() != rt.Reprofiles() {
-		t.Errorf("telemetry reprofiles %d != runtime %d", agg.Reprofiles(), rt.Reprofiles())
+	if agg.Reprofiles() > 2 {
+		t.Errorf("Reprofiles = %d; an accurate rebuilt profile should not keep drifting", agg.Reprofiles())
 	}
 	// After recovery the predictor should track reality closely again.
 	if err := rt.RunExecutions(start+16, sim.Time(5*time.Minute)); err != nil {

@@ -64,7 +64,7 @@ func probePredictionAccuracy(t *testing.T, fg, bg string, executions int) (accur
 
 	limit := sim.Time(time.Duration(executions) * 30 * time.Second)
 	for len(recs) < executions && m.Now() < limit {
-		colo.Step()
+		colo.StepN(1)
 		if !tick.Fire(m.Now()) {
 			continue
 		}

@@ -30,7 +30,9 @@ func TestProfileOnlineMatchesOffline(t *testing.T) {
 	offline := profileFor(t, "fluidanimate")
 	colo := buildColo(t, []string{"fluidanimate"}, "rs", false, 31)
 	// Let contention run a while first, as a real system would.
-	colo.Run(sim.Time(2 * time.Second))
+	for colo.Machine().Now() < sim.Time(2*time.Second) {
+		colo.Advance(sim.Time(2 * time.Second))
+	}
 	online, err := ProfileOnline(colo, 0, OnlineProfileOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +61,9 @@ func TestProfileOnlineMatchesOffline(t *testing.T) {
 func TestProfileOnlineDrivesPredictor(t *testing.T) {
 	// An online profile must be usable by a runtime end-to-end.
 	colo := buildColo(t, []string{"fluidanimate"}, "namd", false, 33)
-	colo.Run(sim.Time(time.Second))
+	for colo.Machine().Now() < sim.Time(time.Second) {
+		colo.Advance(sim.Time(time.Second))
+	}
 	profile, err := ProfileOnline(colo, 0, OnlineProfileOptions{})
 	if err != nil {
 		t.Fatal(err)

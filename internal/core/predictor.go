@@ -159,9 +159,6 @@ func (p *Predictor) SetFrequencyFactor(factor float64) {
 	}
 }
 
-// FrequencyFactor returns the current compensation factor.
-func (p *Predictor) FrequencyFactor() float64 { return p.freqFactor }
-
 // SetRecorder attaches a telemetry recorder (nil clears it); stream labels
 // the emitted segment events with the FG stream index.
 func (p *Predictor) SetRecorder(rec telemetry.Recorder, stream int) {
@@ -338,13 +335,4 @@ func (p *Predictor) AlphaMA() float64 {
 		return 1
 	}
 	return p.alphaMA.Value()
-}
-
-// PenaltySeeded reports whether segment i has penalty history (mainly for
-// tests and introspection).
-func (p *Predictor) PenaltySeeded(i int) bool {
-	if i < 0 || i >= len(p.penalties) {
-		return false
-	}
-	return p.penalties[i].Seeded()
 }

@@ -177,11 +177,8 @@ func TestPredictorLearnsAcrossExecutions(t *testing.T) {
 	if lastErr > 0.02 {
 		t.Errorf("midpoint prediction error after training = %.2f%%, want < 2%%", lastErr*100)
 	}
-	if !pred.PenaltySeeded(0) || !pred.PenaltySeeded(9) {
+	if !pred.penalties[0].Seeded() || !pred.penalties[9].Seeded() {
 		t.Error("penalties should be seeded after full executions")
-	}
-	if pred.PenaltySeeded(-1) || pred.PenaltySeeded(99) {
-		t.Error("out-of-range PenaltySeeded should be false")
 	}
 }
 
@@ -219,7 +216,7 @@ func TestPredictorFinishResolvesTail(t *testing.T) {
 		t.Error("Started should be false after Finish")
 	}
 	for i := 0; i < 10; i++ {
-		if !pred.PenaltySeeded(i) {
+		if !pred.penalties[i].Seeded() {
 			t.Errorf("segment %d penalty not seeded after Finish", i)
 		}
 	}

@@ -99,7 +99,6 @@ type Runtime struct {
 	// reprofiling suppresses onComplete while ProfileOnline drives the
 	// collocation (its completions belong to the profiler).
 	reprofiling bool
-	reprofiles  int
 
 	invocations int
 }
@@ -188,10 +187,7 @@ func NewRuntime(colo *sched.Colocation, profiles []*Profile, cfg RuntimeConfig) 
 		pred.BeginExecution(m.Now())
 		r.preds = append(r.preds, pred)
 		r.instrAtStart[i] = m.Counters().Task(f.Task).Instructions
-		streamProfiles[i] = policy.StreamProfile{
-			Benchmark:          profiles[i].Benchmark,
-			StandaloneDuration: profiles[i].TotalDuration(),
-		}
+		streamProfiles[i] = policy.StreamProfile{StandaloneDuration: profiles[i].TotalDuration()}
 		fgTasks = append(fgTasks, f.Task)
 		fgCores = append(fgCores, f.Core)
 		fgStreams = append(fgStreams, i)
@@ -227,29 +223,14 @@ func NewRuntime(colo *sched.Colocation, profiles []*Profile, cfg RuntimeConfig) 
 	return r, nil
 }
 
-// Colocation returns the managed collocation.
-func (r *Runtime) Colocation() *sched.Colocation { return r.colo }
-
 // Predictors returns the per-stream predictors (for evaluation probes).
 func (r *Runtime) Predictors() []*Predictor { return r.preds }
-
-// Policy returns the QoS policy driving the runtime.
-func (r *Runtime) Policy() policy.Policy { return r.pol }
 
 // PolicyName returns the driving policy's registered name.
 func (r *Runtime) PolicyName() string { return r.pol.Name() }
 
 // Capabilities returns the driving policy's declared actuator set.
 func (r *Runtime) Capabilities() policy.Capabilities { return r.pol.Capabilities() }
-
-// Fine returns the Dirigent policy's fine controller (telemetry access),
-// or nil when a different policy drives the runtime.
-func (r *Runtime) Fine() *policy.FineController {
-	if d, ok := r.pol.(*policy.Dirigent); ok {
-		return d.Fine()
-	}
-	return nil
-}
 
 // Coarse returns the Dirigent policy's coarse controller, or nil when
 // partitioning is off or a different policy drives the runtime.
@@ -375,10 +356,6 @@ func (r *Runtime) RemoveBG(task int) error {
 
 // Invocations returns how many runtime invocations (samples) have occurred.
 func (r *Runtime) Invocations() int { return r.invocations }
-
-// Reprofiles returns how many successful in-place re-profiling episodes the
-// runtime has performed.
-func (r *Runtime) Reprofiles() int { return r.reprofiles }
 
 // onComplete handles an FG execution boundary: closes out the predictor,
 // records the execution for the coarse controller, and opens the next
@@ -576,17 +553,6 @@ func (r *Runtime) tick() error {
 	return r.pol.Tick(now, status)
 }
 
-// Run advances until the given simulated time (ceil-aligned like
-// machine.Run).
-func (r *Runtime) Run(until sim.Time) error {
-	for r.colo.Machine().Now() < until {
-		if err := r.Advance(until); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runReprofiles services pending re-profiling requests. Each one pauses BG
 // and records a fresh profile in place (ProfileOnline); on success the
 // stream's predictor is rebuilt over the new profile. Profiling failure is
@@ -624,7 +590,6 @@ func (r *Runtime) reprofileStream(stream int) {
 		if pred, perr := NewPredictor(prof, DefaultEMAWeight); perr == nil {
 			pred.SetRecorder(r.cfg.Recorder, stream)
 			r.preds[stream] = pred
-			r.reprofiles++
 		}
 	}
 

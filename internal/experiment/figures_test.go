@@ -338,8 +338,12 @@ func TestPDFCurves(t *testing.T) {
 		t.Fatalf("curves = %d", len(curves))
 	}
 	for c, h := range curves {
-		if h.Total() != 4 {
-			t.Errorf("%s histogram total = %d", c, h.Total())
+		total := 0
+		for _, n := range h.Counts {
+			total += n
+		}
+		if total != 4 {
+			t.Errorf("%s histogram total = %d", c, total)
 		}
 	}
 	out := RenderPDFCurves(res.Mix, curves)

@@ -113,6 +113,15 @@ func (r *Runner) StartSession(mix Mix, p RunParams) (*Session, error) {
 	if p.ExtraWarmup < 0 {
 		return nil, fmt.Errorf("experiment: negative extra warmup %d", p.ExtraWarmup)
 	}
+	if p.Executions < 0 {
+		return nil, fmt.Errorf("experiment: negative executions %d", p.Executions)
+	}
+	if p.FGWays < 0 {
+		return nil, fmt.Errorf("experiment: negative FG ways %d", p.FGWays)
+	}
+	if err := p.Faults.Validate(); err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
+	}
 	if p.Executions <= 0 {
 		p.Executions = r.Executions
 	}

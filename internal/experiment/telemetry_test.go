@@ -58,10 +58,11 @@ func TestAggregatorMatchesGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	kinds := kindSink{}
 	rt, err := core.NewRuntime(colo, []*core.Profile{prof}, core.RuntimeConfig{
 		Targets:            []time.Duration{500 * time.Millisecond},
 		EnablePartitioning: true,
-		Recorder:           agg,
+		Recorder:           telemetry.Tee(agg, kinds),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,9 +71,6 @@ func TestAggregatorMatchesGroundTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !agg.Started() {
-		t.Fatal("aggregator never saw machine start")
-	}
 	// Frequency residency replayed from quantum steps + DVFS transitions
 	// must equal the machine's per-core accounting exactly, on every core.
 	for c := 0; c < m.NumCores(); c++ {
@@ -119,8 +117,8 @@ func TestAggregatorMatchesGroundTruth(t *testing.T) {
 	if agg.Fine().Decisions == 0 {
 		t.Error("no fine decisions aggregated")
 	}
-	if agg.Segments() == 0 {
-		t.Error("no segment penalties aggregated")
+	if kinds[telemetry.KindSegmentPenalty] == 0 {
+		t.Error("no segment penalties emitted")
 	}
 }
 
@@ -210,6 +208,13 @@ func TestRunnerRecorderLabelsRuns(t *testing.T) {
 		}
 	}
 }
+
+// kindSink counts events by kind.
+type kindSink map[telemetry.Kind]int
+
+func (s kindSink) Enabled(telemetry.Kind) bool { return true }
+
+func (s kindSink) Record(ev telemetry.Event) { s[ev.Kind]++ }
 
 type labelSink struct {
 	mu   sync.Mutex

@@ -26,6 +26,8 @@
 package fault
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	"dirigent/internal/sim"
@@ -122,6 +124,27 @@ type Plan struct {
 	ProfileRephase float64
 }
 
+// Validate reports the first field outside its range: every probability
+// must lie in [0, 1], and CounterNoise, both latencies, ProfileScale and
+// ProfileRephase must be non-negative.
+func (p Plan) Validate() error {
+	inf := math.Inf(1)
+	for _, f := range []struct {
+		name   string
+		v, max float64
+	}{
+		{"CounterDropout", p.CounterDropout, 1}, {"TickDrop", p.TickDrop, 1}, {"TickLate", p.TickLate, 1},
+		{"DVFSFail", p.DVFSFail, 1}, {"DVFSLate", p.DVFSLate, 1}, {"PauseFail", p.PauseFail, 1}, {"ResumeFail", p.ResumeFail, 1},
+		{"CounterNoise", p.CounterNoise, inf}, {"TickLatency", float64(p.TickLatency), inf},
+		{"DVFSLatency", float64(p.DVFSLatency), inf}, {"ProfileScale", p.ProfileScale, inf}, {"ProfileRephase", p.ProfileRephase, inf},
+	} {
+		if !(f.v >= 0 && f.v <= f.max) {
+			return fmt.Errorf("fault: %s %g is outside [0, %g]", f.name, f.v, f.max)
+		}
+	}
+	return nil
+}
+
 // Active reports whether the plan can inject anything at run time (the
 // profile-staleness fields are applied at setup time and do not count).
 func (p Plan) Active() bool {
@@ -151,17 +174,16 @@ func (p Plan) withDefaults() Plan {
 // Injector executes a Plan deterministically. Each fault class owns an
 // independent seeded stream, and classes with zero intensity never draw, so
 // intensities can be varied per class without perturbing the others. Every
-// injected fault is counted and emitted as a KindFault telemetry event
-// (Reason = class name). Not safe for concurrent use — one injector per
+// injected fault is emitted as a KindFault telemetry event (Reason = class
+// name). Not safe for concurrent use — one injector per
 // simulated run, shared between the machine and the runtime.
 //
 // All methods are nil-receiver safe and behave as "no fault", so call
 // sites need no nil checks.
 type Injector struct {
-	plan   Plan
-	rec    telemetry.Recorder
-	rng    [numClasses]*sim.Rand
-	counts [numClasses]int
+	plan Plan
+	rec  telemetry.Recorder
+	rng  [numClasses]*sim.Rand
 }
 
 // faultSeedSalt decorrelates the injector's streams from other users of the
@@ -180,39 +202,7 @@ func NewInjector(plan Plan, seed uint64, rec telemetry.Recorder) *Injector {
 	return in
 }
 
-// Plan returns the injector's plan (with latency defaults resolved).
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
-}
-
-// Active reports whether the injector can inject run-time faults.
-func (in *Injector) Active() bool { return in != nil && in.plan.Active() }
-
-// Count returns how many faults of one class have been injected.
-func (in *Injector) Count(c Class) int {
-	if in == nil || c >= numClasses {
-		return 0
-	}
-	return in.counts[c]
-}
-
-// Total returns how many faults have been injected across all classes.
-func (in *Injector) Total() int {
-	if in == nil {
-		return 0
-	}
-	t := 0
-	for _, n := range in.counts {
-		t += n
-	}
-	return t
-}
-
 func (in *Injector) emit(now sim.Time, c Class, task, core, stream int, delay time.Duration) {
-	in.counts[c]++
 	if in.rec.Enabled(telemetry.KindFault) {
 		in.rec.Record(telemetry.Event{
 			Kind: telemetry.KindFault, At: now,

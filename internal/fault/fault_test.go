@@ -55,13 +55,11 @@ func TestNilInjectorIsNoFault(t *testing.T) {
 	if in.PauseFails(0, 1, 2) || in.ResumeFails(0, 1, 2) {
 		t.Error("nil pause/resume must succeed")
 	}
-	if in.Active() || in.Total() != 0 || in.Count(ClassTickDrop) != 0 {
-		t.Error("nil injector has no state")
-	}
 }
 
 func TestZeroPlanNeverInjects(t *testing.T) {
-	in := NewInjector(Plan{}, 7, nil)
+	agg := telemetry.NewAggregator()
+	in := NewInjector(Plan{}, 7, agg)
 	for i := 0; i < 1000; i++ {
 		if d, ok := in.CounterRead(0, 0, 5); d != 5 || !ok {
 			t.Fatal("zero plan perturbed a counter read")
@@ -76,15 +74,16 @@ func TestZeroPlanNeverInjects(t *testing.T) {
 			t.Fatal("zero plan perturbed pause/resume")
 		}
 	}
-	if in.Total() != 0 {
-		t.Errorf("Total = %d, want 0", in.Total())
+	if agg.Faults() != 0 {
+		t.Errorf("Faults = %d, want 0", agg.Faults())
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	plan := Plan{CounterDropout: 0.3, TickDrop: 0.2, DVFSFail: 0.4, PauseFail: 0.5}
-	a := NewInjector(plan, 42, nil)
-	b := NewInjector(plan, 42, nil)
+	aggA, aggB := telemetry.NewAggregator(), telemetry.NewAggregator()
+	a := NewInjector(plan, 42, aggA)
+	b := NewInjector(plan, 42, aggB)
 	other := NewInjector(plan, 43, nil)
 	same, diff := true, true
 	for i := 0; i < 500; i++ {
@@ -106,8 +105,8 @@ func TestDeterminism(t *testing.T) {
 	if diff {
 		t.Error("different seeds should diverge")
 	}
-	if a.Total() != b.Total() {
-		t.Errorf("counts diverged: %d vs %d", a.Total(), b.Total())
+	if aggA.Faults() != aggB.Faults() {
+		t.Errorf("counts diverged: %d vs %d", aggA.Faults(), aggB.Faults())
 	}
 }
 
@@ -128,7 +127,8 @@ func TestClassStreamsIndependent(t *testing.T) {
 
 func TestProbabilitiesAndCounts(t *testing.T) {
 	const n = 20000
-	in := NewInjector(Plan{CounterDropout: 0.25}, 5, nil)
+	agg := telemetry.NewAggregator()
+	in := NewInjector(Plan{CounterDropout: 0.25}, 5, agg)
 	drops := 0
 	for i := 0; i < n; i++ {
 		if _, ok := in.CounterRead(0, 0, 1); !ok {
@@ -139,11 +139,11 @@ func TestProbabilitiesAndCounts(t *testing.T) {
 	if math.Abs(got-0.25) > 0.02 {
 		t.Errorf("dropout rate %.3f, want ~0.25", got)
 	}
-	if in.Count(ClassCounterDropout) != drops {
-		t.Errorf("Count = %d, want %d", in.Count(ClassCounterDropout), drops)
+	if got := agg.FaultsByClass()[ClassCounterDropout.String()]; got != drops {
+		t.Errorf("counter-dropout faults = %d, want %d", got, drops)
 	}
-	if in.Total() != drops {
-		t.Errorf("Total = %d, want %d", in.Total(), drops)
+	if agg.Faults() != drops {
+		t.Errorf("Faults = %d, want %d", agg.Faults(), drops)
 	}
 }
 
@@ -173,10 +173,10 @@ func TestCounterNoiseIsUnbiasedMultiplicative(t *testing.T) {
 
 func TestLatencyDefaults(t *testing.T) {
 	in := NewInjector(Plan{TickLate: 1, DVFSLate: 1}, 3, nil)
-	if got := in.Plan().TickLatency; got != DefaultTickLatency {
+	if got := in.plan.TickLatency; got != DefaultTickLatency {
 		t.Errorf("TickLatency default = %v", got)
 	}
-	if got := in.Plan().DVFSLatency; got != DefaultDVFSLatency {
+	if got := in.plan.DVFSLatency; got != DefaultDVFSLatency {
 		t.Errorf("DVFSLatency default = %v", got)
 	}
 	if drop, delay := in.TickOutcome(0); drop || delay != DefaultTickLatency {
@@ -206,8 +206,5 @@ func TestFaultTelemetry(t *testing.T) {
 	by := agg.FaultsByClass()
 	if by["pause-fail"] != 1 || by["resume-fail"] != 1 {
 		t.Errorf("FaultsByClass = %v", by)
-	}
-	if in.Count(ClassPauseFail) != 1 || in.Count(ClassResumeFail) != 1 {
-		t.Error("per-class counts wrong")
 	}
 }

@@ -1,6 +1,7 @@
 package load
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -39,8 +40,8 @@ func TestReplayChurn(t *testing.T) {
 		t.Errorf("dropped %d / failed %d (first: %s)", rep.DroppedTotal, rep.FailedTotal, rep.FailSample)
 	}
 	creates, _, _ := tr.Counts()
-	if cs := rep.OpStat(OpCreate); cs == nil || cs.N != creates {
-		t.Errorf("create stats = %+v, want n=%d", cs, creates)
+	if i := slices.IndexFunc(rep.API, func(s OpStats) bool { return s.Op == OpCreate }); i < 0 || rep.API[i].N != creates {
+		t.Errorf("create stats = %+v, want n=%d", rep.API, creates)
 	}
 	if rep.QoS == nil || rep.QoS.N == 0 {
 		t.Error("no QoS samples collected at eviction")

@@ -65,7 +65,7 @@ func TestSynthesizeDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(tr1.Encode(), tr2.Encode()) {
+			if !bytes.Equal(encode(t, tr1), encode(t, tr2)) {
 				t.Fatal("same seed produced different traces")
 			}
 			if len(tr1.Events) == 0 {
@@ -75,7 +75,7 @@ func TestSynthesizeDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bytes.Equal(tr1.Encode(), other.Encode()) {
+			if bytes.Equal(encode(t, tr1), encode(t, other)) {
 				t.Fatal("different seeds produced identical traces — the comparison is vacuous")
 			}
 		})
@@ -93,7 +93,7 @@ func TestSynthesizeDefaultSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(byZero.Encode(), bySpec.Encode()) {
+	if !bytes.Equal(encode(t, byZero), encode(t, bySpec)) {
 		t.Fatal("seed 0 did not fall back to the spec seed")
 	}
 }
@@ -112,7 +112,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(tr.Encode(), back.Encode()) {
+	if !bytes.Equal(encode(t, tr), encode(t, back)) {
 		t.Fatal("trace changed across a write/read round trip")
 	}
 	if back.Spec != tr.Spec || back.Seed != tr.Seed || back.Suppressed != tr.Suppressed {
@@ -126,7 +126,7 @@ func TestReadTraceTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := tr.Encode()
+	full := encode(t, tr)
 	cut := bytes.TrimRight(full, "\n")
 	cut = cut[:bytes.LastIndexByte(cut, '\n')+1]
 	if _, err := ReadTrace(bytes.NewReader(cut)); err == nil {
@@ -243,4 +243,14 @@ func TestSynthesizeRejectsInvalidSpec(t *testing.T) {
 	if _, err := Synthesize(spec, 0); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
+}
+
+// encode returns the trace's canonical JSONL bytes.
+func encode(t *testing.T, tr *Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

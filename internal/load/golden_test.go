@@ -56,7 +56,7 @@ func TestPinnedTraceGolden(t *testing.T) {
 	}
 	g.Spec, g.Seed, g.Events = tr.Spec, tr.Seed, len(tr.Events)
 	g.Creates, g.Retargets, g.Evicts = tr.Counts()
-	sum := sha256.Sum256(tr.Encode())
+	sum := sha256.Sum256(encode(t, tr))
 	g.TraceSHA256 = hex.EncodeToString(sum[:])
 	golden.Check(t, "testdata/golden/pinned_trace.json", g)
 }

@@ -155,16 +155,6 @@ func (r *recorder) report() *Report {
 	return rep
 }
 
-// OpStat returns the named operation's row, or nil.
-func (r *Report) OpStat(op Op) *OpStats {
-	for i := range r.API {
-		if r.API[i].Op == op {
-			return &r.API[i]
-		}
-	}
-	return nil
-}
-
 // Text renders the report for terminals.
 func (r *Report) Text() string {
 	var b strings.Builder

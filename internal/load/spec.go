@@ -170,9 +170,6 @@ type Spec struct {
 	file string
 }
 
-// File returns the path the spec was loaded from ("" for in-memory specs).
-func (s Spec) File() string { return s.file }
-
 // where prefixes validation errors with the source file when known.
 func (s Spec) where() string {
 	if s.file == "" {

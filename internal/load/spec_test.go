@@ -42,8 +42,8 @@ func TestLoadSpecValid(t *testing.T) {
 	if s.Name != "smoke" || s.Seed != 7 || s.MaxLive != 8 || len(s.Tenants) != 2 {
 		t.Errorf("unexpected spec: %+v", s)
 	}
-	if s.File() != path {
-		t.Errorf("File() = %q, want %q", s.File(), path)
+	if s.file != path {
+		t.Errorf("file = %q, want %q", s.file, path)
 	}
 	if got := s.Template("base"); got == nil || got.ConfigName() != "Baseline" {
 		t.Errorf("Template(base) = %+v", got)

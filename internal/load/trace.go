@@ -122,14 +122,6 @@ func writeLine(w *bufio.Writer, v any) error {
 	return w.WriteByte('\n')
 }
 
-// Encode returns the trace's canonical JSONL bytes (Write into memory).
-func (t *Trace) Encode() []byte {
-	var buf bytes.Buffer
-	// Writing to a bytes.Buffer cannot fail.
-	_ = t.Write(&buf)
-	return buf.Bytes()
-}
-
 // ReadTrace parses a JSONL trace, validating the header and the event
 // stream's invariants: contiguous seq numbers (a gap means truncation or
 // hand-editing), non-decreasing timestamps, and known operations.

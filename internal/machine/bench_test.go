@@ -34,7 +34,7 @@ func BenchmarkMachineStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Step()
+		m.StepN(1)
 	}
 }
 
@@ -47,6 +47,6 @@ func BenchmarkMachineStepAggregator(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Step()
+		m.StepN(1)
 	}
 }

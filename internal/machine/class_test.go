@@ -16,13 +16,6 @@ func TestClassRegistry(t *testing.T) {
 		t.Fatalf("ClassNames() = %v, want %v", names, want)
 	}
 	for _, n := range names {
-		cl, err := LookupClass(n)
-		if err != nil {
-			t.Fatalf("LookupClass(%q): %v", n, err)
-		}
-		if cl.Name != n || cl.Description == "" || cl.Config == nil {
-			t.Errorf("class %q incomplete: %+v", n, cl)
-		}
 		cfg, err := ClassConfig(n)
 		if err != nil {
 			t.Fatalf("ClassConfig(%q): %v", n, err)
@@ -90,9 +83,9 @@ func TestHomogeneousCoreSetByteIdentity(t *testing.T) {
 	a := build(nil)
 	b := build([]CoreSet{{Count: 6, FreqScale: 1, IPCScale: 1, Socket: 0}})
 	for i := 0; i < 5000; i++ {
-		a.Step()
-		b.Step()
-		if ua, ub := a.LastUtilization(), b.LastUtilization(); ua != ub {
+		a.StepN(1)
+		b.StepN(1)
+		if ua, ub := a.memory.LastUtilization(), b.memory.LastUtilization(); ua != ub {
 			t.Fatalf("step %d: utilization diverged: %v vs %v", i, ua, ub)
 		}
 	}
@@ -148,7 +141,7 @@ func TestHeterogeneousFrequencyAndIPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2000; i++ {
-		m.Step()
+		m.StepN(1)
 	}
 	bigInstr := m.Counters().Task(1).Instructions
 	littleInstr := m.Counters().Task(2).Instructions
@@ -206,7 +199,7 @@ func TestPhaseTermsFollowPhaseProgramAndCore(t *testing.T) {
 				seen[ph.Name]++
 				r.want += f * 1e9 * dtSec / (ph.BaseCPI * r.scale)
 			}
-			m.Step()
+			m.StepN(1)
 			for _, r := range runs {
 				if got := m.Counters().Task(r.id).Instructions; got != r.want {
 					t.Fatalf("core %d, after a quantum of phase %q: %v instructions retired in all, want %v",
@@ -234,10 +227,10 @@ func TestMultiSocketIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := MustNew(cfg)
-	if s, _ := m.CoreSocket(0); s != 0 {
+	if s := m.coreSocket[0]; s != 0 {
 		t.Fatalf("core 0 socket = %d, want 0", s)
 	}
-	if s, _ := m.CoreSocket(4); s != 1 {
+	if s := m.coreSocket[4]; s != 1 {
 		t.Fatalf("core 4 socket = %d, want 1", s)
 	}
 	// Saturate socket 0 with memory-bound tasks; socket 1 idles.
@@ -248,17 +241,17 @@ func TestMultiSocketIsolation(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		m.Step()
+		m.StepN(1)
 	}
-	u0 := m.Memory().LastSocketUtilization(0)
-	u1 := m.Memory().LastSocketUtilization(1)
+	u0 := m.memory.LastSocketUtilization(0)
+	u1 := m.memory.LastSocketUtilization(1)
 	if u0 < 0.5 {
 		t.Fatalf("socket 0 utilization %.3f, want saturated", u0)
 	}
 	if u1 != 0 {
 		t.Fatalf("socket 1 utilization %.3f, want 0 (isolated)", u1)
 	}
-	if got := m.Memory().LastUtilization(); got != u0 {
+	if got := m.memory.LastUtilization(); got != u0 {
 		t.Fatalf("headline utilization %v != bottleneck socket %v", got, u0)
 	}
 }
@@ -285,7 +278,7 @@ func TestMultiSocketIsolationHelpsVictim(t *testing.T) {
 			}
 		}
 		for i := 0; i < 3000; i++ {
-			m.Step()
+			m.StepN(1)
 		}
 		return m.Counters().Task(id).Instructions
 	}

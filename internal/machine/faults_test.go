@@ -10,19 +10,22 @@ import (
 	"dirigent/internal/telemetry"
 )
 
-func newFaultyMachine(t *testing.T, plan fault.Plan) *Machine {
+// newFaultyMachine builds a machine under plan and returns it with an
+// aggregator that counts the injector's faults.
+func newFaultyMachine(t *testing.T, plan fault.Plan) (*Machine, *telemetry.Aggregator) {
 	t.Helper()
+	faults := telemetry.NewAggregator()
 	cfg := DefaultConfig()
-	cfg.Faults = fault.NewInjector(plan, 17, nil)
+	cfg.Faults = fault.NewInjector(plan, 17, faults)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return m, faults
 }
 
 func TestSetFreqLevelFaultFail(t *testing.T) {
-	m := newFaultyMachine(t, fault.Plan{DVFSFail: 1})
+	m, faults := newFaultyMachine(t, fault.Plan{DVFSFail: 1})
 	err := m.SetFreqLevel(0, 2)
 	if !errors.Is(err, ErrActuation) {
 		t.Fatalf("err = %v, want ErrActuation", err)
@@ -35,13 +38,13 @@ func TestSetFreqLevelFaultFail(t *testing.T) {
 	if err := m.SetFreqLevel(0, m.MaxFreqLevel()); err != nil {
 		t.Errorf("no-op request drew a fault: %v", err)
 	}
-	if got := m.cfg.Faults.Count(fault.ClassDVFSFail); got != 1 {
+	if got := faults.FaultsByClass()[fault.ClassDVFSFail.String()]; got != 1 {
 		t.Errorf("DVFSFail count = %d, want 1", got)
 	}
 }
 
 func TestSetFreqLevelFaultLatency(t *testing.T) {
-	m := newFaultyMachine(t, fault.Plan{DVFSLate: 1})
+	m, faults := newFaultyMachine(t, fault.Plan{DVFSLate: 1})
 	agg := telemetry.NewAggregator()
 	m.SetRecorder(agg)
 	launch(t, m, "ferret", 0, 0)
@@ -82,12 +85,12 @@ func TestSetFreqLevelFaultLatency(t *testing.T) {
 	if err := m.SetFreqLevel(0, 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.cfg.Faults.Count(fault.ClassDVFSLate); got != 1 {
+	if got := faults.FaultsByClass()[fault.ClassDVFSLate.String()]; got != 1 {
 		t.Errorf("DVFSLate count = %d, want 1", got)
 	}
 	// Step past the 500 µs default latency (250 µs quanta).
 	for i := 0; i < 3; i++ {
-		m.Step()
+		m.StepN(1)
 	}
 	if l, _ := m.FreqLevel(0); l != 3 {
 		t.Errorf("transition did not commit after its latency: level %d", l)
@@ -124,7 +127,7 @@ func TestSetFreqLevelFaultLatency(t *testing.T) {
 }
 
 func TestPauseResumeFaults(t *testing.T) {
-	m := newFaultyMachine(t, fault.Plan{PauseFail: 1})
+	m, _ := newFaultyMachine(t, fault.Plan{PauseFail: 1})
 	id := launch(t, m, "ferret", 0, 0)
 	if err := m.Pause(id); !errors.Is(err, ErrActuation) {
 		t.Fatalf("Pause err = %v, want ErrActuation", err)
@@ -133,7 +136,7 @@ func TestPauseResumeFaults(t *testing.T) {
 		t.Error("failed pause must leave the task running")
 	}
 
-	m2 := newFaultyMachine(t, fault.Plan{ResumeFail: 1})
+	m2, _ := newFaultyMachine(t, fault.Plan{ResumeFail: 1})
 	id2 := launch(t, m2, "ferret", 0, 0)
 	if err := m2.Pause(id2); err != nil {
 		t.Fatal(err)

@@ -422,9 +422,6 @@ func (m *Machine) Now() sim.Time { return m.clock.Now() }
 // CAT interface).
 func (m *Machine) LLC() *cache.LLC { return m.llc }
 
-// Memory exposes the memory system for observability.
-func (m *Machine) Memory() *mem.Memory { return m.memory }
-
 // Counters exposes the performance-counter file.
 func (m *Machine) Counters() *perf.Counters { return m.counters }
 
@@ -499,14 +496,6 @@ func (m *Machine) SetProgram(taskID int, prog *workload.Program) error {
 	return nil
 }
 
-// SetClass moves a task to a different LLC partition class.
-func (m *Machine) SetClass(taskID int, class cache.ClassID) error {
-	if _, ok := m.tasks[taskID]; !ok {
-		return fmt.Errorf("machine: unknown task %d", taskID)
-	}
-	return m.llc.Register(taskID, class)
-}
-
 // Pause stops a task from executing; its core idles and its cache occupancy
 // decays under pressure from active tasks.
 func (m *Machine) Pause(taskID int) error {
@@ -557,42 +546,6 @@ func (m *Machine) Paused(taskID int) (bool, error) {
 		return false, fmt.Errorf("machine: unknown task %d", taskID)
 	}
 	return t.paused, nil
-}
-
-// TaskCore returns the core a task is pinned to.
-func (m *Machine) TaskCore(taskID int) (int, error) {
-	t, ok := m.tasks[taskID]
-	if !ok {
-		return 0, fmt.Errorf("machine: unknown task %d", taskID)
-	}
-	return t.core, nil
-}
-
-// TaskName returns a task's name.
-func (m *Machine) TaskName(taskID int) (string, error) {
-	t, ok := m.tasks[taskID]
-	if !ok {
-		return "", fmt.Errorf("machine: unknown task %d", taskID)
-	}
-	return t.name, nil
-}
-
-// Program returns the program a task currently runs.
-func (m *Machine) Program(taskID int) (*workload.Program, error) {
-	t, ok := m.tasks[taskID]
-	if !ok {
-		return nil, fmt.Errorf("machine: unknown task %d", taskID)
-	}
-	return t.program, nil
-}
-
-// Tasks returns the IDs of all live tasks (in unspecified order).
-func (m *Machine) Tasks() []int {
-	out := make([]int, 0, len(m.tasks))
-	for id := range m.tasks {
-		out = append(out, id)
-	}
-	return out
 }
 
 func (m *Machine) checkCore(core int) error {
@@ -701,14 +654,6 @@ func (m *Machine) CoreMaxFreqGHz(core int) (float64, error) {
 	return m.ladder[core][len(m.cfg.FreqLevelsGHz)-1], nil
 }
 
-// CoreSocket returns the memory socket a core's traffic contends on.
-func (m *Machine) CoreSocket(core int) (int, error) {
-	if err := m.checkCore(core); err != nil {
-		return 0, err
-	}
-	return m.coreSocket[core], nil
-}
-
 // FreqResidency returns the cumulative time core has spent at each
 // frequency level (indexed by level), for Fig. 12.
 func (m *Machine) FreqResidency(core int) ([]time.Duration, error) {
@@ -738,16 +683,6 @@ func (m *Machine) ChargeOverhead(core int, d time.Duration) error {
 	}
 	m.overheadOwed[core] += d
 	return nil
-}
-
-// LastUtilization returns memory utilization of the last quantum.
-func (m *Machine) LastUtilization() float64 { return m.memory.LastUtilization() }
-
-// Step advances the machine by one quantum and returns any foreground
-// completions that occurred in it.
-func (m *Machine) Step() []Completion {
-	done, _ := m.StepN(1)
-	return done
 }
 
 // StepN advances the machine by up to max quanta in one batched call and
@@ -1010,22 +945,4 @@ func (m *Machine) corePass(socket int, lat time.Duration) float64 {
 		demand += float64(cs.instr * cs.mpi * BytesPerMiss)
 	}
 	return demand
-}
-
-// Run advances the machine until the given simulated time, invoking onStep
-// (if non-nil) after every quantum with that quantum's completions. It is a
-// convenience for tests and examples; the scheduler batches through StepN.
-//
-// Coverage is ceil-aligned like QuantaUntil: when until is not
-// quantum-aligned the final covering quantum still runs in full and its
-// completions are delivered — the machine stops at the first quantum
-// boundary at or after until, never short of it. Pinned by
-// TestRunUnalignedUntil.
-func (m *Machine) Run(until sim.Time, onStep func(now sim.Time, done []Completion)) {
-	for m.clock.Now() < until {
-		done := m.Step()
-		if onStep != nil {
-			onStep(m.clock.Now(), done)
-		}
-	}
 }

@@ -18,6 +18,14 @@ func newTestMachine(t *testing.T) *Machine {
 	return m
 }
 
+// run steps m until the quantum boundary at or after until, in the
+// StepN batches every stepping loop uses.
+func run(m *Machine, until time.Duration) {
+	for m.Now() < sim.Time(until) {
+		m.StepN(m.QuantaUntil(sim.Time(until)))
+	}
+}
+
 func launch(t *testing.T, m *Machine, bench string, core int, class cache.ClassID) int {
 	t.Helper()
 	prog := workload.MustProgram(workload.MustByName(bench))
@@ -37,7 +45,8 @@ func runUntilCompletions(t *testing.T, m *Machine, task, n int, limit time.Durat
 		if m.Now() > sim.Time(limit) {
 			t.Fatalf("task %d: only %d/%d completions within %v", task, len(times), n, limit)
 		}
-		for _, c := range m.Step() {
+		done, _ := m.StepN(1)
+		for _, c := range done {
 			if c.Task == task {
 				times = append(times, c.At)
 			}
@@ -88,17 +97,8 @@ func TestMustNewPanics(t *testing.T) {
 func TestLaunchAndTaskAccessors(t *testing.T) {
 	m := newTestMachine(t)
 	id := launch(t, m, "ferret", 0, 0)
-	if core, err := m.TaskCore(id); err != nil || core != 0 {
-		t.Errorf("TaskCore = %d, %v", core, err)
-	}
-	if name, err := m.TaskName(id); err != nil || name != "ferret" {
-		t.Errorf("TaskName = %q, %v", name, err)
-	}
-	if p, err := m.Program(id); err != nil || p.Benchmark().Name != "ferret" {
-		t.Errorf("Program = %v, %v", p, err)
-	}
-	if got := m.Tasks(); len(got) != 1 || got[0] != id {
-		t.Errorf("Tasks = %v", got)
+	if task := m.tasks[id]; len(m.tasks) != 1 || task.core != 0 || task.name != "ferret" || task.program.Benchmark().Name != "ferret" {
+		t.Errorf("tasks = %v, want ferret on core 0 as task %d", m.tasks, id)
 	}
 	// Core busy.
 	if _, err := m.Launch("x", workload.MustProgram(workload.MustByName("namd")), 0, 0); err == nil {
@@ -139,20 +139,8 @@ func TestUnknownTaskErrors(t *testing.T) {
 	if _, err := m.Paused(42); err == nil {
 		t.Error("Paused(unknown) should error")
 	}
-	if _, err := m.TaskCore(42); err == nil {
-		t.Error("TaskCore(unknown) should error")
-	}
-	if _, err := m.TaskName(42); err == nil {
-		t.Error("TaskName(unknown) should error")
-	}
-	if _, err := m.Program(42); err == nil {
-		t.Error("Program(unknown) should error")
-	}
 	if err := m.SetProgram(42, nil); err == nil {
 		t.Error("SetProgram(unknown) should error")
-	}
-	if err := m.SetClass(42, 0); err == nil {
-		t.Error("SetClass(unknown) should error")
 	}
 }
 
@@ -271,9 +259,8 @@ func TestDVFSThrottlingSlowsTask(t *testing.T) {
 func TestPauseStopsProgress(t *testing.T) {
 	m := newTestMachine(t)
 	id := launch(t, m, "ferret", 0, 0)
-	m.Run(50*time.Millisecond, nil)
-	prog, _ := m.Program(id)
-	before := prog.Executed()
+	run(m, 50*time.Millisecond)
+	before := m.Counters().Task(id).Instructions
 	if before == 0 {
 		t.Fatal("task should have progressed")
 	}
@@ -283,20 +270,16 @@ func TestPauseStopsProgress(t *testing.T) {
 	if p, _ := m.Paused(id); !p {
 		t.Error("Paused should report true")
 	}
-	m.Run(100*time.Millisecond, nil)
-	if prog.Executed() != before {
+	run(m, 100*time.Millisecond)
+	if m.Counters().Task(id).Instructions != before {
 		t.Error("paused task should not progress")
 	}
-	instrBefore := m.Counters().Task(id).Instructions
 	if err := m.Resume(id); err != nil {
 		t.Fatal(err)
 	}
-	m.Run(150*time.Millisecond, nil)
-	if prog.Executed() <= before {
+	run(m, 150*time.Millisecond)
+	if m.Counters().Task(id).Instructions <= before {
 		t.Error("resumed task should progress")
-	}
-	if m.Counters().Task(id).Instructions <= instrBefore {
-		t.Error("resumed task should accrue counters")
 	}
 }
 
@@ -329,7 +312,7 @@ func TestPausingBGRemovesInterference(t *testing.T) {
 func TestOverheadChargingStealsTime(t *testing.T) {
 	base := newTestMachine(t)
 	idB := launch(t, base, "namd", 0, 0)
-	base.Run(200*time.Millisecond, nil)
+	run(base, 200*time.Millisecond)
 	instrBase := base.Counters().Task(idB).Instructions
 
 	loaded := newTestMachine(t)
@@ -337,7 +320,7 @@ func TestOverheadChargingStealsTime(t *testing.T) {
 	// Steal 100µs every 5ms ≈ 2% of the core.
 	tick := sim.MustTicker(5 * time.Millisecond)
 	for loaded.Now() < sim.Time(200*time.Millisecond) {
-		loaded.Step()
+		loaded.StepN(1)
 		if tick.Fire(loaded.Now()) {
 			if err := loaded.ChargeOverhead(0, 100*time.Microsecond); err != nil {
 				t.Fatal(err)
@@ -401,11 +384,11 @@ func TestSeedChangesOutcome(t *testing.T) {
 func TestFreqResidencyAccounting(t *testing.T) {
 	m := newTestMachine(t)
 	launch(t, m, "namd", 0, 0)
-	m.Run(10*time.Millisecond, nil)
+	run(m, 10*time.Millisecond)
 	if err := m.SetFreqLevel(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	m.Run(30*time.Millisecond, nil)
+	run(m, 30*time.Millisecond)
 	res, err := m.FreqResidency(0)
 	if err != nil {
 		t.Fatal(err)
@@ -428,8 +411,7 @@ func TestSetProgramSwapsWorkload(t *testing.T) {
 	if err := m.SetProgram(id, next); err != nil {
 		t.Fatal(err)
 	}
-	p, _ := m.Program(id)
-	if p.Benchmark().Name != "namd" {
+	if p := m.tasks[id].program; p != next {
 		t.Errorf("program after swap = %s", p.Benchmark().Name)
 	}
 	if err := m.SetProgram(id, nil); err == nil {
@@ -445,15 +427,15 @@ func TestMemoryUtilizationUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.Run(500*time.Millisecond, nil)
-	u := m.LastUtilization()
+	run(m, 500*time.Millisecond)
+	u := m.memory.LastUtilization()
 	if u < 0.3 {
 		t.Errorf("six lbm streamers should load memory: U = %.3f", u)
 	}
 	empty := newTestMachine(t)
-	empty.Run(10*time.Millisecond, nil)
-	if empty.LastUtilization() != 0 {
-		t.Errorf("idle machine utilization = %g", empty.LastUtilization())
+	run(empty, 10*time.Millisecond)
+	if empty.memory.LastUtilization() != 0 {
+		t.Errorf("idle machine utilization = %g", empty.memory.LastUtilization())
 	}
 }
 
@@ -461,10 +443,13 @@ func TestRunCallback(t *testing.T) {
 	m := newTestMachine(t)
 	launch(t, m, "fluidanimate", 0, 0)
 	steps := 0
-	m.Run(time.Millisecond, func(now sim.Time, done []Completion) { steps++ })
+	for m.Now() < sim.Time(time.Millisecond) {
+		_, n := m.StepN(m.QuantaUntil(sim.Time(time.Millisecond)))
+		steps += n
+	}
 	want := int(time.Millisecond / m.Config().Quantum)
 	if steps != want {
-		t.Errorf("callback fired %d times over 1ms, want %d", steps, want)
+		t.Errorf("StepN reported %d quanta over 1ms, want %d", steps, want)
 	}
 }
 
@@ -476,19 +461,22 @@ func TestSetClassMovesTask(t *testing.T) {
 	}
 	id := launch(t, m, "ferret", 0, 0)
 	// Warm in class 0.
-	m.Run(200*time.Millisecond, nil)
-	before := m.LLC().Occupancy(id)
+	run(m, 200*time.Millisecond)
+	// The hit rate over a working set larger than the cache grows strictly
+	// with the task's occupancy, so it reads the occupancy back.
+	occupancy := func() float64 { return m.LLC().HitRateRef(m.LLC().Ref(id), 1<<30, 1) }
+	before := occupancy()
 	if before <= 0 {
 		t.Fatal("no occupancy accrued")
 	}
-	if err := m.SetClass(id, cl); err != nil {
+	if err := m.LLC().Register(id, cl); err != nil {
 		t.Fatal(err)
 	}
 	// Occupancy persists across the class move (data does not vanish).
-	if got := m.LLC().Occupancy(id); got != before {
+	if got := occupancy(); got != before {
 		t.Errorf("occupancy changed on class move: %g -> %g", before, got)
 	}
-	if err := m.SetClass(id, cache.ClassID(77)); err == nil {
+	if err := m.LLC().Register(id, cache.ClassID(77)); err == nil {
 		t.Error("unknown class should error")
 	}
 }

@@ -115,7 +115,7 @@ func TestStepEnginesEquivalent(t *testing.T) {
 	}
 
 	g.Now = m.Now()
-	g.Utilization = m.LastUtilization()
+	g.Utilization = m.memory.LastUtilization()
 	for _, id := range tasks {
 		g.Tasks = append(g.Tasks, m.Counters().Task(id))
 	}
@@ -163,9 +163,11 @@ func TestStepNEarlyStop(t *testing.T) {
 	}
 }
 
-// TestRunUnalignedUntil pins Run's ceil coverage: an until between quantum
-// boundaries still runs the covering quantum in full, and completions that
-// land in that final partial quantum are delivered, not dropped.
+// TestRunUnalignedUntil pins the ceil coverage of the StepN/QuantaUntil
+// loop that Colocation.Advance and Runtime.Advance run: an until between
+// quantum boundaries still runs the covering quantum in full, and
+// completions that land in that final partial quantum are delivered, not
+// dropped.
 func TestRunUnalignedUntil(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SlowJitterSigma = 0
@@ -179,15 +181,16 @@ func TestRunUnalignedUntil(t *testing.T) {
 	until := sim.Time(2*cfg.Quantum) + sim.Time(cfg.Quantum)/2
 	var got []Completion
 	steps := 0
-	m.Run(until, func(now sim.Time, done []Completion) {
-		steps++
+	for m.Now() < until {
+		done, n := m.StepN(m.QuantaUntil(until))
+		steps += n
 		got = append(got, done...)
-	})
+	}
 	if want := sim.Time(3 * cfg.Quantum); m.Now() != want {
-		t.Fatalf("Run stopped at %v, want quantum boundary %v", m.Now(), want)
+		t.Fatalf("loop stopped at %v, want quantum boundary %v", m.Now(), want)
 	}
 	if steps != 3 {
-		t.Fatalf("Run stepped %d quanta, want 3", steps)
+		t.Fatalf("loop stepped %d quanta, want 3", steps)
 	}
 	if len(got) != 1 || got[0].Task != id || got[0].At != sim.Time(3*cfg.Quantum) {
 		t.Fatalf("final-quantum completions = %v, want one for task %d at %v", got, id, sim.Time(3*cfg.Quantum))

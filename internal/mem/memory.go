@@ -65,7 +65,6 @@ type Memory struct {
 	// and lastSocketUtil holds the per-socket values.
 	lastUtilization float64
 	lastSocketUtil  []float64
-	totalBytes      float64 // lifetime traffic, for counters
 	// Bytes the shared pool and each socket move at peak bandwidth in one
 	// quantum of length lastDt.
 	lastDt   time.Duration
@@ -108,9 +107,6 @@ func MustNew(cfg Config) *Memory {
 	}
 	return m
 }
-
-// Config returns the memory configuration.
-func (m *Memory) Config() Config { return m.cfg }
 
 // Utilization converts a demand in bytes over a quantum dt into a
 // utilization fraction of peak bandwidth. Values above 1 are meaningful to
@@ -162,11 +158,10 @@ func (m *Memory) Latency(utilization float64) time.Duration {
 }
 
 // Apply records the final traffic of a quantum (after the machine's fixed
-// point converged) for observability counters.
+// point converged) for observability.
 func (m *Memory) Apply(demandBytes float64, dt time.Duration) {
 	u := m.Utilization(demandBytes, dt)
 	m.lastUtilization = u
-	m.totalBytes += demandBytes
 }
 
 // NumSockets returns the number of independent bandwidth pools: 1 for the
@@ -195,7 +190,7 @@ func (m *Memory) UtilizationOn(socket int, demandBytes float64, dt time.Duration
 // machine's fixed point converged). demands must have NumSockets entries.
 // The headline LastUtilization/LastStretch track the bottleneck socket.
 func (m *Memory) ApplySockets(demands []float64, dt time.Duration) {
-	maxU, total := 0.0, 0.0
+	maxU := 0.0
 	for s, d := range demands {
 		u := m.UtilizationOn(s, d, dt)
 		if m.lastSocketUtil != nil {
@@ -204,10 +199,8 @@ func (m *Memory) ApplySockets(demands []float64, dt time.Duration) {
 		if u > maxU {
 			maxU = u
 		}
-		total += d
 	}
 	m.lastUtilization = maxU
-	m.totalBytes += total
 }
 
 // LastSocketUtilization returns socket i's utilization of the most recent
@@ -225,15 +218,3 @@ func (m *Memory) LastUtilization() float64 { return m.lastUtilization }
 // LastStretch returns the latency stretch of the most recent quantum (1
 // before the first). It is computed on read from LastUtilization.
 func (m *Memory) LastStretch() float64 { return m.LatencyStretch(m.lastUtilization) }
-
-// TotalBytes returns lifetime traffic through the memory system.
-func (m *Memory) TotalBytes() float64 { return m.totalBytes }
-
-// Reset clears observability state (not the configuration).
-func (m *Memory) Reset() {
-	m.lastUtilization = 0
-	m.totalBytes = 0
-	for i := range m.lastSocketUtil {
-		m.lastSocketUtil[i] = 0
-	}
-}

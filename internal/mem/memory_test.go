@@ -21,8 +21,8 @@ func TestNewValidation(t *testing.T) {
 		t.Error("one-entry Sockets list should error")
 	}
 	m := MustNew(DefaultConfig())
-	if m.Config().PeakBandwidth != 22e9 {
-		t.Errorf("Config = %+v", m.Config())
+	if m.cfg.PeakBandwidth != 22e9 {
+		t.Errorf("cfg = %+v", m.cfg)
 	}
 }
 
@@ -88,8 +88,8 @@ func TestLatencyStretchCurve(t *testing.T) {
 		}
 	}
 	// Above cap.
-	if got := m.LatencyStretch(0.999); got != m.Config().MaxStretch {
-		t.Errorf("saturated stretch = %g, want cap %g", got, m.Config().MaxStretch)
+	if got := m.LatencyStretch(0.999); got != m.cfg.MaxStretch {
+		t.Errorf("saturated stretch = %g, want cap %g", got, m.cfg.MaxStretch)
 	}
 }
 
@@ -146,13 +146,5 @@ func TestApplyAndCounters(t *testing.T) {
 	}
 	if m.LastStretch() != 2 {
 		t.Errorf("LastStretch = %g", m.LastStretch())
-	}
-	m.Apply(5e5, time.Millisecond)
-	if m.TotalBytes() != 1e6 {
-		t.Errorf("TotalBytes = %g", m.TotalBytes())
-	}
-	m.Reset()
-	if m.TotalBytes() != 0 || m.LastUtilization() != 0 || m.LastStretch() != 1 {
-		t.Error("Reset should clear observability state")
 	}
 }

@@ -5,29 +5,18 @@
 //
 // Consumers (the Dirigent profiler, predictor, and coarse controller) read
 // the counters exactly like software reads MSRs: take a snapshot, do work,
-// take another snapshot, and subtract. Delta helpers are provided so that
-// interval bookkeeping lives in one place.
+// take another snapshot, and subtract.
 package perf
 
 import "fmt"
 
-// Sample is one counter vector. All values are cumulative since counter
-// reset, matching free-running hardware counters.
+// Sample is one counter vector. All values are cumulative since the task or
+// core started, matching free-running hardware counters.
 type Sample struct {
 	Instructions float64
 	Cycles       float64
 	LLCAccesses  float64
 	LLCMisses    float64
-}
-
-// Sub returns s - other, the interval delta between two snapshots.
-func (s Sample) Sub(other Sample) Sample {
-	return Sample{
-		Instructions: s.Instructions - other.Instructions,
-		Cycles:       s.Cycles - other.Cycles,
-		LLCAccesses:  s.LLCAccesses - other.LLCAccesses,
-		LLCMisses:    s.LLCMisses - other.LLCMisses,
-	}
 }
 
 // Add returns s + other.
@@ -47,14 +36,6 @@ func (s Sample) MPKI() float64 {
 		return 0
 	}
 	return s.LLCMisses / s.Instructions * 1000
-}
-
-// IPC returns instructions per cycle. Zero cycles yields zero.
-func (s Sample) IPC() float64 {
-	if s.Cycles <= 0 {
-		return 0
-	}
-	return s.Instructions / s.Cycles
 }
 
 func (s Sample) String() string {
@@ -89,14 +70,9 @@ func MustNew(cores int) *Counters {
 	return c
 }
 
-// NumCores returns the number of per-core counter sets.
-func (c *Counters) NumCores() int { return len(c.cores) }
-
 // Handle returns a stable pointer to a task's cumulative Sample, creating
 // the task on first use. The machine resolves it once per task and charges
-// through it, skipping a per-quantum map lookup. The handle detaches (keeps
-// accumulating invisibly) if the task is later ResetTask'd or the file
-// Reset.
+// through it, skipping a per-quantum map lookup.
 func (c *Counters) Handle(task int) *Sample {
 	t, ok := c.tasks[task]
 	if !ok {
@@ -138,18 +114,4 @@ func (c *Counters) Total() Sample {
 		sum = sum.Add(s)
 	}
 	return sum
-}
-
-// ResetTask zeroes a task's counters (used when an FG task restarts: each
-// execution is a fresh task in the paper's sense).
-func (c *Counters) ResetTask(task int) {
-	delete(c.tasks, task)
-}
-
-// Reset zeroes everything.
-func (c *Counters) Reset() {
-	c.tasks = map[int]*Sample{}
-	for i := range c.cores {
-		c.cores[i] = Sample{}
-	}
 }

@@ -67,7 +67,6 @@ type CoarseController struct {
 	lastWasGrow      bool
 	missesBeforeGrow float64
 
-	adjustments      int
 	execCount        int
 	lastChangeAtExec int
 }
@@ -123,9 +122,6 @@ func (cc *CoarseController) apply() error {
 
 // FGWays returns the current FG partition size.
 func (cc *CoarseController) FGWays() int { return cc.fgWays }
-
-// Adjustments returns how many partition changes have been applied.
-func (cc *CoarseController) Adjustments() int { return cc.adjustments }
 
 // RecordExecution feeds one completed FG execution: its duration in
 // seconds, its LLC misses, and whether it missed its deadline. With
@@ -226,7 +222,6 @@ func (cc *CoarseController) step(delta int, now sim.Time, reason telemetry.Reaso
 		cc.fgWays -= delta
 		return 0, err
 	}
-	cc.adjustments++
 	cc.lastChangeAtExec = cc.execCount
 	cc.emitDecision(now, delta, reason)
 	cc.emitPartition(now, delta, reason)

@@ -101,9 +101,6 @@ func TestHeuristic1GrowsOnCorrelationAndMisses(t *testing.T) {
 	if cc.FGWays() != 11 {
 		t.Errorf("FGWays = %d", cc.FGWays())
 	}
-	if cc.Adjustments() != 1 {
-		t.Errorf("Adjustments = %d", cc.Adjustments())
-	}
 }
 
 func TestHeuristic1NeedsDeadlineMisses(t *testing.T) {

@@ -52,7 +52,7 @@ func (c *CORDLike) Name() string { return NameCORDLike }
 // Capabilities implements Policy: static DVFS pinning plus a static LLC
 // split; pausing is never used.
 func (c *CORDLike) Capabilities() Capabilities {
-	return Capabilities{DVFS: true, LLCWays: true}
+	return Capabilities{LLCWays: true}
 }
 
 // slackBudget returns the tightest per-stream relative slack
@@ -294,14 +294,3 @@ func (c *CORDLike) ResetWindow() {
 	c.windowSuppressed = 0
 	c.windowActFailures = 0
 }
-
-// FGWays returns the decomposed static FG partition (0 unpartitioned).
-func (c *CORDLike) FGWays() int {
-	if c.llc == nil {
-		return 0
-	}
-	return c.fgWays
-}
-
-// BGLevel returns the decomposed static BG frequency level.
-func (c *CORDLike) BGLevel() int { return c.bgLevel }

@@ -11,7 +11,7 @@ import (
 
 func TestSlackBudget(t *testing.T) {
 	profile := func(d time.Duration) StreamProfile {
-		return StreamProfile{Benchmark: "x", StandaloneDuration: d}
+		return StreamProfile{StandaloneDuration: d}
 	}
 	cases := []struct {
 		name     string
@@ -87,19 +87,19 @@ func TestCORDLikeInitAppliesStaticSplit(t *testing.T) {
 	// Tight 5% budget: BG floored, half the cache reserved for FG.
 	b.Targets = []time.Duration{1050 * time.Millisecond, 1050 * time.Millisecond}
 	b.Profiles = []StreamProfile{
-		{Benchmark: "ferret", StandaloneDuration: time.Second},
-		{Benchmark: "bodytrack", StandaloneDuration: time.Second},
+		{StandaloneDuration: time.Second},
+		{StandaloneDuration: time.Second},
 	}
 	p := NewCORDLike()
 	if err := p.Init(b); err != nil {
 		t.Fatal(err)
 	}
-	if p.BGLevel() != 0 {
-		t.Errorf("BGLevel = %d, want floored 0", p.BGLevel())
+	if p.bgLevel != 0 {
+		t.Errorf("bgLevel = %d, want floored 0", p.bgLevel)
 	}
 	wantFG := llc.Ways() / 2
-	if p.FGWays() != wantFG {
-		t.Errorf("FGWays = %d, want %d", p.FGWays(), wantFG)
+	if p.fgWays != wantFG {
+		t.Errorf("fgWays = %d, want %d", p.fgWays, wantFG)
 	}
 	if got, _ := llc.ClassWays(fgClass); got != wantFG {
 		t.Errorf("applied FG partition = %d ways, want %d", got, wantFG)
@@ -127,8 +127,8 @@ func TestCORDLikeTickReassertsOperatingPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Assumed 0.15 budget → grades[2].
-	if want := GradesForLevels(9)[2]; p.BGLevel() != want {
-		t.Fatalf("BGLevel = %d, want %d", p.BGLevel(), want)
+	if want := GradesForLevels(9)[2]; p.bgLevel != want {
+		t.Fatalf("bgLevel = %d, want %d", p.bgLevel, want)
 	}
 	if err := f.m.SetFreqLevel(2, f.m.MaxFreqLevel()); err != nil {
 		t.Fatal(err)
@@ -136,8 +136,8 @@ func TestCORDLikeTickReassertsOperatingPoint(t *testing.T) {
 	if err := p.Tick(f.m.Now(), make([]FGStatus, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if f.level(t, 2) != p.BGLevel() {
-		t.Errorf("BG core 2 at level %d after Tick, want re-asserted %d", f.level(t, 2), p.BGLevel())
+	if f.level(t, 2) != p.bgLevel {
+		t.Errorf("BG core 2 at level %d after Tick, want re-asserted %d", f.level(t, 2), p.bgLevel)
 	}
 	if w := p.Window(); w.Decisions != 1 {
 		t.Errorf("Decisions = %d, want 1", w.Decisions)
@@ -170,9 +170,5 @@ func TestCORDLikeLifecycle(t *testing.T) {
 	}
 	if err := p.RemoveBG(f.bgTasks[0]); err == nil {
 		t.Error("double RemoveBG must error")
-	}
-	// FGWays without an LLC binding reports unpartitioned.
-	if p.FGWays() != 0 {
-		t.Errorf("FGWays without LLC = %d, want 0", p.FGWays())
 	}
 }

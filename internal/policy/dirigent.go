@@ -28,7 +28,7 @@ func (d *Dirigent) Name() string { return NameDirigent }
 
 // Capabilities implements Policy.
 func (d *Dirigent) Capabilities() Capabilities {
-	return Capabilities{DVFS: true, Pause: true, LLCWays: d.opts.Partitioning}
+	return Capabilities{LLCWays: d.opts.Partitioning}
 }
 
 // Init builds the fine controller (pinning every managed core to the top
@@ -96,9 +96,6 @@ func (d *Dirigent) Window() FineWindow { return d.fine.Window() }
 
 // ResetWindow implements Policy.
 func (d *Dirigent) ResetWindow() { d.fine.ResetWindow() }
-
-// Fine exposes the fine controller (telemetry and test access).
-func (d *Dirigent) Fine() *FineController { return d.fine }
 
 // Coarse exposes the coarse controller, nil when partitioning is off.
 func (d *Dirigent) Coarse() *CoarseController { return d.coarse }

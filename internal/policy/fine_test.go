@@ -217,20 +217,20 @@ func TestPausesMostIntrusiveBG(t *testing.T) {
 	}
 	// Let tasks run so miss counters accumulate.
 	for i := 0; i < 200; i++ {
-		m.Step()
+		m.StepN(1)
 	}
 	// Drive BG to min, then force a pause.
 	for i := 0; i < 4; i++ {
 		_ = fc.Decide(m.Now(), []FGStatus{statusWithSlack(-0.05)})
 		for j := 0; j < 50; j++ {
-			m.Step()
+			m.StepN(1)
 		}
 	}
 	_ = fc.Decide(m.Now(), []FGStatus{statusWithSlack(-0.3)})
 	for i, bt := range bgTasks {
 		if p, _ := m.Paused(bt); p {
-			if name, _ := m.TaskName(bt); name != "lbm" {
-				t.Errorf("paused %s (task %d), want an lbm", name, i)
+			if names[i] != "lbm" {
+				t.Errorf("paused %s (task %d), want an lbm", names[i], i)
 			}
 			return
 		}

@@ -23,15 +23,11 @@ import (
 	"dirigent/internal/telemetry"
 )
 
-// Capabilities declares which actuators a policy drives. The runtime uses
-// it to validate the assembly (a policy partitioning the LLC needs distinct
-// FG/BG cache classes) and the harness uses it to decide which statistics
-// (converged partition, pause residency) are meaningful for a run.
+// Capabilities declares which optional actuators a policy drives. The
+// runtime uses it to validate the assembly (a policy partitioning the LLC
+// needs distinct FG/BG cache classes) and the harness uses it to decide
+// whether a converged partition is meaningful for a run.
 type Capabilities struct {
-	// DVFS: the policy changes per-core frequency levels.
-	DVFS bool
-	// Pause: the policy pauses/resumes BG tasks.
-	Pause bool
 	// LLCWays: the policy repartitions LLC ways between the FG and BG
 	// classes (requires distinct classes in the Binding).
 	LLCWays bool
@@ -41,8 +37,6 @@ type Capabilities struct {
 // consult at Init. Static policies (CORDLike) decompose deadlines against
 // StandaloneDuration; adaptive policies typically ignore it.
 type StreamProfile struct {
-	// Benchmark names the profiled FG benchmark.
-	Benchmark string
 	// StandaloneDuration is the execution time recorded by the offline
 	// profiler with the machine otherwise idle (zero when unknown).
 	StandaloneDuration time.Duration

@@ -78,10 +78,10 @@ func TestPolicyCapabilities(t *testing.T) {
 		opts Options
 		want Capabilities
 	}{
-		{NameDirigent, Options{}, Capabilities{DVFS: true, Pause: true}},
-		{NameDirigent, Options{Partitioning: true}, Capabilities{DVFS: true, Pause: true, LLCWays: true}},
-		{NameRTGang, Options{Partitioning: true}, Capabilities{DVFS: true, Pause: true}},
-		{NameCORDLike, Options{}, Capabilities{DVFS: true, LLCWays: true}},
+		{NameDirigent, Options{}, Capabilities{}},
+		{NameDirigent, Options{Partitioning: true}, Capabilities{LLCWays: true}},
+		{NameRTGang, Options{Partitioning: true}, Capabilities{}},
+		{NameCORDLike, Options{}, Capabilities{LLCWays: true}},
 	}
 	for _, c := range cases {
 		p, err := New(c.name, c.opts)

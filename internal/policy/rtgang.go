@@ -48,7 +48,7 @@ func (g *RTGang) Name() string { return NameRTGang }
 // Capabilities implements Policy: DVFS pinning plus FG gang pausing; no
 // cache partitioning.
 func (g *RTGang) Capabilities() Capabilities {
-	return Capabilities{DVFS: true, Pause: true}
+	return Capabilities{}
 }
 
 // Init pins FG cores to the top level and BG cores to the bottom, then

@@ -114,14 +114,7 @@ type Spec struct {
 	// run (the Baseline pass is always clean).
 	Faults *FaultSpec `json:"faults,omitempty"`
 	Goals  GoalSpec   `json:"goals"`
-
-	// file is the path the spec was loaded from, for error messages and
-	// reports ("" for in-memory specs).
-	file string
 }
-
-// File returns the path the spec was loaded from ("" for in-memory specs).
-func (s Spec) File() string { return s.file }
 
 // Mix assembles the experiment mix. The mix carries the scenario name, so
 // the run seed is derived from it deterministically.
@@ -200,7 +193,6 @@ func Load(path string) (Spec, error) {
 	if dec.More() {
 		return Spec{}, fmt.Errorf("scenario: %s: trailing data after spec object", path)
 	}
-	s.file = path
 	if err := s.Validate(); err != nil {
 		return Spec{}, fmt.Errorf("%s: %w", path, err)
 	}

@@ -36,9 +36,6 @@ func TestLoadValidSpec(t *testing.T) {
 	if s.Name != "ferret-vs-rs" || s.MachineClass != "xeon-e5" || s.Policy != "dirigent" {
 		t.Fatalf("spec fields wrong: %+v", s)
 	}
-	if s.File() != path {
-		t.Fatalf("File() = %q, want %q", s.File(), path)
-	}
 	if got := s.mix().Seed(); got == 0 {
 		t.Fatal("mix seed should derive from the scenario name")
 	}

@@ -64,10 +64,11 @@ func (s BGSpec) Validate() error {
 
 // Execution records one completed foreground execution.
 type Execution struct {
-	// Start and End are simulated timestamps; Duration = End - Start.
-	Start, End sim.Time
-	// Duration is the execution time — the quantity whose variance
-	// Dirigent minimizes.
+	// End is the simulated completion time.
+	End sim.Time
+	// Duration is the execution time, from the previous completion (or the
+	// stream's start) to End — the quantity whose variance Dirigent
+	// minimizes.
 	Duration time.Duration
 	// LLCMisses is the misses the FG task incurred during this execution
 	// (input to the coarse controller's correlation heuristic).
@@ -100,15 +101,8 @@ type perfSnapshot struct {
 	llcMisses    float64
 }
 
-// Executions returns the completed executions so far (shared slice; do not
-// modify).
-func (f *FGStream) Executions() []Execution { return f.execs }
-
 // Completed returns the number of completed executions.
 func (f *FGStream) Completed() int { return len(f.execs) }
-
-// CurrentStart returns the start time of the in-flight execution.
-func (f *FGStream) CurrentStart() sim.Time { return f.lastStart }
 
 // Durations returns all execution durations in seconds (a fresh slice).
 func (f *FGStream) Durations() []float64 {
@@ -126,14 +120,6 @@ type BGWorker struct {
 	Core int
 
 	rotator *workload.Rotator
-}
-
-// CurrentBenchmark returns the benchmark the worker is currently running.
-func (b *BGWorker) CurrentBenchmark() *workload.Benchmark {
-	if b.rotator != nil {
-		return b.rotator.Current()
-	}
-	return b.Spec.Bench
 }
 
 // Colocation is a full placement of FG streams and BG workers on a machine.
@@ -409,9 +395,6 @@ func (c *Colocation) BGInstructions() float64 {
 	return sum
 }
 
-// Step advances the machine one quantum and processes its completions.
-func (c *Colocation) Step() { c.StepN(1) }
-
 // StepN advances the machine by up to max quanta in one batch (stopping
 // early at the first quantum with FG completions, so completion processing
 // happens at the exact quantum a completion occurs) and returns how many
@@ -465,7 +448,6 @@ func (c *Colocation) handleCompletions(done []machine.Completion) {
 			}
 			sample := c.m.Counters().Task(f.Task)
 			e := Execution{
-				Start:        f.lastStart,
 				End:          comp.At,
 				Duration:     time.Duration(comp.At - f.lastStart),
 				LLCMisses:    sample.LLCMisses - f.lastPerf.llcMisses,
@@ -491,14 +473,6 @@ func (c *Colocation) handleCompletions(done []machine.Completion) {
 			// rotate-BG workers pick their next benchmark.
 			c.rotateAll()
 		}
-	}
-}
-
-// Run advances until the given simulated time (ceil-aligned like
-// machine.Run).
-func (c *Colocation) Run(until sim.Time) {
-	for c.m.Now() < until {
-		c.Advance(until)
 	}
 }
 

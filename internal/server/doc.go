@@ -34,7 +34,8 @@
 //	GET    /v1/healthz               liveness + tenant count
 //
 // Status-code contract: 400 rejects malformed or invalid requests (unknown
-// config, policy, or machine class; wrong target count); 404 an unknown
+// config, policy, or machine class; wrong target count; a negative count,
+// an out-of-range fault plan or time limit); 404 an unknown
 // tenant; 409 an operation the simulation state refuses (e.g. retargeting
 // a configuration with no runtime); and 503 means "not now" — the tenant
 // limit is reached, the server is shutting down, or a worker's command

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -181,7 +182,8 @@ type CreateTenantRequest struct {
 	// Seed overrides the mix-derived deterministic seed (0 keeps it).
 	Seed uint64 `json:"seed,omitempty"`
 	// TimeLimitMS bounds the run in simulated milliseconds (0 uses the
-	// server runner's default).
+	// server runner's default; a negative limit, or one past the simulated
+	// clock's range, is refused).
 	TimeLimitMS float64 `json:"time_limit_ms,omitempty"`
 	// Faults is an optional deterministic fault-injection plan.
 	Faults *fault.Plan `json:"faults,omitempty"`
@@ -275,9 +277,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Faults != nil {
 		params.Faults = *req.Faults
 	}
+	ns := req.TimeLimitMS * float64(time.Millisecond)
+	if !(ns >= 0 && ns < math.MaxInt64) {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("time_limit_ms %g is negative or overflows the simulated clock", req.TimeLimitMS))
+		return
+	}
 	limit := sim.Time(runner.TimeLimit)
-	if req.TimeLimitMS > 0 {
-		limit = sim.Time(req.TimeLimitMS * float64(time.Millisecond))
+	if ns > 0 {
+		limit = sim.Time(ns)
 	}
 
 	// Reserve the slot before assembling the session: assembly profiles

@@ -16,6 +16,7 @@ import (
 
 	"dirigent/internal/config"
 	"dirigent/internal/experiment"
+	"dirigent/internal/fault"
 )
 
 func testClient(t *testing.T, srv *Server) (*httptest.Server, *http.Client) {
@@ -350,10 +351,22 @@ func TestCreateValidation(t *testing.T) {
 	srv := New(Config{Runner: r, MaxTenants: 1})
 	ts, client := testClient(t, srv)
 
+	base := CreateTenantRequest{Mix: MixSpec{Name: "x", FG: []string{"ferret"}}, Config: string(config.Baseline)}
+	with := func(f func(*CreateTenantRequest)) CreateTenantRequest { r := base; f(&r); return r }
+	withFaults := func(p fault.Plan) CreateTenantRequest { return with(func(r *CreateTenantRequest) { r.Faults = &p }) }
 	cases := []struct {
 		name string
 		req  CreateTenantRequest
 	}{
+		{"overflowing time limit", with(func(r *CreateTenantRequest) { r.TimeLimitMS = 1e300 })},
+		{"negative time limit", with(func(r *CreateTenantRequest) { r.TimeLimitMS = -1 })},
+		{"negative executions", with(func(r *CreateTenantRequest) { r.Executions = -1 })},
+		{"negative fg_ways", with(func(r *CreateTenantRequest) { r.FGWays = -2 })},
+		{"probability above 1", withFaults(fault.Plan{DVFSFail: 2})},
+		{"negative probability", withFaults(fault.Plan{DVFSFail: -1, PauseFail: 5})},
+		{"negative DVFS latency", withFaults(fault.Plan{DVFSLatency: -1})},
+		{"negative tick latency", withFaults(fault.Plan{TickLatency: -time.Millisecond})},
+		{"negative profile scale", withFaults(fault.Plan{ProfileScale: -1})},
 		{"unknown config", CreateTenantRequest{
 			Mix: MixSpec{Name: "x", FG: []string{"ferret"}}, Config: "Turbo"}},
 		{"missing targets", CreateTenantRequest{

@@ -56,28 +56,12 @@ func NewClock(quantum time.Duration) (*Clock, error) {
 // Now returns the current simulated time.
 func (c *Clock) Now() Time { return c.now }
 
-// Quantum returns the configured step size.
-func (c *Clock) Quantum() time.Duration { return c.quantum }
-
 // Advance moves simulated time forward by one quantum and returns the new
 // time.
 func (c *Clock) Advance() Time {
 	c.now += c.quantum
 	return c.now
 }
-
-// AdvanceBy moves simulated time forward by an arbitrary positive duration
-// (used for charging runtime overhead that is finer than one quantum).
-func (c *Clock) AdvanceBy(d time.Duration) (Time, error) {
-	if d < 0 {
-		return c.now, fmt.Errorf("sim: cannot advance clock by negative duration %v", d)
-	}
-	c.now += d
-	return c.now, nil
-}
-
-// Reset returns the clock to t=0.
-func (c *Clock) Reset() { c.now = 0 }
 
 // Ticker fires a callback every period of simulated time, aligned to the
 // first quantum boundary at or after each multiple of the period. Dirigent's

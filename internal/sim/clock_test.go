@@ -16,8 +16,8 @@ func TestNewClockValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Quantum() != DefaultQuantum {
-		t.Errorf("Quantum = %v", c.Quantum())
+	if c.quantum != DefaultQuantum {
+		t.Errorf("quantum = %v", c.quantum)
 	}
 }
 
@@ -43,18 +43,8 @@ func TestClockAdvance(t *testing.T) {
 			t.Fatalf("Advance %d = %v, want %v", i, got, want)
 		}
 	}
-	if _, err := c.AdvanceBy(50 * time.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if c.Now() != 1050*time.Microsecond {
+	if c.Now() != 1000*time.Microsecond {
 		t.Errorf("Now = %v", c.Now())
-	}
-	if _, err := c.AdvanceBy(-time.Nanosecond); err == nil {
-		t.Error("negative AdvanceBy should error")
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Error("Reset should zero the clock")
 	}
 }
 

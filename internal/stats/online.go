@@ -1,47 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
-
-// Welford is an online mean/variance accumulator (Welford's algorithm).
-// The zero value is ready to use. It is not safe for concurrent use; the
-// simulator is single-threaded per machine by design.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += float64(d * (x - w.mean))
-}
-
-// N returns the number of samples seen.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 if no samples).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance (0 if fewer than one
-// sample).
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Std returns the running population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
-
-// Reset clears the accumulator.
-func (w *Welford) Reset() { *w = Welford{} }
+import "fmt"
 
 // EMA is an exponential moving average with weight w on the newest sample:
 // v' = w*x + (1-w)*v. Before the first sample the EMA is "empty" and the
@@ -89,12 +48,6 @@ func (e *EMA) Value() float64 { return e.value }
 // Seeded reports whether at least one sample has been added.
 func (e *EMA) Seeded() bool { return e.seeded }
 
-// Weight returns the configured weight.
-func (e *EMA) Weight() float64 { return e.weight }
-
-// Reset clears the average back to the unseeded state, keeping the weight.
-func (e *EMA) Reset() { e.value, e.seeded = 0, false }
-
 // Ring is a fixed-capacity ring buffer of float64 samples, used for the
 // coarse controller's sliding windows (last 10 executions, §4.3).
 type Ring struct {
@@ -139,9 +92,6 @@ func (r *Ring) Len() int {
 	return r.next
 }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
-
 // Values returns the samples in oldest-to-newest order as a fresh slice.
 func (r *Ring) Values() []float64 {
 	n := r.Len()
@@ -151,10 +101,4 @@ func (r *Ring) Values() []float64 {
 	}
 	out = append(out, r.buf[:r.next]...)
 	return out
-}
-
-// Reset empties the ring, keeping the capacity.
-func (r *Ring) Reset() {
-	r.next = 0
-	r.full = false
 }

@@ -6,39 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestWelfordMatchesBatch(t *testing.T) {
-	f := func(seed int64) bool {
-		r := newTestRand(seed)
-		n := 1 + int(r.uint64()%100)
-		xs := make([]float64, n)
-		var w Welford
-		for i := range xs {
-			xs[i] = r.float64()*1000 - 500
-			w.Add(xs[i])
-		}
-		return w.N() == n &&
-			almostEq(w.Mean(), Mean(xs), 1e-6) &&
-			almostEq(w.Variance(), Variance(xs), 1e-5) &&
-			almostEq(w.Std(), Std(xs), 1e-5)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWelfordEmptyAndReset(t *testing.T) {
-	var w Welford
-	if w.N() != 0 || w.Mean() != 0 || w.Variance() != 0 {
-		t.Error("zero Welford should report zeros")
-	}
-	w.Add(5)
-	w.Add(7)
-	w.Reset()
-	if w.N() != 0 || w.Mean() != 0 {
-		t.Error("Reset should clear state")
-	}
-}
-
 func TestEMASeedAndUpdate(t *testing.T) {
 	e := MustEMA(0.2)
 	if e.Seeded() {
@@ -54,12 +21,8 @@ func TestEMASeedAndUpdate(t *testing.T) {
 	if got := e.Add(20); !almostEq(got, 12, 1e-12) {
 		t.Errorf("second Add = %g, want 12", got)
 	}
-	if e.Weight() != 0.2 {
-		t.Errorf("Weight = %g", e.Weight())
-	}
-	e.Reset()
-	if e.Seeded() || e.Value() != 0 {
-		t.Error("Reset should unseed")
+	if e.weight != 0.2 {
+		t.Errorf("weight = %g", e.weight)
 	}
 }
 
@@ -120,8 +83,8 @@ func TestEMABoundedByInputs(t *testing.T) {
 
 func TestRingBasics(t *testing.T) {
 	r := MustRing(3)
-	if r.Len() != 0 || r.Cap() != 3 {
-		t.Fatalf("fresh ring len=%d cap=%d", r.Len(), r.Cap())
+	if r.Len() != 0 || len(r.buf) != 3 {
+		t.Fatalf("fresh ring len=%d cap=%d", r.Len(), len(r.buf))
 	}
 	r.Push(1)
 	r.Push(2)
@@ -140,10 +103,6 @@ func TestRingBasics(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("Values = %v, want %v", got, want)
 		}
-	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Error("Reset should empty ring")
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package stats provides the small statistical toolkit used throughout the
-// Dirigent simulator and runtime: summary statistics, online accumulators,
-// exponential moving averages, Pearson correlation, percentiles, and
+// Dirigent simulator and runtime: summary statistics, exponential moving
+// averages, sliding windows, Pearson correlation, percentiles, and
 // histogram/PDF construction.
 //
 // Everything here is deterministic and allocation-conscious: the Dirigent
 // runtime calls into this package on its 5 ms control path, so the hot
-// entry points (EMA updates, Welford accumulators) do not allocate.
+// entry points (EMA updates, Ring pushes) do not allocate.
 package stats
 
 import (

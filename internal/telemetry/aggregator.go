@@ -40,11 +40,10 @@ type FineStats struct {
 // see in a JSONL trace. Not safe for concurrent use — attach one aggregator
 // per run (the runner does).
 type Aggregator struct {
-	started  bool
-	cores    int
-	levels   int
-	topLevel int
-	quantum  time.Duration
+	started bool
+	cores   int
+	levels  int
+	quantum time.Duration
 
 	curLevel  []int
 	residency [][]time.Duration
@@ -56,15 +55,9 @@ type Aggregator struct {
 	fine FineStats
 
 	fgWays          int
-	partitionMoves  int
 	convergedAtExec int
 
 	executions int
-	pauses     int
-	resumes    int
-	switches   int
-	segments   int
-	penaltySum time.Duration
 
 	// faultsByClass counts injected faults (KindFault) keyed by class wire
 	// name; reprofiles counts runtime re-profiling episodes (KindReprofile)
@@ -103,7 +96,6 @@ func (a *Aggregator) Record(ev Event) {
 		a.started = true
 		a.cores = ev.Cores
 		a.levels = ev.Levels
-		a.topLevel = ev.TopLevel
 		a.quantum = ev.Quantum
 		a.curLevel = make([]int, a.cores)
 		a.residency = make([][]time.Duration, a.cores)
@@ -129,7 +121,6 @@ func (a *Aggregator) Record(ev Event) {
 	case KindPartitionMove:
 		a.fgWays = ev.FGWays
 		if ev.Delta != 0 {
-			a.partitionMoves++
 			a.convergedAtExec = ev.ExecCount
 		}
 	case KindFineDecision:
@@ -153,15 +144,6 @@ func (a *Aggregator) Record(ev Event) {
 		case ActionBGResume:
 			a.fine.Resumes++
 		}
-	case KindTaskPause:
-		a.pauses++
-	case KindTaskResume:
-		a.resumes++
-	case KindTaskSwitch:
-		a.switches++
-	case KindSegmentPenalty:
-		a.segments++
-		a.penaltySum += ev.Penalty
 	case KindExecutionComplete:
 		a.executions++
 		if a.streamDurations == nil {
@@ -198,18 +180,12 @@ func (a *Aggregator) RecordQuantumSteps(evs []Event) {
 	}
 }
 
-// Started reports whether a KindMachineStart event has been seen.
-func (a *Aggregator) Started() bool { return a.started }
-
 // Fine returns the accumulated fine-controller statistics.
 func (a *Aggregator) Fine() FineStats { return a.fine }
 
 // FGWays returns the FG partition size after the last partition move (0
 // when no partition event was seen).
 func (a *Aggregator) FGWays() int { return a.fgWays }
-
-// PartitionMoves returns how many partition changes (Delta != 0) occurred.
-func (a *Aggregator) PartitionMoves() int { return a.partitionMoves }
 
 // ConvergedAtExecution returns the execution count at the last partition
 // change — the paper's §5.3 convergence measure.
@@ -249,15 +225,6 @@ func (a *Aggregator) StreamDurations(stream int) []time.Duration {
 	return append([]time.Duration(nil), d...)
 }
 
-// Pauses and Resumes return machine-level task pause/resume transitions
-// (these can exceed the controller's action counts if other callers pause
-// tasks, e.g. online profiling).
-func (a *Aggregator) Pauses() int  { return a.pauses }
-func (a *Aggregator) Resumes() int { return a.resumes }
-
-// Switches returns rotate-BG program swaps observed.
-func (a *Aggregator) Switches() int { return a.switches }
-
 // Faults returns how many injected faults (KindFault events) were observed.
 func (a *Aggregator) Faults() int { return a.faults }
 
@@ -278,14 +245,3 @@ func (a *Aggregator) FaultsByClass() map[string]int {
 // Reprofiles returns how many successful runtime re-profiling episodes were
 // observed.
 func (a *Aggregator) Reprofiles() int { return a.reprofiles }
-
-// Segments returns how many per-segment penalty observations were made.
-func (a *Aggregator) Segments() int { return a.segments }
-
-// MeanPenalty returns the mean observed per-segment penalty.
-func (a *Aggregator) MeanPenalty() time.Duration {
-	if a.segments == 0 {
-		return 0
-	}
-	return a.penaltySum / time.Duration(a.segments)
-}

@@ -63,18 +63,6 @@ func (j *JSONL) Include(kinds ...Kind) *JSONL {
 	return j
 }
 
-// Exclude disables tracing of the given kinds and returns j for chaining.
-func (j *JSONL) Exclude(kinds ...Kind) *JSONL {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, k := range kinds {
-		if k > 0 && k < numKinds {
-			j.enabled[k] = false
-		}
-	}
-	return j
-}
-
 // Enabled reports whether events of kind k are written.
 func (j *JSONL) Enabled(k Kind) bool {
 	if k <= 0 || k >= numKinds {
@@ -90,14 +78,6 @@ func (j *JSONL) Events() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.events
-}
-
-// Err returns the first write error encountered, if any. Writes after an
-// error are dropped.
-func (j *JSONL) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
 }
 
 // Record encodes and writes one event.

@@ -14,10 +14,7 @@ import (
 type Rotator struct {
 	a, b    *Benchmark
 	current *Program
-	name    string
 	rng     *sim.Rand
-	// rotations counts how many switches occurred, for traces.
-	rotations int
 }
 
 // NewRotator builds a rotator over two background benchmarks. The initial
@@ -40,23 +37,13 @@ func NewRotator(a, b *Benchmark, rng *sim.Rand) (*Rotator, error) {
 	return &Rotator{
 		a: a, b: b,
 		current: prog,
-		name:    a.Name + "+" + b.Name,
 		rng:     rng,
 	}, nil
 }
 
-// Name returns "a+b".
-func (r *Rotator) Name() string { return r.name }
-
 // Program returns the currently-installed program. The caller must re-fetch
 // it after each Rotate.
 func (r *Rotator) Program() *Program { return r.current }
-
-// Current returns the benchmark currently running.
-func (r *Rotator) Current() *Benchmark { return r.current.Benchmark() }
-
-// Rotations returns how many times Rotate has been called.
-func (r *Rotator) Rotations() int { return r.rotations }
 
 // Rotate randomly selects one of the two paired benchmarks (each with
 // probability 1/2, per the paper's "randomly switch between the two paired
@@ -68,6 +55,5 @@ func (r *Rotator) Rotate() *Benchmark {
 		next = r.b
 	}
 	r.current = MustProgram(next)
-	r.rotations++
 	return next
 }

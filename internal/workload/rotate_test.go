@@ -24,15 +24,6 @@ func TestNewRotatorValidation(t *testing.T) {
 func TestRotatorInitialState(t *testing.T) {
 	a, b := MustByName("lbm"), MustByName("namd")
 	r := mustRotator(a, b, sim.NewRand(7))
-	if r.Name() != "lbm+namd" {
-		t.Errorf("Name = %q", r.Name())
-	}
-	if r.Current() != a {
-		t.Errorf("initial benchmark = %s, want %s", r.Current().Name, a.Name)
-	}
-	if r.Rotations() != 0 {
-		t.Errorf("Rotations = %d before any rotate", r.Rotations())
-	}
 	if r.Program() == nil || r.Program().Benchmark() != a {
 		t.Error("initial program must run the first benchmark")
 	}
@@ -49,9 +40,6 @@ func TestRotateSwitchesAndCounts(t *testing.T) {
 		if next != a && next != b {
 			t.Fatalf("rotate returned foreign benchmark %v", next)
 		}
-		if r.Current() != next {
-			t.Fatal("Current must track the rotated-to benchmark")
-		}
 		if r.Program() == prev {
 			t.Fatal("each rotate must install a fresh program")
 		}
@@ -59,9 +47,6 @@ func TestRotateSwitchesAndCounts(t *testing.T) {
 			t.Fatal("installed program must run the selected benchmark")
 		}
 		counts[next.Name]++
-	}
-	if r.Rotations() != n {
-		t.Errorf("Rotations = %d, want %d", r.Rotations(), n)
 	}
 	// Each side is picked with probability 1/2; a 1/4 floor on 400 draws is
 	// ~16 sigma from fair, so this never flakes on a working rotator.

@@ -156,7 +156,7 @@ type Program struct {
 	// phase several times per quantum while a phase spans thousands of
 	// quanta, so Phase would otherwise rescan the cumulative sums on every
 	// call. The guard range makes the cache self-invalidating under
-	// Advance/Reset/SetOffset — any position outside it rescans.
+	// Advance and SetOffset — any position outside it rescans.
 	phase      int
 	phaseStart float64
 	phaseEnd   float64
@@ -182,13 +182,6 @@ func MustProgram(b *Benchmark) *Program {
 
 // Benchmark returns the underlying benchmark definition.
 func (p *Program) Benchmark() *Benchmark { return p.bench }
-
-// Executed returns instructions retired in the current pass — the progress
-// counter Dirigent's profiler reads (§4.1).
-func (p *Program) Executed() float64 { return p.executed }
-
-// Remaining returns instructions left in the current pass.
-func (p *Program) Remaining() float64 { return p.total - p.executed }
 
 // Phase returns the phase the program is currently executing.
 func (p *Program) Phase() *Phase {
@@ -226,9 +219,6 @@ func (p *Program) Advance(instr float64) bool {
 	p.executed -= p.total
 	return p.bench.Kind == Foreground
 }
-
-// Reset rewinds to the start of the pass.
-func (p *Program) Reset() { p.executed = 0 }
 
 // SetOffset positions the program offset instructions into its pass,
 // wrapping modulo the pass length. Background programs in a collocation

@@ -91,14 +91,14 @@ func TestProgramPhaseTransitions(t *testing.T) {
 	if p.Phase().Name != "b" {
 		t.Errorf("phase at 100 = %s", p.Phase().Name)
 	}
-	if p.Executed() != 100 || p.Remaining() != 200 {
-		t.Errorf("Executed=%g Remaining=%g", p.Executed(), p.Remaining())
+	if p.executed != 100 || (p.total-p.executed) != 200 {
+		t.Errorf("executed=%g remaining=%g", p.executed, (p.total - p.executed))
 	}
 	if done := p.Advance(200); !done {
 		t.Error("FG should complete at 300/300")
 	}
-	if p.Executed() != 0 {
-		t.Errorf("after completion Executed = %g, want wrap to 0", p.Executed())
+	if p.executed != 0 {
+		t.Errorf("after completion Executed = %g, want wrap to 0", p.executed)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestProgramOvershootCarries(t *testing.T) {
 	if done := p.Advance(130); !done {
 		t.Fatal("should complete")
 	}
-	if p.Executed() != 30 {
-		t.Errorf("overshoot should carry: Executed = %g, want 30", p.Executed())
+	if p.executed != 30 {
+		t.Errorf("overshoot should carry: Executed = %g, want 30", p.executed)
 	}
 }
 
@@ -125,8 +125,8 @@ func TestBackgroundProgramWraps(t *testing.T) {
 			t.Fatal("BG must never report completion")
 		}
 	}
-	if p.Executed() >= 100 {
-		t.Errorf("BG executed should stay within pass: %g", p.Executed())
+	if p.executed >= 100 {
+		t.Errorf("BG executed should stay within pass: %g", p.executed)
 	}
 }
 
@@ -134,18 +134,8 @@ func TestProgramNegativeAdvance(t *testing.T) {
 	b := &Benchmark{Name: "x", Kind: Foreground, Phases: []Phase{validPhase()}}
 	p := MustProgram(b)
 	p.Advance(-50)
-	if p.Executed() != 0 {
-		t.Errorf("negative advance should be ignored: %g", p.Executed())
-	}
-}
-
-func TestProgramReset(t *testing.T) {
-	b := &Benchmark{Name: "x", Kind: Foreground, Phases: []Phase{validPhase()}}
-	p := MustProgram(b)
-	p.Advance(1e7)
-	p.Reset()
-	if p.Executed() != 0 {
-		t.Error("Reset should rewind")
+	if p.executed != 0 {
+		t.Errorf("negative advance should be ignored: %g", p.executed)
 	}
 }
 
@@ -174,7 +164,7 @@ func TestProgramExecutedNeverExceedsTotal(t *testing.T) {
 			s ^= s >> 7
 			s ^= s << 17
 			p.Advance(float64(s % 400))
-			if p.Executed() < 0 || p.Executed() >= 800 {
+			if p.executed < 0 || p.executed >= 800 {
 				return false
 			}
 			// Phase must always be resolvable.
@@ -196,21 +186,21 @@ func TestSetOffset(t *testing.T) {
 	}}
 	p := MustProgram(b)
 	p.SetOffset(150)
-	if p.Executed() != 150 {
-		t.Errorf("Executed = %g", p.Executed())
+	if p.executed != 150 {
+		t.Errorf("Executed = %g", p.executed)
 	}
 	if p.Phase().Name != "b" {
 		t.Errorf("phase = %s", p.Phase().Name)
 	}
 	// Wraps modulo total.
 	p.SetOffset(650)
-	if p.Executed() != 50 {
-		t.Errorf("Executed after wrap = %g", p.Executed())
+	if p.executed != 50 {
+		t.Errorf("Executed after wrap = %g", p.executed)
 	}
 	// Negative clamps to 0.
 	p.SetOffset(-10)
-	if p.Executed() != 0 {
-		t.Errorf("Executed after negative = %g", p.Executed())
+	if p.executed != 0 {
+		t.Errorf("Executed after negative = %g", p.executed)
 	}
 }
 
@@ -226,7 +216,7 @@ func TestSetOffsetStaysInRange(t *testing.T) {
 			s ^= s >> 7
 			s ^= s << 17
 			p.SetOffset(float64(s % 10000))
-			if p.Executed() < 0 || p.Executed() >= 777 {
+			if p.executed < 0 || p.executed >= 777 {
 				return false
 			}
 		}
@@ -239,8 +229,8 @@ func TestSetOffsetStaysInRange(t *testing.T) {
 
 // TestProgramPhaseCache pins the cached phase lookup: repeated calls inside
 // one phase return the same phase without a rescan moving the cache window,
-// and Advance/Reset/SetOffset each invalidate the window so the next call
-// rescans to the right phase.
+// and a move by Advance, SetOffset or a rewind invalidates the window so the
+// next call rescans to the right phase.
 func TestProgramPhaseCache(t *testing.T) {
 	b := &Benchmark{Name: "x", Kind: Background, Phases: []Phase{
 		{Name: "a", Instructions: 100, BaseCPI: 1, APKI: 1, WSSBytes: 1 << 20, Locality: 0.5},
@@ -277,10 +267,10 @@ func TestProgramPhaseCache(t *testing.T) {
 		t.Fatalf("after SetOffset(450): phase %s, want c", ph.Name)
 	}
 
-	// Reset rewinds; the c-window cache cannot claim position 0.
-	p.Reset()
+	// Rewinding to the start: the c-window cache cannot claim position 0.
+	p.executed = 0
 	if ph := p.Phase(); ph.Name != "a" {
-		t.Fatalf("after Reset: phase %s, want a", ph.Name)
+		t.Fatalf("after rewind: phase %s, want a", ph.Name)
 	}
 
 	// Background wrap: executed returns below the window start.
